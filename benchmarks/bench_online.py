@@ -2,26 +2,23 @@
 
 The value proposition of :mod:`repro.online` is that a live mission
 does *not* pay a full offline solve per arrival: the committed prefix
-is frozen, the suffix re-solve works on a graph copy that carries the
-kernel's warm-start journal, and consecutive solves of the growing
-mission hit the warm pool.  This bench puts a number on that claim
-with the repository's headline online workload — a 50-arrival stream
-cut from the unrolled Mars-rover mission (typical solar case, five
-iterations) with clock advances interleaved every 10 arrivals, so a
-realistic committed prefix accretes as the mission runs.
+is frozen, and the suffix re-solve works on a graph copy that carries
+the session graph's solved longest-path cache and journal-state memos.
+This bench puts a number on that claim with the repository's headline
+online workload — a 50-arrival stream cut from the unrolled Mars-rover
+mission (typical solar case, five iterations) with clock advances
+interleaved every 10 arrivals, so a realistic committed prefix accretes
+as the mission runs.
 
-Three measurements land in ``BENCH_online.json``:
+Two measurements land in ``BENCH_online.json``:
 
 * ``incremental`` — per-arrival wall time of the live session
-  (``MissionSession.apply`` on each arrival command, warm re-solve ON,
-  history frozen by the advance cadence);
+  (``MissionSession.apply`` on each arrival command, history frozen by
+  the advance cadence);
 * ``cold_full_resolve`` — what an engine without the online layer
-  would pay: after each arrival, a cold full ``MinPowerScheduler``
-  solve of the entire accumulated problem (warm pool cleared every
-  time, nothing frozen);
-* ``warm_hit`` — the settled-mission re-solve: quiescing the finished
-  session again warm vs cold, the pure warm-pool hit with the graph no
-  longer changing.
+  would pay: after each arrival, a full ``MinPowerScheduler`` solve of
+  the entire accumulated problem, rebuilt from its document so no
+  solver cache carries over (nothing frozen).
 
 Correctness rides along: the stream must admit all 50 arrivals, and a
 no-advance replay of the same stream must quiesce *bit-identical* to
@@ -33,7 +30,7 @@ import json
 import time
 
 from _bench_utils import write_artifact
-from repro.core import kernel as core_kernel
+from repro.io.json_io import problem_from_dict, problem_to_dict
 from repro.mission import MarsRover
 from repro.mission.rover import SolarCase
 from repro.online import (MissionSession, SessionConfig,
@@ -46,7 +43,6 @@ ROVER_ITERATIONS = 5
 ADVANCE_EVERY = 10   # arrivals between clock advances
 ADVANCE_STEP = 20    # ticks per advance
 SPEEDUP_FLOOR = 1.3  # observed ~2.0x; generous CI jitter slack
-WARM_HIT_FLOOR = 1.1  # observed ~1.4x
 
 
 def _mission_stream():
@@ -79,31 +75,16 @@ def _session(problem, name):
         name=name))
 
 
-def _configured(warm):
-    previous = core_kernel.set_warm(warm)
-    core_kernel.clear_warm_pool()
-    return previous
-
-
-def _restore(previous):
-    core_kernel.set_warm(previous)
-    core_kernel.clear_warm_pool()
-
-
 def _quiescence_check(problem, arrivals):
     """The quiescence theorem on the bench workload: all arrivals up
     front, no advances -> bit-identical to the offline solve."""
-    previous = _configured(True)
-    try:
-        session = _session(problem, "quiescence-probe")
-        for arrival in arrivals:
-            session.apply(arrival)
-        assert not session.rejected, session.rejected
-        online = session.quiesce()
-        offline = MinPowerScheduler(SchedulerOptions()).solve(
-            session.problem())
-    finally:
-        _restore(previous)
+    session = _session(problem, "quiescence-probe")
+    for arrival in arrivals:
+        session.apply(arrival)
+    assert not session.rejected, session.rejected
+    online = session.quiesce()
+    offline = MinPowerScheduler(SchedulerOptions()).solve(
+        session.problem())
     assert online.schedule.as_dict() == offline.schedule.as_dict(), \
         "quiesced session diverged from the offline solve"
     assert online.energy_cost == offline.energy_cost
@@ -112,46 +93,22 @@ def _quiescence_check(problem, arrivals):
 
 
 def _timed_incremental(problem, commands):
-    """Per-arrival seconds for the live session (frozen prefix, warm
-    re-solve ON); advances run off the clock."""
-    previous = _configured(True)
-    try:
-        session = _session(problem, "incremental")
-        times = []
-        for command in commands:
-            if command["event"] == "arrival":
-                t0 = time.perf_counter()
-                session.apply(command)
-                times.append(time.perf_counter() - t0)
-            else:
-                session.apply(command)
-        assert not session.rejected, (
-            f"advance cadence must keep every arrival admissible, "
-            f"rejected {session.rejected}")
-        assert len(session.admitted) == ARRIVALS
-        warm_hit = _warm_hit(session)
-    finally:
-        _restore(previous)
-    return session, times, warm_hit
-
-
-def _warm_hit(session):
-    """Settled-mission re-solve: repeated quiesce warm vs cold."""
-    warm = None
-    for _ in range(3):  # last repeat is a pure warm-pool hit
-        t0 = time.perf_counter()
-        session.quiesce()
-        warm = time.perf_counter() - t0
-    previous = _configured(False)
-    try:
-        t0 = time.perf_counter()
-        session.quiesce()
-        cold = time.perf_counter() - t0
-    finally:
-        _restore(previous)
-    return {"warm_ms": round(warm * 1e3, 2),
-            "cold_ms": round(cold * 1e3, 2),
-            "speedup": round(cold / warm, 2)}
+    """Per-arrival seconds for the live session (frozen prefix,
+    incremental re-solves); advances run off the clock."""
+    session = _session(problem, "incremental")
+    times = []
+    for command in commands:
+        if command["event"] == "arrival":
+            t0 = time.perf_counter()
+            session.apply(command)
+            times.append(time.perf_counter() - t0)
+        else:
+            session.apply(command)
+    assert not session.rejected, (
+        f"advance cadence must keep every arrival admissible, "
+        f"rejected {session.rejected}")
+    assert len(session.admitted) == ARRIVALS
+    return session, times
 
 
 def _timed_cold_full(problem, arrivals, expected):
@@ -159,23 +116,20 @@ def _timed_cold_full(problem, arrivals, expected):
     full solve of the whole accumulated problem after each arrival.
 
     The accumulating session itself runs off the clock (it is only the
-    graph builder here); the timed work is the cold offline solve an
-    engine without incremental sessions would repeat from scratch.
+    graph builder here, and each accumulated problem is rebuilt from its
+    document off the clock); the timed work is the cold offline solve
+    an engine without incremental sessions would repeat from scratch.
     """
     builder = _session(problem, "cold-builder")
     scheduler = MinPowerScheduler(SchedulerOptions())
-    previous = _configured(False)
-    try:
-        times = []
-        final = None
-        for arrival in arrivals:
-            builder.apply(arrival)
-            core_kernel.clear_warm_pool()
-            t0 = time.perf_counter()
-            final = scheduler.solve(builder.problem())
-            times.append(time.perf_counter() - t0)
-    finally:
-        _restore(previous)
+    times = []
+    final = None
+    for arrival in arrivals:
+        builder.apply(arrival)
+        fresh = problem_from_dict(problem_to_dict(builder.problem()))
+        t0 = time.perf_counter()
+        final = scheduler.solve(fresh)
+        times.append(time.perf_counter() - t0)
     assert final.schedule.as_dict() == expected.schedule.as_dict(), \
         "cold comparator solved a different mission"
     return times
@@ -189,15 +143,14 @@ def _stats(times):
 
 def test_incremental_session_speedup_json(artifact_dir):
     """Live-session arrivals beat cold full re-solves >= 1.3x on the
-    50-arrival rover stream, the settled-mission warm hit >= 1.1x, and
-    the no-advance replay is bit-identical to the offline solve."""
+    50-arrival rover stream, and the no-advance replay is bit-identical
+    to the offline solve."""
     problem, arrivals, commands = _mission_stream()
     quiesced = _quiescence_check(problem, arrivals)
-    session, warm_times, warm_hit = _timed_incremental(problem,
-                                                       commands)
+    session, times = _timed_incremental(problem, commands)
     cold_times = _timed_cold_full(problem, arrivals, quiesced)
 
-    speedup = round(sum(cold_times) / sum(warm_times), 2)
+    speedup = round(sum(cold_times) / sum(times), 2)
     doc = {
         "bench": "online_incremental_session",
         "workload": {
@@ -207,15 +160,13 @@ def test_incremental_session_speedup_json(artifact_dir):
             "advance_every": ADVANCE_EVERY,
             "advance_step": ADVANCE_STEP,
         },
-        "numpy_available": core_kernel.HAVE_NUMPY,
         "admitted": len(session.admitted),
         "rejected": len(session.rejected),
         "committed": len(session.committed),
-        "incremental": _stats(warm_times),
+        "incremental": _stats(times),
         "cold_full_resolve": _stats(cold_times),
         "per_arrival_speedup": speedup,
         "speedup_floor": SPEEDUP_FLOOR,
-        "warm_hit": dict(warm_hit, floor=WARM_HIT_FLOOR),
         "quiescence_identical": True,
     }
     write_artifact(artifact_dir, "BENCH_online.json",
@@ -226,6 +177,3 @@ def test_incremental_session_speedup_json(artifact_dir):
     assert speedup >= SPEEDUP_FLOOR, (
         f"incremental arrivals only {speedup:.2f}x over cold full "
         f"re-solves (floor {SPEEDUP_FLOOR}x): {doc}")
-    assert warm_hit["speedup"] >= WARM_HIT_FLOOR, (
-        f"settled-mission warm hit only {warm_hit['speedup']:.2f}x "
-        f"(floor {WARM_HIT_FLOOR}x): {warm_hit}")

@@ -185,25 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--servers", default="", metavar="URL[,URL...]",
                        help="comma-separated solve-server base URLs "
                             "for --backend remote")
-    sweep.add_argument("--lp-log-factor", type=int, default=None,
-                       metavar="K",
-                       help="override the constraint graph's add-log "
-                            "trim bound multiplier for every job "
-                            "(watch lp_cache_log_evictions in the "
-                            "trace to see when the window is too "
-                            "small)")
-    sweep.add_argument("--kernel", choices=["auto", "oracle", "numpy"],
-                       default="auto",
-                       help="solver core: numpy fast path when "
-                            "available (auto, default), forced numpy, "
-                            "or the pure-Python reference oracle — "
-                            "certified bit-identical, a speed knob "
-                            "only")
-    sweep.add_argument("--no-warm-start", action="store_true",
-                       help="disable warm-started longest-path "
-                            "re-solves across rollbacks, graph copies, "
-                            "and neighbouring sweep points (on by "
-                            "default; exact either way)")
     sweep.add_argument("--freq-levels", default="", metavar="F[,F...]",
                        help="comma-separated DVFS frequency rungs in "
                             "(0, 1], must include 1.0: every task gets "
@@ -250,18 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     shard_plan.add_argument("--instrument", action="store_true",
                             help="shard workers record spans + "
                                  "metrics into their artifacts")
-    shard_plan.add_argument("--lp-log-factor", type=int, default=None,
-                            metavar="K",
-                            help="add-log trim bound override for the "
-                                 "shard workers")
-    shard_plan.add_argument("--kernel",
-                            choices=["auto", "oracle", "numpy"],
-                            default="auto",
-                            help="solver core for the shard workers "
-                                 "(default auto)")
-    shard_plan.add_argument("--no-warm-start", action="store_true",
-                            help="shard workers solve cold (disable "
-                                 "warm-started re-solves)")
     shard_plan.add_argument("--freq-levels", default="",
                             metavar="F[,F...]",
                             help="comma-separated DVFS frequency rungs "
@@ -619,10 +588,7 @@ def _cmd_sweep(args) -> int:
                                       trace_path=args.trace,
                                       instrument=args.instrument,
                                       reuse_schedules=reuse,
-                                      reuse_policy=args.reuse_policy,
-                                      lp_log_factor=args.lp_log_factor,
-                                      core_kernel=args.kernel,
-                                      warm_start=not args.no_warm_start),
+                                      reuse_policy=args.reuse_policy),
                          store=store, backend=backend)
     if args.levels:
         levels = [float(token) for token in args.levels.split(",")]
@@ -681,10 +647,7 @@ def _cmd_shard_plan(args) -> int:
     runner_doc = {"retries": 1,
                   "reuse_schedules": args.reuse_schedules,
                   "reuse_policy": args.reuse_policy,
-                  "instrument": args.instrument,
-                  "lp_log_factor": args.lp_log_factor,
-                  "core_kernel": args.kernel,
-                  "warm_start": not args.no_warm_start}
+                  "instrument": args.instrument}
     plan = plan_shards(jobs, max(1, args.shards), args.strategy,
                        sweep=problem.name, runner=runner_doc)
     os.makedirs(args.out_dir, exist_ok=True)

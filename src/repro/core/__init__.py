@@ -5,16 +5,12 @@ formulation.  The scheduling algorithms live in
 :mod:`repro.scheduling`; everything here is algorithm-agnostic.
 """
 
-from .arrays import HAVE_NUMPY, GraphArrays, ProfileArrays
 from .diagnose import (CycleExplanation, explain_infeasibility,
                        find_cycle)
 from .dvfs import (DEFAULT_LADDER, attach_ladder, ladder_from_freqs,
                    materialize_assignment, quantize_power, scaled_duration,
                    scaled_power)
-from .graph import (ADD_LOG_FACTOR, ConstraintGraph, Edge,
-                    add_log_factor, set_add_log_factor)
-from .kernel import (KERNEL_MODES, clear_warm_pool, kernel_mode,
-                     set_kernel, set_warm, warm_enabled)
+from .graph import ADD_LOG_FACTOR, ConstraintGraph, Edge
 from .longest_path import (LongestPathResult, earliest_starts,
                            latest_starts, longest_paths)
 from .phased import (add_phased_task, is_phase_of, phase_names,
@@ -38,14 +34,10 @@ __all__ = [
     "CycleExplanation",
     "DEFAULT_LADDER",
     "Edge",
-    "GraphArrays",
-    "HAVE_NUMPY",
     "Interval",
-    "KERNEL_MODES",
     "LongestPathResult",
     "OperatingPoint",
     "PowerProfile",
-    "ProfileArrays",
     "Resource",
     "ResourcePool",
     "Schedule",
@@ -55,21 +47,18 @@ __all__ = [
     "UNBOUNDED_SLACK",
     "ValidationReport",
     "Violation",
-    "add_log_factor",
     "add_phased_task",
     "attach_ladder",
     "assert_power_valid",
     "assert_time_valid",
     "check_power_valid",
     "check_time_valid",
-    "clear_warm_pool",
     "earliest_starts",
     "energy_cost",
     "evaluate",
     "explain_infeasibility",
     "find_cycle",
     "is_phase_of",
-    "kernel_mode",
     "ladder_from_freqs",
     "latest_starts",
     "longest_paths",
@@ -82,10 +71,6 @@ __all__ = [
     "quantize_power",
     "scaled_duration",
     "scaled_power",
-    "set_add_log_factor",
-    "set_kernel",
-    "set_warm",
     "slack",
     "slack_table",
-    "warm_enabled",
 ]

@@ -142,7 +142,7 @@ def materialize_assignment(problem: SchedulingProblem,
     full-speed point come back bit-identical to a ladder-free task.
     The scaled graph is an *ordinary* constraint graph — no operating
     points survive materialization, so the paper's schedulers (and the
-    kernel fast path and warm pool under them) run on it unchanged.
+    longest-path caches under them) run on it unchanged.
 
     Edge adjustment — the deadline-safety rule.  Separation edges are
     start-to-start and carry weights computed at build time from

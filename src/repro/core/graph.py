@@ -24,8 +24,6 @@ and undo them cheaply when a branch fails.
 
 from __future__ import annotations
 
-import itertools
-import os
 from dataclasses import dataclass, replace as _dc_replace
 from typing import Any, Iterable, Iterator, Mapping
 
@@ -33,52 +31,18 @@ from ..errors import GraphError
 from .resource import Resource, ResourcePool
 from .task import ANCHOR_NAME, Task
 
-__all__ = ["Edge", "ConstraintGraph", "ADD_LOG_FACTOR",
-           "add_log_factor", "set_add_log_factor"]
+__all__ = ["Edge", "ConstraintGraph", "ADD_LOG_FACTOR"]
 
 #: Sentinel for "no constraint" when querying separations.
 _NO_EDGE = object()
 
-#: Default trim bound multiplier for the incremental-longest-path add
-#: log: ``add_edge`` trims ``_add_log`` once it exceeds
-#: ``factor * (tasks + 8)`` entries.  Larger factors keep more history
-#: (stale longest-path caches stay on the incremental fast path longer)
-#: at the cost of memory; trimming can only cost speed, never
-#: correctness.  Override per run with :func:`set_add_log_factor` or the
-#: ``lp_log_factor`` field of ``repro.engine.RunnerConfig``.
+#: Trim bound multiplier for the incremental-longest-path add log:
+#: ``add_edge`` trims ``_add_log`` once it exceeds
+#: ``ADD_LOG_FACTOR * (tasks + 8)`` entries.  A stale longest-path cache
+#: that falls out of the window takes a journal-state restore or a full
+#: solve instead of the incremental step (counted as ``log_evictions``);
+#: trimming can only cost speed, never correctness.
 ADD_LOG_FACTOR = 4
-
-_add_log_factor = ADD_LOG_FACTOR
-
-# Per-process counter for graph identities.  Combined with the pid it
-# forms a warm-pool key that cannot collide across processes — an
-# unpickled graph regenerates its uid (see ``__setstate__``), so two
-# workers can never serve each other stale fixpoints.
-_uid_counter = itertools.count()
-
-
-def add_log_factor() -> int:
-    """The process-wide add-log trim bound multiplier currently in force."""
-    return _add_log_factor
-
-
-def set_add_log_factor(factor: "int | None") -> int:
-    """Set the add-log trim bound multiplier; returns the previous value.
-
-    ``None`` restores the default (:data:`ADD_LOG_FACTOR`).  The factor
-    must be a positive integer.  Per-process state: worker processes
-    each set their own copy (see ``repro.engine.jobs.run_job``).
-    """
-    global _add_log_factor
-    if factor is None:
-        factor = ADD_LOG_FACTOR
-    if not isinstance(factor, int) or isinstance(factor, bool) \
-            or factor < 1:
-        raise GraphError(
-            f"add-log factor must be a positive integer, got {factor!r}")
-    previous = _add_log_factor
-    _add_log_factor = factor
-    return previous
 
 
 @dataclass(frozen=True)
@@ -136,17 +100,10 @@ class ConstraintGraph:
         self._last_non_add_version = 0
         self._add_log: "list[tuple[int, str, str, int]]" = []
         self._lp_cache = None
-        # struct-of-arrays view cache (repro.core.arrays) — version-keyed
-        self._arrays_cache = None
-        # warm-start support (repro.core.longest_path): memoized
-        # fixpoints keyed by journal length so rollback lands on an
-        # already-solved state, plus the identity of the graph this one
-        # was copied from (and our version right after the copy) so
-        # sibling copies share fixpoints through the kernel warm pool.
+        # memoized longest-path fixpoints keyed by journal length, so a
+        # rollback lands on an already-solved state
+        # (repro.core.longest_path).
         self._state_cache: "dict[int, tuple[int, dict, dict]]" = {}
-        self._uid = (os.getpid(), next(_uid_counter))
-        self._warm_src: "tuple[tuple[int, int], int] | None" = None
-        self._warm_at_version = 0
         self.add_task(Task.anchor())
 
     # ------------------------------------------------------------------
@@ -188,8 +145,8 @@ class ConstraintGraph:
         task by its *realized* duration so the schedulers' resource
         exclusion and power profile see the stretched reality, not the
         nominal plan.  Durations feed the solvers but not the edge set,
-        so longest-path distances stay valid; power/energy and array
-        caches are version-keyed, so the bump below invalidates them.
+        so longest-path distances stay valid; the version bump below
+        invalidates every version-keyed cache regardless.
         Not journaled — use on throwaway copies, not on a graph a later
         ``rollback`` must restore.
         """
@@ -205,7 +162,6 @@ class ConstraintGraph:
         replaced = _dc_replace(task, duration=duration)
         self._tasks[name] = replaced
         self._version += 1
-        self._arrays_cache = None
         self._triples_cache = None
         return replaced
 
@@ -297,7 +253,7 @@ class ConstraintGraph:
         self._in[dst].add(src)
         self._version += 1
         self._add_log.append((self._version, src, dst, weight))
-        if len(self._add_log) > _add_log_factor * (len(self._tasks) + 8):
+        if len(self._add_log) > ADD_LOG_FACTOR * (len(self._tasks) + 8):
             # Bounded log: drop the older half.  The longest-path solver
             # only takes its incremental fast path when the log covers
             # *every* version since its cache (it checks
@@ -558,22 +514,14 @@ class ConstraintGraph:
         for (src, dst), (weight, tag) in self._edges.items():
             clone.add_edge(src, dst, weight, tag=tag)
         clone._journal.clear()
-        from . import kernel as _kernel
-        if _kernel.warm_enabled():
-            # Warm-origin tag: the clone remembers which graph (and
-            # version) it reproduces, so as long as it stays unmutated
-            # its first longest-path solve can come from the warm pool
-            # — the cross-sweep-point re-solve seeding of the ISSUE.
-            clone._warm_src = (self._uid, self._version)
-            clone._warm_at_version = clone._version
-            cache = self._lp_cache
-            if cache is not None and cache[0] == self._version \
-                    and len(cache[1]) == len(self._tasks):
-                # Identical edge set => identical unique fixpoint, so
-                # the solved distances carry over directly.  The dicts
-                # are shared, never mutated in place (the incremental
-                # path copies first).
-                clone._lp_cache = (clone._version, cache[1], cache[2])
+        cache = self._lp_cache
+        if cache is not None and cache[0] == self._version \
+                and len(cache[1]) == len(self._tasks):
+            # Identical edge set => identical unique fixpoint, so the
+            # solved distances carry over directly.  The dicts are
+            # shared, never mutated in place (the incremental path
+            # copies first).
+            clone._lp_cache = (clone._version, cache[1], cache[2])
         return clone
 
     def merge(self, other: "ConstraintGraph", prefix: str = "") -> None:
@@ -596,7 +544,8 @@ class ConstraintGraph:
         journaled (it rewrites history), so only call between scheduling
         runs, never inside one.
         """
-        doomed = [k for k, v in self._edges.items() if v[1] in set(tags)]
+        tags = set(tags)
+        doomed = [k for k, v in self._edges.items() if v[1] in tags]
         for key in doomed:
             del self._edges[key]
             self._out[key[0]].discard(key[1])
@@ -612,27 +561,16 @@ class ConstraintGraph:
     # ------------------------------------------------------------------
 
     def __getstate__(self):
-        """Lean pickles: caches are rebuildable, memos are per-process.
+        """Lean pickles: the journal-state memos stay behind.
 
-        The arrays cache holds numpy arrays and the state cache can hold
-        hundreds of solved fixpoints — both are derived data the
-        receiving process can recreate.  The warm-origin tag is dropped
-        because the warm pool is per-process memory: a probe in another
-        process could never hit.  The plain ``_lp_cache`` dicts *are*
-        shipped — they give the receiving worker a warm first solve.
+        The state cache can hold hundreds of solved fixpoints — derived
+        data the receiving process rebuilds as it solves.  The plain
+        ``_lp_cache`` dicts *are* shipped: they give the receiving
+        worker a cached first solve.
         """
         state = self.__dict__.copy()
-        state["_arrays_cache"] = None
         state["_state_cache"] = {}
-        state["_warm_src"] = None
         return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        # Fresh identity in the receiving process: two unpickled copies
-        # of the same parent could otherwise mutate apart while sharing
-        # a uid, poisoning the warm pool with colliding keys.
-        self._uid = (os.getpid(), next(_uid_counter))
 
     def __repr__(self) -> str:
         return (f"ConstraintGraph({self.name!r}, tasks={len(self)}, "

@@ -12,25 +12,20 @@ Every vertex also has an implicit ``anchor -> v`` edge of weight 0
 reachability, so distances are always finite.
 
 Complexity: O(V * E) for a cold solve.  The schedulers call this after
-each batch of edge insertions, and most calls are answered far cheaper
-than a cold solve, in order of preference:
+each batch of edge insertions and after every rollback, and most calls
+are answered far cheaper than a cold solve.  The answer ladder, in
+order of preference:
 
-1. **exact cache hit** — the graph version is unchanged;
+1. **exact cache hit** — the graph version is unchanged (a graph copy
+   carries its source's solved cache, so an unmutated copy hits too);
 2. **incremental propagation** — every mutation since the cache was an
    edge addition, so only the delta is relaxed with a worklist;
-3. **state restore** — the graph just rolled back to a
-   previously-solved journal state whose fixpoint was memoized;
-4. **warm-pool hit** — the graph is a fresh copy of a source graph
-   whose fixpoint another solve (e.g. the neighboring sweep point)
-   already computed;
-5. **full solve** — the numpy kernel (:mod:`repro.core.kernel`) when
-   selected, the pure-Python oracle otherwise.
+3. **journal-state restore** — the graph rolled back to (or a few
+   monotone edits past) a journal prefix whose fixpoint was memoized;
+4. **full solve** — pure-Python Bellman–Ford.
 
-Layers 3–5's fast variants are gated by :func:`repro.core.kernel`'s
-``warm``/kernel switches; with both off, behaviour is exactly the
-original two-layer cache.  All layers return the same integer
-distances — the Bellman–Ford least fixpoint of an edge set is unique —
-which the differential suite certifies bit-for-bit.
+Every step returns the same integer distances: the Bellman–Ford least
+fixpoint of an edge set is unique.
 """
 
 from __future__ import annotations
@@ -40,9 +35,7 @@ from types import MappingProxyType
 
 from ..errors import InfeasibleError, PositiveCycleError
 from ..obs import OBS
-from . import kernel as _kernel
 from .graph import ConstraintGraph
-from .kernel import KernelInfeasible
 from .task import ANCHOR_NAME
 
 __all__ = ["LongestPathResult", "longest_paths", "earliest_starts",
@@ -58,8 +51,7 @@ __all__ = ["LongestPathResult", "longest_paths", "earliest_starts",
 # ----------------------------------------------------------------------
 
 _COUNTERS = {"cache_hits": 0, "incremental_runs": 0, "full_runs": 0,
-             "log_evictions": 0, "kernel_runs": 0, "state_restores": 0,
-             "warm_hits": 0, "probe_prunes": 0}
+             "log_evictions": 0, "state_restores": 0, "probe_prunes": 0}
 
 #: Bound on memoized journal states per graph (oldest half evicted).
 _STATE_CACHE_LIMIT = 256
@@ -123,18 +115,18 @@ def longest_paths(graph: ConstraintGraph, *, probe: bool = False) \
     """Compute longest-path distances from the anchor to every vertex.
 
     Transparently incremental — see the module docstring for the
-    answer ladder (exact hit, incremental delta, rollback state
-    restore, cross-copy warm pool, full solve).  The result is a
-    read-only view over the graph-attached cache.
+    answer ladder (exact hit, incremental delta, journal-state restore,
+    full solve).  The result is a read-only view over the
+    graph-attached cache.
 
     With ``probe=True`` the call is a *feasibility probe*: it returns
     None instead of raising on infeasible edge sets.  Scheduler search
     loops that catch :class:`PositiveCycleError` purely as a boolean
     (try a move, back off on contradiction) probe instead, which lets
-    the warm layers prune infeasible branches from a *certified*
+    the incremental steps prune infeasible branches from a *certified*
     contradiction witness — a positive-weight closed walk through the
     anchor, or a predecessor cycle whose edge weights sum positive —
-    without paying the reference oracle for an exception message nobody
+    without paying a full solve for an exception message nobody
     reads.  An uncertified divergence still falls through to the full
     solve, so a probe never misreports feasibility either way.  On
     feasible graphs probes return the same distances as plain calls.
@@ -145,9 +137,9 @@ def longest_paths(graph: ConstraintGraph, *, probe: bool = False) \
         (Only when ``probe`` is False.)  If the constraint graph
         contains a positive cycle (the timing constraints are
         unsatisfiable).  The exception carries one offending cycle when
-        it can be traced, and is byte-identical whichever layer
-        detected the contradiction: the incremental and kernel paths
-        fall back to the reference oracle to raise.
+        it can be traced, and is byte-identical whichever step
+        detected the contradiction: the incremental steps fall back to
+        the full solve to raise.
     """
     # Equivalent to task_names(include_anchor=True) — the anchor is the
     # first inserted vertex — without materializing Task objects on
@@ -196,8 +188,7 @@ def longest_paths(graph: ConstraintGraph, *, probe: bool = False) \
                     new_dist, new_pred = propagated
                     graph._lp_cache = (graph._version, new_dist,
                                        new_pred)
-                    if _kernel.warm_enabled():
-                        _remember_state(graph, new_dist, new_pred)
+                    _remember_state(graph, new_dist, new_pred)
                     return _view(new_dist, new_pred)
             else:
                 # Invariants 1 and 2 held but the add log no longer
@@ -207,24 +198,13 @@ def longest_paths(graph: ConstraintGraph, *, probe: bool = False) \
                 # forced recomputes apart from genuinely invalidated
                 # caches (removals / rollbacks / new vertices).
                 _COUNTERS["log_evictions"] += 1
-    warm = _kernel.warm_enabled()
-    if warm:
-        restored = _restore_from_journal(graph, names, probe)
-        if restored is _INFEASIBLE:
-            _COUNTERS["probe_prunes"] += 1
-            graph._lp_cache = None
-            return None
-        if restored is not None:
-            return restored
-        if graph._warm_src is not None \
-                and graph._version == graph._warm_at_version:
-            hit = _kernel.warm_probe(graph._warm_src, len(names))
-            if hit is not None:
-                _COUNTERS["warm_hits"] += 1
-                dist, pred = hit
-                graph._lp_cache = (graph._version, dist, pred)
-                _remember_state(graph, dist, pred)
-                return _view(dist, pred)
+    restored = _restore_from_journal(graph, names, probe)
+    if restored is _INFEASIBLE:
+        _COUNTERS["probe_prunes"] += 1
+        graph._lp_cache = None
+        return None
+    if restored is not None:
+        return restored
     try:
         _COUNTERS["full_runs"] += 1
         if OBS.enabled:
@@ -234,42 +214,18 @@ def longest_paths(graph: ConstraintGraph, *, probe: bool = False) \
             # thousands of times per solve).
             with OBS.span("core.longest_path.full",
                           vertices=len(names)):
-                dist, pred = _solve_full(graph, names)
+                full = _full_longest_paths(graph, names)
         else:
-            dist, pred = _solve_full(graph, names)
+            full = _full_longest_paths(graph, names)
     except PositiveCycleError:
         graph._lp_cache = None
         if probe:
             return None
         raise
+    dist, pred = full.distance, full.predecessor
     graph._lp_cache = (graph._version, dist, pred)
-    if warm:
-        _remember_state(graph, dist, pred)
-        if graph._warm_src is not None \
-                and graph._version == graph._warm_at_version:
-            _kernel.warm_store(graph._warm_src, len(names), dist, pred)
+    _remember_state(graph, dist, pred)
     return _view(dist, pred)
-
-
-def _solve_full(graph: ConstraintGraph, names: "list[str]") \
-        -> "tuple[dict, dict]":
-    """Cold solve through the selected kernel.
-
-    The numpy kernel computes the identical integer fixpoint; when it
-    detects infeasibility the oracle re-runs to raise the canonical
-    exception (or, defensively, to return the correct result should
-    the kernel ever flag a feasible instance).
-    """
-    if _kernel.use_numpy(len(names), _kernel.AUTO_MIN_VERTICES):
-        try:
-            dist, pred = _kernel.np_longest_paths(graph)
-        except KernelInfeasible:
-            result = _full_longest_paths(graph, names)
-            return result.distance, result.predecessor
-        _COUNTERS["kernel_runs"] += 1
-        return dist, pred
-    result = _full_longest_paths(graph, names)
-    return result.distance, result.predecessor
 
 
 #: How far below the current journal length the restore layer looks for
@@ -357,11 +313,11 @@ def _restore_from_journal(graph: ConstraintGraph, names: "list[str]",
     removal in the suffix disqualifies the layer — and disqualifies
     every shorter prefix too, so the scan stops there.
 
-    Returns the restored view, None to fall through to the warm pool /
-    full solve, or :data:`_INFEASIBLE` when a probing caller's replay
-    diverged with a certified contradiction.  Never raises on
-    infeasible instances: a non-probe diverging replay returns None so
-    the oracle raises canonically.
+    Returns the restored view, None to fall through to the full solve,
+    or :data:`_INFEASIBLE` when a probing caller's replay diverged
+    with a certified contradiction.  Never raises on infeasible
+    instances: a non-probe diverging replay returns None so the full
+    solve raises canonically.
     """
     state_cache = graph._state_cache
     if not state_cache:
@@ -445,10 +401,10 @@ def _propagate_adds(graph, dist, pred, adds, names) \
     a suspected positive cycle — raises :class:`_Diverged` instead,
     carrying whether the divergence is a proof (positive closed walk
     through the anchor) or needs certification.  Non-probing callers
-    treat any divergence as "fall through to the full solve", whose
-    oracle raises the canonical :class:`PositiveCycleError` (message
-    and traced cycle included) — so infeasibility reported through a
-    warm cache is byte-identical to a cold solve, and a false-positive
+    treat any divergence as "fall through to the full solve", which
+    raises the canonical :class:`PositiveCycleError` (message and
+    traced cycle included) — so infeasibility reported through a
+    cached state is byte-identical to a cold solve, and a false-positive
     divergence guard costs a recompute, never a wrong exception.
     """
     from collections import deque

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from ..errors import ValidationError
-from . import kernel as _kernel
 from .schedule import Schedule
 
 __all__ = ["Interval", "PowerProfile"]
@@ -79,12 +78,12 @@ class PowerProfile:
                     f"negative power {power} in segment [{t0}, {t1})")
             # Merge equal-power neighbours for compactness.  "Equal"
             # uses the same POWER_TOL as every validity check: summing
-            # task powers in a different order (permuted inputs, the
-            # vectorized kernel) can jitter a level by an ulp, and an
-            # exact == here would then split one plateau into two
-            # segments — changing segment counts across backends while
-            # every power query still agreed.  The merged segment keeps
-            # the first-seen power, so a long plateau cannot drift.
+            # task powers in a different order (permuted inputs) can
+            # jitter a level by an ulp, and an exact == here would then
+            # split one plateau into two segments — changing segment
+            # counts while every power query still agreed.  The merged
+            # segment keeps the first-seen power, so a long plateau
+            # cannot drift.
             if self._segments and \
                     abs(self._segments[-1][2] - power) <= self.POWER_TOL:
                 last = self._segments.pop()
@@ -168,14 +167,10 @@ class PowerProfile:
 
     def peak(self) -> float:
         """The maximum instantaneous power."""
-        if _kernel.use_numpy(len(self._segments), _kernel.AUTO_MIN_SEGMENTS):
-            return _kernel.np_peak(self)
         return max((seg[2] for seg in self._segments), default=0.0)
 
     def floor(self) -> float:
         """The minimum instantaneous power over the domain."""
-        if _kernel.use_numpy(len(self._segments), _kernel.AUTO_MIN_SEGMENTS):
-            return _kernel.np_floor(self)
         return min((seg[2] for seg in self._segments), default=0.0)
 
     # ------------------------------------------------------------------
@@ -191,17 +186,11 @@ class PowerProfile:
     def spikes(self, p_max: float, tol: float = POWER_TOL) \
             -> "list[Interval]":
         """Maximal intervals where ``P(t) > P_max`` (hard violations)."""
-        if _kernel.use_numpy(len(self._segments), _kernel.AUTO_MIN_SEGMENTS):
-            return [Interval(t0, t1, ext) for t0, t1, ext
-                    in _kernel.np_spike_runs(self, p_max, tol)]
         return self._level_intervals(lambda p: p > p_max + tol, max)
 
     def gaps(self, p_min: float, tol: float = POWER_TOL) \
             -> "list[Interval]":
         """Maximal intervals where ``P(t) < P_min`` (soft violations)."""
-        if _kernel.use_numpy(len(self._segments), _kernel.AUTO_MIN_SEGMENTS):
-            return [Interval(t0, t1, ext) for t0, t1, ext
-                    in _kernel.np_gap_runs(self, p_min, tol)]
         return self._level_intervals(lambda p: p < p_min - tol, min)
 
     def first_spike(self, p_max: float, tol: float = POWER_TOL) \
@@ -224,8 +213,6 @@ class PowerProfile:
 
     def is_power_valid(self, p_max: float, tol: float = POWER_TOL) -> bool:
         """True when the profile never exceeds the max power constraint."""
-        if _kernel.use_numpy(len(self._segments), _kernel.AUTO_MIN_SEGMENTS):
-            return _kernel.np_is_power_valid(self, p_max, tol)
         return all(seg[2] <= p_max + tol for seg in self._segments)
 
     def _level_intervals(self, predicate, extremum_fn) -> "list[Interval]":
@@ -275,15 +262,11 @@ class PowerProfile:
 
     def energy(self) -> float:
         """Total energy ``integral P(t) dt`` in joules."""
-        if _kernel.use_numpy(len(self._segments), _kernel.AUTO_MIN_SEGMENTS):
-            return _kernel.np_energy(self)
         return sum((t1 - t0) * p for t0, t1, p in self._segments)
 
     def energy_above(self, level: float) -> float:
         """``integral max(0, P(t) - level) dt`` — energy drawn *above*
         a supply level (the paper's energy cost when ``level = P_min``)."""
-        if _kernel.use_numpy(len(self._segments), _kernel.AUTO_MIN_SEGMENTS):
-            return _kernel.np_energy_above(self, level)
         return sum((t1 - t0) * (p - level)
                    for t0, t1, p in self._segments if p > level)
 
@@ -291,8 +274,6 @@ class PowerProfile:
         """``integral min(P(t), level) dt`` — energy absorbed from a
         source capped at ``level`` (free-solar usage when
         ``level = P_min``)."""
-        if _kernel.use_numpy(len(self._segments), _kernel.AUTO_MIN_SEGMENTS):
-            return _kernel.np_energy_capped(self, level)
         return sum((t1 - t0) * min(p, level) for t0, t1, p in self._segments)
 
     # ------------------------------------------------------------------

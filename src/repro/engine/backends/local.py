@@ -57,9 +57,7 @@ class LocalBackend(ExecutionBackend):
             results[position] = run_job(
                 job, position=position, key=key,
                 retries=config.retries, instrument=instrument,
-                store=store, lp_log_factor=config.lp_log_factor,
-                core_kernel=config.core_kernel,
-                warm_start=config.warm_start)
+                store=store)
             if on_result is not None:
                 on_result(results[position])
 
@@ -95,10 +93,7 @@ class LocalBackend(ExecutionBackend):
                     try:
                         future = pool.submit(run_chunk, chunk,
                                              cfg.retries, instrument,
-                                             snapshot,
-                                             cfg.lp_log_factor,
-                                             cfg.core_kernel,
-                                             cfg.warm_start)
+                                             snapshot)
                     except Exception:  # noqa: BLE001 - pool is gone
                         future = None
                     submitted.append((future, chunk, attempt))

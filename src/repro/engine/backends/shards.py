@@ -67,10 +67,7 @@ def run_manifest(manifest):
         retries=int(knobs.get("retries", 1)),
         reuse_schedules=store is not None,
         reuse_policy=reuse_policy,
-        instrument=bool(knobs.get("instrument")),
-        lp_log_factor=knobs.get("lp_log_factor"),
-        core_kernel=knobs.get("core_kernel", "auto"),
-        warm_start=bool(knobs.get("warm_start", True)))
+        instrument=bool(knobs.get("instrument")))
     runner = BatchRunner(config, store=store)
     trace_ctx = knobs.get("trace") or {}
     if trace_ctx.get("trace_id"):
@@ -143,9 +140,6 @@ class SubprocessShardBackend(ExecutionBackend):
             "reuse_schedules": store is not None,
             "reuse_policy": config.reuse_policy,
             "instrument": bool(instrument),
-            "lp_log_factor": config.lp_log_factor,
-            "core_kernel": config.core_kernel,
-            "warm_start": config.warm_start,
         }
         context = current_trace_context()
         if context is not None:

@@ -195,9 +195,7 @@ register_kind("sweep_point", _solve_sweep_point)
 
 def run_job(job: SolveJob, position: int = 0, key: "str | None" = None,
             retries: int = 0, instrument: bool = False,
-            store=None, lp_log_factor: "int | None" = None,
-            core_kernel: "str | None" = None,
-            warm_start: "bool | None" = None) -> JobResult:
+            store=None) -> JobResult:
     """Execute one job with capped in-place retry.
 
     Scheduler-level infeasibility is a *result* (the kind functions
@@ -220,17 +218,6 @@ def run_job(job: SolveJob, position: int = 0, key: "str | None" = None,
     ``result.stats["reuse"]["new_entries"]`` so pool workers ship them
     back to the parent (the serial path shares the live store, where the
     drained delta is simply redundant with what is already in it).
-
-    ``lp_log_factor`` overrides the constraint graph's add-log trim
-    bound multiplier (:data:`repro.core.graph.ADD_LOG_FACTOR`) for the
-    duration of the job — the ``RunnerConfig.lp_log_factor``
-    passthrough.  The previous factor is restored on exit.
-
-    ``core_kernel`` and ``warm_start`` are the solver-core passthroughs
-    of ``RunnerConfig.core_kernel`` / ``RunnerConfig.warm_start``
-    (see :mod:`repro.core.kernel`): applied for the duration of the
-    job, previous per-process settings restored on exit.  ``None``
-    leaves the process-wide setting untouched.
     """
     fn = _KINDS.get(job.kind)
     key = key if key is not None else job.key()
@@ -240,18 +227,6 @@ def run_job(job: SolveJob, position: int = 0, key: "str | None" = None,
     use_store = store is not None and job.kind in _STORE_AWARE
     last_error = ""
     capture_ctx = None
-    restore_factor: "int | None" = None
-    if lp_log_factor is not None:
-        from ..core.graph import set_add_log_factor
-        restore_factor = set_add_log_factor(lp_log_factor)
-    restore_kernel: "str | None" = None
-    restore_warm: "bool | None" = None
-    if core_kernel is not None:
-        from ..core.kernel import set_kernel
-        restore_kernel = set_kernel(core_kernel)
-    if warm_start is not None:
-        from ..core.kernel import set_warm
-        restore_warm = set_warm(warm_start)
     if instrument:
         from ..obs import capture
         capture_ctx = capture()
@@ -281,15 +256,6 @@ def run_job(job: SolveJob, position: int = 0, key: "str | None" = None,
     finally:
         if capture_ctx is not None:
             capture_ctx.__exit__(None, None, None)
-        if restore_factor is not None:
-            from ..core.graph import set_add_log_factor
-            set_add_log_factor(restore_factor)
-        if restore_kernel is not None:
-            from ..core.kernel import set_kernel
-            set_kernel(restore_kernel)
-        if restore_warm is not None:
-            from ..core.kernel import set_warm
-            set_warm(restore_warm)
     if capture_ctx is not None:
         result.stats = dict(result.stats)
         result.stats["obs"] = {
@@ -315,24 +281,16 @@ def run_job(job: SolveJob, position: int = 0, key: "str | None" = None,
 def run_chunk(jobs: "list[tuple[int, str, SolveJob]]",
               retries: int = 0,
               instrument: bool = False,
-              store=None,
-              lp_log_factor: "int | None" = None,
-              core_kernel: "str | None" = None,
-              warm_start: "bool | None" = None) -> "list[JobResult]":
+              store=None) -> "list[JobResult]":
     """Worker entry point: execute a chunk of keyed jobs in order.
 
     ``store`` is the worker's private snapshot of the parent's schedule
     store: jobs in the chunk build on each other's entries locally, and
     each job's freshly-inserted entries travel back to the parent in its
-    result's ``stats["reuse"]["new_entries"]``.  ``lp_log_factor``,
-    ``core_kernel``, and ``warm_start`` are the per-job solver knob
-    passthroughs (see :func:`run_job`) — applied here per job so worker
-    processes honour them too.
+    result's ``stats["reuse"]["new_entries"]``.
     """
     return [run_job(job, position=position, key=key, retries=retries,
-                    instrument=instrument, store=store,
-                    lp_log_factor=lp_log_factor, core_kernel=core_kernel,
-                    warm_start=warm_start)
+                    instrument=instrument, store=store)
             for position, key, job in jobs]
 
 

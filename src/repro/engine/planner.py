@@ -130,7 +130,7 @@ class ShardManifest:
     shard results interleave back into submission order.  ``runner``
     carries the execution knobs a shard worker should honour
     (``retries``, ``reuse_schedules``, ``reuse_policy``,
-    ``instrument``, ``lp_log_factor``); ``store`` optionally carries
+    ``instrument``, ``trace``); ``store`` optionally carries
     the parent's schedule-store document so shards start from the
     already-primed entries.
     """

@@ -30,7 +30,6 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
-from ..core.kernel import KERNEL_MODES
 from ..obs import (LOG, OBS, MetricsRegistry, Span, absorb_cache_stats,
                    absorb_scheduler_stats, absorb_store_stats,
                    current_trace_context, new_span_id, new_trace_id,
@@ -87,31 +86,6 @@ class RunnerConfig:
         provably reproduce a fresh solve bit-for-bit;``"valid"`` serves
         any covering entry (power-valid, full utilization — the paper's
         Fig. 7 semantics) even when a fresh solve might beat it.
-    lp_log_factor:
-        When set, overrides the constraint graph's add-log trim bound
-        multiplier (:data:`repro.core.graph.ADD_LOG_FACTOR`) for every
-        job of the batch — serial, pooled, and sharded workers alike.
-        Larger factors keep stale longest-path caches on the
-        incremental fast path longer on big synthetic workloads (watch
-        the ``lp_cache_log_evictions`` counter to see whether the
-        window is the bottleneck); ``None`` (default) keeps the
-        process-wide setting.
-    core_kernel:
-        Solver-core selection for every job of the batch (serial,
-        pooled, and sharded workers alike): ``"auto"`` (default) uses
-        the numpy fast path when numpy is importable, ``"numpy"``
-        forces it, ``"oracle"`` forces the pure-Python reference
-        implementation.  The fast path is certified bit-identical to
-        the oracle (see ``repro.core.kernel``), so this is a speed
-        knob, never a results knob.
-    warm_start:
-        Warm-started re-solves (default True): longest-path fixpoints
-        are memoized across checkpoints/rollbacks and carried across
-        graph copies and neighbouring sweep points, so a re-solve of a
-        shared edge set starts from the solved distances instead of
-        cold.  Exact — an identical edge set has an identical unique
-        fixpoint — and surfaced in the ``lp_state_restores`` /
-        ``lp_warm_hits`` counters.  Disable to measure cold-solve cost.
     trace_path:
         When set, every run writes its JSON :class:`RunTrace` here.
     instrument:
@@ -135,23 +109,12 @@ class RunnerConfig:
     reseed_base: "int | None" = None
     reuse_schedules: bool = False
     reuse_policy: str = "identical"
-    lp_log_factor: "int | None" = None
-    core_kernel: str = "auto"
-    warm_start: bool = True
     trace_path: "str | None" = None
     instrument: bool = False
 
     def __post_init__(self) -> None:
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
-        if self.lp_log_factor is not None and self.lp_log_factor < 1:
-            raise ValueError(
-                f"lp_log_factor must be >= 1 or None, "
-                f"got {self.lp_log_factor}")
-        if self.core_kernel not in KERNEL_MODES:
-            raise ValueError(
-                f"core_kernel must be one of {KERNEL_MODES}, "
-                f"got {self.core_kernel!r}")
         if self.chunksize < 1:
             raise ValueError(
                 f"chunksize must be >= 1, got {self.chunksize}")

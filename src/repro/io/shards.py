@@ -13,8 +13,6 @@ process (and machine) boundaries:
       "options": {... SchedulerOptions fields ...} | null,
       "runner": {"retries": 1, "reuse_schedules": true,
                  "reuse_policy": "identical", "instrument": false,
-                 "lp_log_factor": null, "core_kernel": "auto",
-                 "warm_start": true,
                  "trace": {"trace_id": "...", "parent_span_id": "..."}},
       "problems": [{... repro-problem doc, p_max/p_min removed ...}],
       "jobs": [{"position": 7, "problem": 0,
@@ -34,7 +32,10 @@ process (and machine) boundaries:
   store so shards never repeat priming work it already did.
   ``runner.trace`` (optional) is the orchestrating run's trace
   identity — workers adopt it so shard artifacts stitch back under
-  the parent trace on merge (see docs/observability.md).
+  the parent trace on merge (see docs/observability.md).  Other
+  ``runner`` keys are ignored, so manifests from older releases, which
+  also carried since-removed solver switches, still load and run
+  (docs/formats.md lists them).
 
 ``repro-shard-artifact`` v1 — *what one shard produced*::
 

@@ -63,9 +63,7 @@ STATS_METRIC_NAMES: "dict[str, str]" = {
     "lp_incremental_runs": "sched.lp.incremental_runs",
     "lp_full_runs": "sched.lp.full_runs",
     "lp_cache_log_evictions": "sched.lp.log_evictions",
-    "lp_kernel_runs": "core.kernel.runs",
     "lp_state_restores": "core.kernel.state_restores",
-    "lp_warm_hits": "core.kernel.warm_hits",
     "lp_probe_prunes": "core.kernel.probe_prunes",
 }
 

@@ -16,11 +16,11 @@ maintains a live schedule under the paper's constraints:
   scheduled start the task has physically begun; it is locked at its
   executed start time and no later re-solve may move it;
 * **incremental suffix re-solve** — each re-solve copies the session's
-  constraint graph (the copy carries the warm-start journal state of
-  :mod:`repro.core.kernel`, so consecutive solves of the growing
-  mission hit the warm pool instead of paying cold Bellman–Ford), adds
-  the freeze locks and ``sigma(v) >= now`` releases, and runs the
-  normal offline scheduler on the remainder;
+  constraint graph (the copy carries the solved longest-path cache of
+  :mod:`repro.core.longest_path`, so the added edges are propagated
+  incrementally instead of paying a cold Bellman–Ford), adds the
+  freeze locks and ``sigma(v) >= now`` releases, and runs the normal
+  offline scheduler on the remainder;
 * **replan on faults** — injected overruns
   (:class:`~repro.execution.faults.FixedOverruns`) are executed against
   the live schedule and the remainder is re-planned through
@@ -34,7 +34,7 @@ quiesced produces a schedule *bit-identical* to the offline
 :class:`~repro.scheduling.max_power.MaxPowerScheduler` solve of the
 same problem — the online engine adds admission control and history
 freezing, never arithmetic.  ``tests/test_online_differential.py``
-enforces this under both solver kernels and with warm-start on or off.
+enforces this.
 
 Sessions surface on the wire protocol as ``POST /v1/sessions`` (see
 ``docs/online.md``); this module is the transport-free core.
@@ -521,8 +521,8 @@ class MissionSession:
         hands the scheduler the session graph itself — no extra edges —
         so the solve is bit-identical to the offline one; the general
         path works on a copy decorated with lock/release edges (the
-        copy carries the kernel warm-start state, making consecutive
-        session solves warm).
+        copy carries the session graph's longest-path cache, so the
+        solve starts from solved distances).
         """
         problem = self.problem()
         if not self.spans and self.now == 0:

@@ -132,9 +132,7 @@ class SchedulerStats:
     lp_incremental_runs: int = 0
     lp_full_runs: int = 0
     lp_cache_log_evictions: int = 0
-    lp_kernel_runs: int = 0
     lp_state_restores: int = 0
-    lp_warm_hits: int = 0
     lp_probe_prunes: int = 0
     stage_seconds: "dict[str, float]" = field(default_factory=dict)
 

@@ -43,9 +43,7 @@ def _timed_stage(label: str, run) -> ScheduleResult:
                        lp_incremental_runs=delta["incremental_runs"],
                        lp_full_runs=delta["full_runs"],
                        lp_log_evictions=delta["log_evictions"],
-                       lp_kernel_runs=delta["kernel_runs"],
                        lp_state_restores=delta["state_restores"],
-                       lp_warm_hits=delta["warm_hits"],
                        lp_probe_prunes=delta["probe_prunes"])
     stats = result.stats
     stats.stage_seconds[label] = \
@@ -54,9 +52,7 @@ def _timed_stage(label: str, run) -> ScheduleResult:
     stats.lp_incremental_runs += delta["incremental_runs"]
     stats.lp_full_runs += delta["full_runs"]
     stats.lp_cache_log_evictions += delta["log_evictions"]
-    stats.lp_kernel_runs += delta["kernel_runs"]
     stats.lp_state_restores += delta["state_restores"]
-    stats.lp_warm_hits += delta["warm_hits"]
     stats.lp_probe_prunes += delta["probe_prunes"]
     return result
 

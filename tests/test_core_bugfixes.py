@@ -1,7 +1,6 @@
 """Regression tests for the hot-path bugfix sweep.
 
-Each test pins one of the defects fixed alongside the array-core
-refactor:
+Each test pins one of these hot-path defects:
 
 * ``weaken_edge`` — the compaction and unlock passes used to
   ``remove_edge`` pairs where a scheduler edge had *overwritten* a user
@@ -12,10 +11,10 @@ refactor:
   covering segment;
 * ``PowerProfile.__init__`` — merged neighbour segments with exact
   float ``==`` while every validity check uses ``POWER_TOL``, so
-  summation-order jitter could change segment counts across backends;
+  summation-order jitter could change segment counts;
 * boundary behaviour of ``restricted``/``concatenate``/``energy_above``
-  — these are the oracle the vectorized integrator is certified
-  against, so their edges must be nailed down.
+  — every energy figure rests on them, so their edges must be nailed
+  down.
 """
 
 from __future__ import annotations
@@ -27,19 +26,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ANCHOR_NAME, ConstraintGraph, PowerProfile, Schedule
-from repro.core.kernel import set_kernel, set_warm
 from repro.errors import ValidationError
 from repro.scheduling.max_power import MaxPowerScheduler
-
-
-@pytest.fixture(autouse=True)
-def _oracle_mode():
-    """Pin the pure-Python oracle: these tests certify the reference."""
-    prev_kernel = set_kernel("oracle")
-    prev_warm = set_warm(False)
-    yield
-    set_kernel(prev_kernel)
-    set_warm(prev_warm)
 
 
 # ----------------------------------------------------------------------

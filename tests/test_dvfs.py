@@ -9,8 +9,7 @@ Three layers of evidence:
   stable pure function.
 * **Bit-identity** — a full-speed-only ladder must be indistinguishable
   from a frequency-free problem: same solver output on the Fig. 1
-  pipeline (both kernels, warm on/off) and field-exact SweepPoints on a
-  14x14 grid, serial vs 4 subprocess shards (the shard-count-invariance
+  pipeline and field-exact SweepPoints on a 14x14 grid, serial vs 4 subprocess shards (the shard-count-invariance
   committed invariant, extended to the new axis).
 * **Subsystem contracts** — the schedule-store exemption (DESIGN.md
   5f), base-key stability for ladder-free problems, wire-format version
@@ -28,9 +27,7 @@ from repro.core import (ConstraintGraph, OperatingPoint,
                         SchedulingProblem, Task, attach_ladder,
                         materialize_assignment, quantize_power,
                         scaled_duration, scaled_power)
-from repro.core.arrays import HAVE_NUMPY
 from repro.core.dvfs import DEFAULT_LADDER, ladder_from_freqs
-from repro.core.kernel import clear_warm_pool, set_kernel, set_warm
 from repro.engine import BatchRunner, RunnerConfig, ScheduleStore, SweepSpec
 from repro.engine.backends import SubprocessShardBackend
 from repro.engine.hashing import canonical_problem_dict, problem_base_key
@@ -43,28 +40,12 @@ from repro.io.requests import (REQUEST_VERSION, RequestError,
 from repro.scheduling import (FreqSelectScheduler, PowerAwareScheduler,
                               freq_select_schedule)
 
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
-                                 reason="numpy not installed")
-
 _FREQS = st.floats(min_value=0.05, max_value=1.0,
                    allow_nan=False, allow_infinity=False)
 _DURATIONS = st.integers(min_value=0, max_value=400)
 _POWERS = st.floats(min_value=0.0, max_value=60.0,
                     allow_nan=False, allow_infinity=False)
 _CORES = st.integers(min_value=1, max_value=4)
-
-
-def _core_mode(kernel, warm):
-    prev_kernel = set_kernel(kernel)
-    prev_warm = set_warm(warm)
-    clear_warm_pool()
-    return prev_kernel, prev_warm
-
-
-def _restore_mode(prev):
-    set_kernel(prev[0])
-    set_warm(prev[1])
-    clear_warm_pool()
 
 
 # ----------------------------------------------------------------------
@@ -233,31 +214,10 @@ def _fig1_full_speed():
     return attach_ladder(fig1_problem(), (1.0,))
 
 
-@pytest.mark.parametrize("warm", [False, True])
-def test_full_speed_ladder_bit_identical_fig1_oracle(warm):
-    prev = _core_mode("oracle", warm)
-    try:
-        reference = _solve_snapshot(fig1_problem(), fig1_options())
-        assert _solve_snapshot(_fig1_full_speed(),
-                               fig1_options()) == reference
-    finally:
-        _restore_mode(prev)
-
-
-@needs_numpy
-@pytest.mark.parametrize("warm", [False, True])
-def test_full_speed_ladder_bit_identical_fig1_numpy(warm):
-    prev = _core_mode("oracle", False)
-    try:
-        reference = _solve_snapshot(fig1_problem(), fig1_options())
-    finally:
-        _restore_mode(prev)
-    prev = _core_mode("numpy", warm)
-    try:
-        assert _solve_snapshot(_fig1_full_speed(),
-                               fig1_options()) == reference
-    finally:
-        _restore_mode(prev)
+def test_full_speed_ladder_bit_identical_fig1():
+    reference = _solve_snapshot(fig1_problem(), fig1_options())
+    assert _solve_snapshot(_fig1_full_speed(),
+                           fig1_options()) == reference
 
 
 # 14 budgets x 14 levels: the differential grid of the acceptance

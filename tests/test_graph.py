@@ -221,3 +221,11 @@ class TestCopyMerge:
         assert two_tasks.strip_tags(["delay"]) == 1
         assert two_tasks.separation("u", "v") is None
         assert two_tasks.separation("v", "u") == -9
+        # a one-shot iterable must strip every matching edge, not just
+        # the edges checked before it ran out
+        two_tasks.add_edge("u", "v", 2, tag="delay")
+        two_tasks.add_release("u", 3, tag="delay")
+        assert two_tasks.strip_tags(t for t in ["delay"]) == 2
+        assert two_tasks.separation("u", "v") is None
+        assert two_tasks.separation(ANCHOR_NAME, "u") is None
+        assert two_tasks.separation("v", "u") == -9

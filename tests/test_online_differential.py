@@ -8,20 +8,13 @@ engine adds admission control and history freezing; it must never add
 arithmetic.
 
 The theorem is checked on the paper's Fig. 1 workload and on
-randomized :mod:`repro.workloads` graphs, under every kernel path the
-core exposes (pure-Python oracle and the numpy fast path) and with the
-warm-start journal machinery both off and on — the same certification
-matrix ``test_core_kernel.py`` applies to the kernel itself.
+randomized :mod:`repro.workloads` graphs.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import pytest
 
-from repro.core.arrays import HAVE_NUMPY
-from repro.core.kernel import clear_warm_pool, set_kernel, set_warm
 from repro.examples_data import fig1_problem, fig1_options
 from repro.online import replay_script, script_from_problem
 from repro.scheduling.base import SchedulerOptions
@@ -29,23 +22,10 @@ from repro.scheduling.max_power import MaxPowerScheduler
 from repro.scheduling.min_power import MinPowerScheduler
 from repro.workloads import RandomWorkloadConfig, random_problem
 
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
-                                 reason="numpy not installed")
-
 SCHEDULERS = {
     "min_power": MinPowerScheduler,
     "max_power": MaxPowerScheduler,
 }
-
-#: The kernel x warm certification matrix.
-MODES = [
-    pytest.param("oracle", False, id="oracle-cold"),
-    pytest.param("oracle", True, id="oracle-warm"),
-    pytest.param("numpy", False, id="numpy-cold",
-                 marks=needs_numpy),
-    pytest.param("numpy", True, id="numpy-warm",
-                 marks=needs_numpy),
-]
 
 #: Seeds whose generated problems the offline heuristics solve
 #: outright — the quiescence theorem's premise.  (Seed 11, for
@@ -53,20 +33,6 @@ MODES = [
 #: under its attempt budget; sessions *reject* the offending arrival
 #: instead, which ``test_rejecting_session_still_converges`` covers.)
 RANDOM_SEEDS = [3, 7, 13]
-
-
-@contextmanager
-def core_mode(kernel: str, warm: bool):
-    """Pin kernel + warm selection, restoring the previous state."""
-    prev_kernel = set_kernel(kernel)
-    prev_warm = set_warm(warm)
-    clear_warm_pool()
-    try:
-        yield
-    finally:
-        set_kernel(prev_kernel)
-        set_warm(prev_warm)
-        clear_warm_pool()
 
 
 def assert_bit_identical(problem, scheduler: str, seed: int) -> None:
@@ -95,34 +61,28 @@ def assert_bit_identical(problem, scheduler: str, seed: int) -> None:
 
 
 class TestFig1Quiescence:
-    @pytest.mark.parametrize("kernel,warm", MODES)
     @pytest.mark.parametrize("scheduler", list(SCHEDULERS))
-    def test_fig1_bit_identical(self, scheduler, kernel, warm):
-        with core_mode(kernel, warm):
-            assert_bit_identical(fig1_problem(), scheduler,
-                                 seed=fig1_options().seed)
+    def test_fig1_bit_identical(self, scheduler):
+        assert_bit_identical(fig1_problem(), scheduler,
+                             seed=fig1_options().seed)
 
 
 class TestRandomQuiescence:
-    @pytest.mark.parametrize("kernel,warm", MODES)
     @pytest.mark.parametrize("seed", RANDOM_SEEDS)
-    def test_random_min_power_bit_identical(self, seed, kernel, warm):
-        problem = random_problem(seed)
-        with core_mode(kernel, warm):
-            assert_bit_identical(problem, "min_power", seed=2001)
+    def test_random_min_power_bit_identical(self, seed):
+        assert_bit_identical(random_problem(seed), "min_power",
+                             seed=2001)
 
     @pytest.mark.parametrize("seed", RANDOM_SEEDS)
     def test_random_max_power_bit_identical(self, seed):
-        problem = random_problem(seed)
-        with core_mode("auto", True):
-            assert_bit_identical(problem, "max_power", seed=2001)
+        assert_bit_identical(random_problem(seed), "max_power",
+                             seed=2001)
 
     @pytest.mark.parametrize("seed", [1, 9])
     def test_larger_workload_bit_identical(self, seed):
         problem = random_problem(
             seed, RandomWorkloadConfig(tasks=30, resources=5))
-        with core_mode("auto", True):
-            assert_bit_identical(problem, "min_power", seed=2001)
+        assert_bit_identical(problem, "min_power", seed=2001)
 
     def test_rejecting_session_still_converges(self):
         """A workload the offline heuristic cannot fully solve: the
@@ -156,25 +116,3 @@ class TestQuiescenceIsIdempotent:
             SchedulerOptions(seed=2001)).solve(problem)
         assert online.schedule == offline.schedule
 
-
-class TestKernelAgreementWithinOnline:
-    """The two kernels must agree with *each other* through the whole
-    online path as well (arrivals are incremental re-solves, so this
-    exercises the warm journal machinery harder than one-shot
-    solves)."""
-
-    @needs_numpy
-    @pytest.mark.parametrize("seed", RANDOM_SEEDS)
-    def test_oracle_vs_numpy_whole_session(self, seed):
-        problem = random_problem(seed)
-        script = script_from_problem(problem, seed=2001)
-        results = {}
-        for kernel in ("oracle", "numpy"):
-            with core_mode(kernel, True):
-                session, events = replay_script(script)
-                results[kernel] = (
-                    session.result.schedule.as_dict(),
-                    [e["event"] for e in events],
-                    session.result.metrics.energy_cost,
-                )
-        assert results["oracle"] == results["numpy"]

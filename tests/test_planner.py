@@ -175,8 +175,7 @@ class TestManifestRoundTrip:
                            runner={"retries": 2,
                                    "reuse_schedules": True,
                                    "reuse_policy": "identical",
-                                   "instrument": False,
-                                   "lp_log_factor": None},
+                                   "instrument": False},
                            store=store.to_dict())
         for manifest in plan:
             path = tmp_path / f"m{manifest.index}.json"

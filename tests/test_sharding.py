@@ -19,7 +19,8 @@ from repro.engine.backends.shards import run_manifest
 from repro.errors import ReproError
 from repro.examples_data import fig1_options, fig1_problem
 from repro.io.shards import (artifact_from_dict, artifact_to_dict,
-                             load_artifact, save_artifact)
+                             load_artifact, manifest_from_dict,
+                             manifest_to_dict, save_artifact)
 from repro.scheduling import SchedulerOptions
 
 BUDGETS = [6, 7, 8, 9, 10, 11, 12, 13, 14, 16]
@@ -171,7 +172,7 @@ def _make_artifacts(jobs, shards, instrument=False,
                     reuse=True, strategy="tile"):
     runner_doc = {"retries": 1, "reuse_schedules": reuse,
                   "reuse_policy": "identical",
-                  "instrument": instrument, "lp_log_factor": None}
+                  "instrument": instrument}
     plan = plan_shards(jobs, shards, strategy, runner=runner_doc)
     return [run_manifest(manifest) for manifest in plan
             if manifest.jobs]
@@ -266,6 +267,29 @@ def test_artifact_round_trip(tmp_path, fig1_grid_jobs):
             artifact_to_dict(artifact)
 
 
+def test_manifest_with_removed_solver_keys_still_runs(fig1_grid_jobs):
+    """Manifests from older releases carried ``core_kernel``,
+    ``warm_start`` and ``lp_log_factor`` in ``runner``; they load, the
+    keys are ignored, and the results match a manifest without them."""
+    base = {"retries": 1, "reuse_schedules": True,
+            "reuse_policy": "identical", "instrument": False}
+    legacy = dict(base, core_kernel="numpy", warm_start=False,
+                  lp_log_factor=2)
+    jobs = list(enumerate(fig1_grid_jobs[:6]))
+
+    def run(runner_doc):
+        [manifest] = plan_shards(jobs, 1, "tile", runner=runner_doc)
+        manifest = manifest_from_dict(manifest_to_dict(manifest))
+        assert manifest.runner == runner_doc
+        return run_manifest(manifest).results
+
+    expected = run(base)
+    results = run(legacy)
+    assert all(result.ok for result in results)
+    assert [(r.position, r.value) for r in results] == \
+        [(r.position, r.value) for r in expected]
+
+
 # ----------------------------------------------------------------------
 # CLI workflow
 # ----------------------------------------------------------------------
@@ -325,10 +349,9 @@ def test_cli_sweep_backend_shards(tmp_path, capsys):
 def test_metrics_merge_matches_serial_registry(fig1_grid_jobs):
     """Sharded metric snapshots merged == one serial registry.
 
-    Warm-started re-solves share state across jobs in ways that
-    depend on the partition, so the comparison runs with
-    ``warm_start=False``: then every counter is per-job deterministic
-    and must sum exactly; histogram *counts* are exact too, while
+    No solver state crosses jobs (each solve works on its own graph
+    copies), so every counter is per-job deterministic and must sum
+    exactly; histogram *counts* are exact too, while
     sums are wall-clock (compare the merge against the fold of its
     own parts, not against the serial timings).  Jobs are key-distinct
     so dedup/cache accounting cannot depend on the partition either.
@@ -341,14 +364,12 @@ def test_metrics_merge_matches_serial_registry(fig1_grid_jobs):
             jobs.append(job)
         if len(jobs) == 12:
             break
-    serial = BatchRunner(RunnerConfig(instrument=True,
-                                      warm_start=False))
+    serial = BatchRunner(RunnerConfig(instrument=True))
     serial.run(jobs)
     serial_metrics = serial.last_trace.metrics
 
     runner_doc = {"retries": 1, "reuse_schedules": False,
-                  "reuse_policy": "identical", "instrument": True,
-                  "lp_log_factor": None, "warm_start": False}
+                  "reuse_policy": "identical", "instrument": True}
     plan = plan_shards(list(enumerate(jobs)), 3, "tile",
                        runner=runner_doc)
     artifacts = [run_manifest(manifest) for manifest in plan

@@ -94,7 +94,6 @@ def test_shard_manifest_carries_trace_and_merge_stitches():
     trace_id, parent = new_trace_id(), new_span_id()
     runner_doc = {"retries": 1, "reuse_schedules": False,
                   "reuse_policy": "identical", "instrument": True,
-                  "lp_log_factor": None,
                   "trace": {"trace_id": trace_id,
                             "parent_span_id": parent}}
     plan = plan_shards(list(enumerate(_grid_jobs())), 2, "tile",
@@ -117,7 +116,6 @@ def test_merge_of_mixed_traces_stays_unstitched():
     for trace_id in (new_trace_id(), new_trace_id()):
         docs.append({"retries": 1, "reuse_schedules": False,
                      "reuse_policy": "identical", "instrument": True,
-                     "lp_log_factor": None,
                      "trace": {"trace_id": trace_id}})
     jobs = _grid_jobs()
     artifacts = []
