@@ -10,7 +10,7 @@ from .diagnose import (CycleExplanation, explain_infeasibility,
 from .dvfs import (DEFAULT_LADDER, attach_ladder, ladder_from_freqs,
                    materialize_assignment, quantize_power, scaled_duration,
                    scaled_power)
-from .graph import ADD_LOG_FACTOR, ConstraintGraph, Edge
+from .graph import ConstraintGraph, Edge
 from .longest_path import (LongestPathResult, earliest_starts,
                            latest_starts, longest_paths)
 from .phased import (add_phased_task, is_phase_of, phase_names,
@@ -28,7 +28,6 @@ from .validation import (ValidationReport, Violation, assert_power_valid,
                          check_time_valid)
 
 __all__ = [
-    "ADD_LOG_FACTOR",
     "ANCHOR_NAME",
     "ConstraintGraph",
     "CycleExplanation",

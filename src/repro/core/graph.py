@@ -31,18 +31,10 @@ from ..errors import GraphError
 from .resource import Resource, ResourcePool
 from .task import ANCHOR_NAME, Task
 
-__all__ = ["Edge", "ConstraintGraph", "ADD_LOG_FACTOR"]
+__all__ = ["Edge", "ConstraintGraph"]
 
 #: Sentinel for "no constraint" when querying separations.
 _NO_EDGE = object()
-
-#: Trim bound multiplier for the incremental-longest-path add log:
-#: ``add_edge`` trims ``_add_log`` once it exceeds
-#: ``ADD_LOG_FACTOR * (tasks + 8)`` entries.  A stale longest-path cache
-#: that falls out of the window takes a journal-state restore or a full
-#: solve instead of the incremental step (counted as ``log_evictions``);
-#: trimming can only cost speed, never correctness.
-ADD_LOG_FACTOR = 4
 
 
 @dataclass(frozen=True)
@@ -88,21 +80,10 @@ class ConstraintGraph:
         self._in: "dict[str, set[str]]" = {}
         # journal of (key, previous_value_or_None) for rollback
         self._journal: "list[tuple[tuple[str, str], tuple[int, str] | None]]" = []
-        # edge-set version + cached flat triples (hot path for the
-        # longest-path solver, which runs once per scheduler move)
-        self._version = 0
-        self._triples_cache: "tuple[int, list[tuple[str, str, int]]] | None" = None
-        # incremental longest-path support: the version of the last
-        # non-monotone mutation (removal/rollback — anything that can
-        # *decrease* a distance), and a log of recent edge additions so
-        # the solver can propagate just the delta.  The solver owns the
-        # attached cache (see repro.core.longest_path).
-        self._last_non_add_version = 0
-        self._add_log: "list[tuple[int, str, str, int]]" = []
-        self._lp_cache = None
-        # memoized longest-path fixpoints keyed by journal length, so a
-        # rollback lands on an already-solved state
-        # (repro.core.longest_path).
+        # solved longest-path fixpoints keyed by journal length, as
+        # (vertex count, distance, predecessor): the graph's only
+        # derived cache (the solver owns it, see
+        # repro.core.longest_path).
         self._state_cache: "dict[int, tuple[int, dict, dict]]" = {}
         self.add_task(Task.anchor())
 
@@ -145,10 +126,9 @@ class ConstraintGraph:
         task by its *realized* duration so the schedulers' resource
         exclusion and power profile see the stretched reality, not the
         nominal plan.  Durations feed the solvers but not the edge set,
-        so longest-path distances stay valid; the version bump below
-        invalidates every version-keyed cache regardless.
-        Not journaled — use on throwaway copies, not on a graph a later
-        ``rollback`` must restore.
+        so the solved longest-path distances stay valid and nothing is
+        invalidated.  Not journaled — use on throwaway copies, not on a
+        graph a later ``rollback`` must restore.
         """
         task = self.task(name)
         if task.is_anchor:
@@ -161,8 +141,6 @@ class ConstraintGraph:
             return task
         replaced = _dc_replace(task, duration=duration)
         self._tasks[name] = replaced
-        self._version += 1
-        self._triples_cache = None
         return replaced
 
     def __contains__(self, name: str) -> bool:
@@ -251,18 +229,6 @@ class ConstraintGraph:
         self._edges[key] = (weight, tag)
         self._out[src].add(dst)
         self._in[dst].add(src)
-        self._version += 1
-        self._add_log.append((self._version, src, dst, weight))
-        if len(self._add_log) > ADD_LOG_FACTOR * (len(self._tasks) + 8):
-            # Bounded log: drop the older half.  The longest-path solver
-            # only takes its incremental fast path when the log covers
-            # *every* version since its cache (it checks
-            # ``len(adds) == _version - cache_version``); trimming makes
-            # that check fail for caches older than the retained window,
-            # forcing a full recompute.  This keeps memory flat and can
-            # only cost speed, never correctness — see
-            # repro.core.longest_path.longest_paths for the invariants.
-            del self._add_log[:len(self._add_log) // 2]
         return True
 
     def separation(self, src: str, dst: str) -> "int | None":
@@ -290,8 +256,6 @@ class ConstraintGraph:
         del self._edges[key]
         self._out[src].discard(dst)
         self._in[dst].discard(src)
-        self._version += 1
-        self._last_non_add_version = self._version
         return True
 
     def weaken_edge(self, src: str, dst: str) -> bool:
@@ -327,8 +291,6 @@ class ConstraintGraph:
             return False
         self._journal.append((key, current))
         self._edges[key] = original
-        self._version += 1
-        self._last_non_add_version = self._version
         return True
 
     def edges(self) -> "list[Edge]":
@@ -339,17 +301,11 @@ class ConstraintGraph:
     def edge_triples(self) -> "list[tuple[str, str, int]]":
         """All edges as bare ``(src, dst, weight)`` triples.
 
-        The longest-path solver iterates the edge set once per
-        relaxation pass on every scheduler move; this accessor avoids
-        allocating :class:`Edge` records and is cached until the edge
-        set next changes.
+        The relaxation loops (full longest-path solves, ALAP starts,
+        diagnosis) iterate the edge set once per pass; this accessor
+        avoids allocating :class:`Edge` records.
         """
-        cache = self._triples_cache
-        if cache is not None and cache[0] == self._version:
-            return cache[1]
-        triples = [(k[0], k[1], v[0]) for k, v in self._edges.items()]
-        self._triples_cache = (self._version, triples)
-        return triples
+        return [(k[0], k[1], v[0]) for k, v in self._edges.items()]
 
     def out_edges(self, name: str) -> "list[Edge]":
         """Edges leaving ``name`` (constraints that delaying it tightens)."""
@@ -485,8 +441,6 @@ class ConstraintGraph:
                 self._edges[key] = prev
                 self._out[key[0]].add(key[1])
                 self._in[key[1]].add(key[0])
-            self._version += 1
-            self._last_non_add_version = self._version
         if self._state_cache:
             # The edge set is a pure function of the journal prefix, so
             # memoized fixpoints at or below the restored token are still
@@ -494,6 +448,13 @@ class ConstraintGraph:
             # exists and must go.
             for key in [k for k in self._state_cache if k > token]:
                 del self._state_cache[key]
+
+    def _current_state(self) -> "tuple[int, dict, dict] | None":
+        """The memoized fixpoint of the current edge set, if any."""
+        solved = self._state_cache.get(len(self._journal))
+        if solved is not None and solved[0] == len(self._tasks):
+            return solved
+        return None
 
     # ------------------------------------------------------------------
     # copying / composition
@@ -514,14 +475,13 @@ class ConstraintGraph:
         for (src, dst), (weight, tag) in self._edges.items():
             clone.add_edge(src, dst, weight, tag=tag)
         clone._journal.clear()
-        cache = self._lp_cache
-        if cache is not None and cache[0] == self._version \
-                and len(cache[1]) == len(self._tasks):
+        solved = self._current_state()
+        if solved is not None:
             # Identical edge set => identical unique fixpoint, so the
-            # solved distances carry over directly.  The dicts are
-            # shared, never mutated in place (the incremental path
-            # copies first).
-            clone._lp_cache = (clone._version, cache[1], cache[2])
+            # solved distances seed the clone's empty journal.  The
+            # dicts are shared, never mutated in place (the solver's
+            # replay copies first).
+            clone._state_cache[0] = solved
         return clone
 
     def merge(self, other: "ConstraintGraph", prefix: str = "") -> None:
@@ -551,8 +511,6 @@ class ConstraintGraph:
             self._out[key[0]].discard(key[1])
             self._in[key[1]].discard(key[0])
         self._journal.clear()
-        self._version += 1
-        self._last_non_add_version = self._version
         self._state_cache.clear()
         return len(doomed)
 
@@ -561,15 +519,17 @@ class ConstraintGraph:
     # ------------------------------------------------------------------
 
     def __getstate__(self):
-        """Lean pickles: the journal-state memos stay behind.
+        """Lean pickles: only the memo for the current edge set ships.
 
         The state cache can hold hundreds of solved fixpoints — derived
-        data the receiving process rebuilds as it solves.  The plain
-        ``_lp_cache`` dicts *are* shipped: they give the receiving
-        worker a cached first solve.
+        data the receiving process rebuilds as it solves.  The memo at
+        the current journal length gives the receiving worker a cached
+        first solve.
         """
         state = self.__dict__.copy()
-        state["_state_cache"] = {}
+        solved = self._current_state()
+        state["_state_cache"] = {} if solved is None \
+            else {len(self._journal): solved}
         return state
 
     def __repr__(self) -> str:

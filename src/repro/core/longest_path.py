@@ -13,16 +13,20 @@ reachability, so distances are always finite.
 
 Complexity: O(V * E) for a cold solve.  The schedulers call this after
 each batch of edge insertions and after every rollback, and most calls
-are answered far cheaper than a cold solve.  The answer ladder, in
-order of preference:
+are answered far cheaper than a cold solve.  Every solved fixpoint is
+memoized on the graph under its journal length
+(``ConstraintGraph._state_cache``, the graph's only derived cache), and
+the answer ladder, in order of preference, is:
 
-1. **exact cache hit** — the graph version is unchanged (a graph copy
-   carries its source's solved cache, so an unmutated copy hits too);
-2. **incremental propagation** — every mutation since the cache was an
-   edge addition, so only the delta is relaxed with a worklist;
-3. **journal-state restore** — the graph rolled back to (or a few
-   monotone edits past) a journal prefix whose fixpoint was memoized;
-4. **full solve** — pure-Python Bellman–Ford.
+1. **exact memo** — a fixpoint is memoized at the current journal
+   length (``rollback`` drops the memos above the restored token, and a
+   graph copy or pickle seeds its empty journal with its source's
+   current memo, so a rolled-back graph and an unmutated copy hit too);
+2. **replay** — a shorter memo within :data:`_REPLAY_WINDOW` journal
+   entries, and every journal entry since it is monotone (edges only
+   created or tightened), so only the changed edges are relaxed with a
+   worklist over the memoized fixpoint;
+3. **full solve** — pure-Python Bellman–Ford.
 
 Every step returns the same integer distances: the Bellman–Ford least
 fixpoint of an edge set is unique.
@@ -30,6 +34,7 @@ fixpoint of an edge set is unique.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -43,18 +48,26 @@ __all__ = ["LongestPathResult", "longest_paths", "earliest_starts",
 
 # ----------------------------------------------------------------------
 # observability: per-process counters of how each longest-path query was
-# answered.  The power-aware pipeline snapshots these around each stage
-# and folds the deltas into SchedulerStats; the batch engine then
+# answered — one per ladder step, plus probes pruned from a certified
+# contradiction.  The power-aware pipeline snapshots these around each
+# stage and folds the deltas into SchedulerStats; the batch engine then
 # surfaces them in its JSON traces.  Per-process globals are safe here:
 # worker processes each get their own copy, and within a process the
 # solver runs under the GIL.
 # ----------------------------------------------------------------------
 
 _COUNTERS = {"cache_hits": 0, "incremental_runs": 0, "full_runs": 0,
-             "log_evictions": 0, "state_restores": 0, "probe_prunes": 0}
+             "probe_prunes": 0}
 
 #: Bound on memoized journal states per graph (oldest half evicted).
 _STATE_CACHE_LIMIT = 256
+
+#: How far below the current journal length the replay step looks for a
+#: memoized prefix to replay forward from.  The scheduler hot loops
+#: (serial DFS, spike elimination, compaction) roll back and retry a
+#: handful of edges at a time, so a short window catches them; anything
+#: deeper falls through to a full solve.
+_REPLAY_WINDOW = 32
 
 
 def lp_counter_snapshot() -> "dict[str, int]":
@@ -79,7 +92,7 @@ class LongestPathResult:
     ``v`` on one such path (``None`` for the anchor itself or for
     vertices pinned only by the implicit time-0 edge).
 
-    Both mappings are **read-only views** over the solver's cache
+    Both mappings are **read-only views** over the solver's memo
     (:class:`types.MappingProxyType`): lookups and iteration behave
     like dicts, mutation raises ``TypeError``.  The solver used to copy
     both dicts on every cache hit — thousands of O(V) copies per solve
@@ -105,7 +118,7 @@ class LongestPathResult:
 
 
 def _view(dist: dict, pred: dict) -> LongestPathResult:
-    """Wrap cached dicts as an immutable result, copy-free."""
+    """Wrap memoized dicts as an immutable result, copy-free."""
     return LongestPathResult(distance=MappingProxyType(dist),
                              predecessor=MappingProxyType(pred))
 
@@ -115,15 +128,14 @@ def longest_paths(graph: ConstraintGraph, *, probe: bool = False) \
     """Compute longest-path distances from the anchor to every vertex.
 
     Transparently incremental — see the module docstring for the
-    answer ladder (exact hit, incremental delta, journal-state restore,
-    full solve).  The result is a read-only view over the
-    graph-attached cache.
+    answer ladder (exact memo, replay, full solve).  The result is a
+    read-only view over the graph-attached memo.
 
     With ``probe=True`` the call is a *feasibility probe*: it returns
     None instead of raising on infeasible edge sets.  Scheduler search
     loops that catch :class:`PositiveCycleError` purely as a boolean
     (try a move, back off on contradiction) probe instead, which lets
-    the incremental steps prune infeasible branches from a *certified*
+    the replay step prune infeasible branches from a *certified*
     contradiction witness — a positive-weight closed walk through the
     anchor, or a predecessor cycle whose edge weights sum positive —
     without paying a full solve for an exception message nobody
@@ -138,111 +150,54 @@ def longest_paths(graph: ConstraintGraph, *, probe: bool = False) \
         contains a positive cycle (the timing constraints are
         unsatisfiable).  The exception carries one offending cycle when
         it can be traced, and is byte-identical whichever step
-        detected the contradiction: the incremental steps fall back to
-        the full solve to raise.
+        detected the contradiction: the replay step falls back to the
+        full solve to raise.
     """
-    # Equivalent to task_names(include_anchor=True) — the anchor is the
-    # first inserted vertex — without materializing Task objects on
-    # every query (this is the solver's hottest entry point).
-    names = list(graph._tasks)
-    cache = graph._lp_cache
-    if cache is not None:
-        version, dist, pred = cache
-        if version == graph._version and len(dist) == len(names):
-            _COUNTERS["cache_hits"] += 1
-            return _view(dist, pred)
-        # The incremental fast path is sound only under three invariants:
-        #
-        # 1. every mutation since the cached version was an edge
-        #    *addition* (``version >= _last_non_add_version``) — removals
-        #    and rollbacks can shrink distances, which a grow-only
-        #    worklist cannot express;
-        # 2. the vertex set is unchanged (``len(dist) == len(names)``) —
-        #    ``add_task`` does not bump the edge version, so a new
-        #    vertex is only visible through this length check;
-        # 3. the add log still covers *every* version since the cache
-        #    (``len(adds) == _version - version``; each addition bumps
-        #    the version by exactly one, so the count equality holds iff
-        #    no addition is missing).  ``ConstraintGraph.add_edge`` trims
-        #    the front half of ``_add_log`` once it outgrows a bound
-        #    (graph.py), so a sufficiently stale cache falls out of the
-        #    log window, fails this check, and takes the full recompute
-        #    below — trimming can cost speed, never correctness.
-        if version >= graph._last_non_add_version \
-                and len(dist) == len(names):
-            adds = [entry for entry in graph._add_log
-                    if entry[0] > version]
-            if len(adds) == graph._version - version:
-                try:
-                    propagated = _propagate_adds(graph, dict(dist),
-                                                 dict(pred), adds,
-                                                 names)
-                except _Diverged as diverged:
-                    if probe and _certified_infeasible(graph, diverged):
-                        _COUNTERS["probe_prunes"] += 1
-                        graph._lp_cache = None
-                        return None
-                    propagated = None
-                if propagated is not None:
-                    _COUNTERS["incremental_runs"] += 1
-                    new_dist, new_pred = propagated
-                    graph._lp_cache = (graph._version, new_dist,
-                                       new_pred)
-                    _remember_state(graph, new_dist, new_pred)
-                    return _view(new_dist, new_pred)
-            else:
-                # Invariants 1 and 2 held but the add log no longer
-                # covers every version since the cache: the cache fell
-                # out of the trimmed log window (graph.py's bounded
-                # ``_add_log``).  Count it so workloads can tell these
-                # forced recomputes apart from genuinely invalidated
-                # caches (removals / rollbacks / new vertices).
-                _COUNTERS["log_evictions"] += 1
-    restored = _restore_from_journal(graph, names, probe)
-    if restored is _INFEASIBLE:
+    solved = graph._current_state()
+    if solved is not None:
+        _COUNTERS["cache_hits"] += 1
+        return _view(solved[1], solved[2])
+    replayed = _replay(graph, probe)
+    if replayed is _INFEASIBLE:
         _COUNTERS["probe_prunes"] += 1
-        graph._lp_cache = None
         return None
-    if restored is not None:
-        return restored
-    try:
+    if replayed is not None:
+        _COUNTERS["incremental_runs"] += 1
+        dist, pred = replayed
+    else:
         _COUNTERS["full_runs"] += 1
-        if OBS.enabled:
-            # Spans only for the expensive path: full solves are the
-            # O(V*E) events worth seeing on a flamegraph; cache hits
-            # and incremental propagations stay counters (they fire
-            # thousands of times per solve).
-            with OBS.span("core.longest_path.full",
-                          vertices=len(names)):
+        # Equivalent to task_names(include_anchor=True) — the anchor is
+        # the first inserted vertex — without materializing Task
+        # objects.
+        names = list(graph._tasks)
+        try:
+            if OBS.enabled:
+                # Spans only for the expensive path: full solves are
+                # the O(V*E) events worth seeing on a flamegraph; memo
+                # hits and replays stay counters (they fire thousands
+                # of times per solve).
+                with OBS.span("core.longest_path.full",
+                              vertices=len(names)):
+                    full = _full_longest_paths(graph, names)
+            else:
                 full = _full_longest_paths(graph, names)
-        else:
-            full = _full_longest_paths(graph, names)
-    except PositiveCycleError:
-        graph._lp_cache = None
-        if probe:
-            return None
-        raise
-    dist, pred = full.distance, full.predecessor
-    graph._lp_cache = (graph._version, dist, pred)
+        except PositiveCycleError:
+            if probe:
+                return None
+            raise
+        dist, pred = full.distance, full.predecessor
     _remember_state(graph, dist, pred)
     return _view(dist, pred)
 
 
-#: How far below the current journal length the restore layer looks for
-#: a memoized prefix to replay forward from.  The scheduler hot loops
-#: (serial DFS, spike elimination, compaction) roll back and retry a
-#: handful of edges at a time, so a short window catches them; anything
-#: deeper falls through to a full solve.
-_REPLAY_WINDOW = 32
-
-#: Sentinel returned by :func:`_restore_from_journal` when a probe
-#: certified the current edge set infeasible (distinct from None =
-#: "layer not applicable, fall through").
+#: Sentinel returned by :func:`_replay` when a probe certified the
+#: current edge set infeasible (distinct from None = "step not
+#: applicable, fall through").
 _INFEASIBLE = object()
 
 
 class _Diverged(Exception):
-    """Internal: incremental relaxation suspects a positive cycle.
+    """Internal: worklist relaxation suspects a positive cycle.
 
     ``certain`` is True when the divergence itself is a proof of
     infeasibility (the anchor's distance became positive, i.e. an
@@ -297,48 +252,43 @@ def _certified_infeasible(graph: ConstraintGraph,
     return total > 0
 
 
-def _restore_from_journal(graph: ConstraintGraph, names: "list[str]",
-                          probe: bool = False):
-    """Answer from a memoized journal state, replaying the suffix.
+def _replay(graph: ConstraintGraph, probe: bool):
+    """Replay the journal suffix over the nearest shorter memo.
 
     The edge set is a pure function of the journal prefix, and
     ``rollback`` drops memos above the restored token — so a surviving
-    journal-length key names exactly the edge set at that prefix.  An
-    exact-length hit restores the fixpoint outright.  A *shorter*
-    memoized prefix is still usable when every journal entry since it
-    is monotone (edges only created or tightened — ``add_edge`` keeps
-    the max weight, so this is the common case): distances only grow,
-    and worklist relaxation of the changed edges over the memoized
-    fixpoint reaches the current least fixpoint.  Any weakening or
-    removal in the suffix disqualifies the layer — and disqualifies
-    every shorter prefix too, so the scan stops there.
+    journal-length key names exactly the edge set at that prefix.  A
+    memoized prefix is usable when every journal entry since it is
+    monotone (edges only created or tightened — ``add_edge`` keeps the
+    max weight, so this is the common case): distances only grow, and
+    worklist relaxation of the changed edges over the memoized fixpoint
+    reaches the current least fixpoint.  Any weakening or removal in
+    the suffix disqualifies the step — and disqualifies every shorter
+    prefix too, so the scan stops there.
 
-    Returns the restored view, None to fall through to the full solve,
-    or :data:`_INFEASIBLE` when a probing caller's replay diverged
-    with a certified contradiction.  Never raises on infeasible
-    instances: a non-probe diverging replay returns None so the full
-    solve raises canonically.
+    Returns the new ``(distance, predecessor)`` dicts, None to fall
+    through to the full solve, or :data:`_INFEASIBLE` when a probing
+    caller's replay diverged with a certified contradiction.  Never
+    raises on infeasible instances: a non-probe diverging replay
+    returns None so the full solve raises canonically.
     """
     state_cache = graph._state_cache
     if not state_cache:
         return None
     journal = graph._journal
     length = len(journal)
-    for key in range(length, max(length - _REPLAY_WINDOW, 0) - 1, -1):
+    floor = max(length - _REPLAY_WINDOW, 0)
+    for key in range(length - 1, floor - 1, -1):
         entry = state_cache.get(key)
         if entry is None:
             continue
-        if entry[0] != len(names):
+        vertices, dist, pred = entry
+        if vertices != len(graph._tasks):
             return None  # vertex set changed since every older memo
-        _, dist, pred = entry
-        if key == length:
-            _COUNTERS["state_restores"] += 1
-            graph._lp_cache = (graph._version, dist, pred)
-            return _view(dist, pred)
         # Net change per touched pair: weight at memo time is the
         # *first* journaled prev for the pair (None = absent), current
         # weight is the live edge store.
-        first_prev: "dict[tuple, Any]" = {}
+        first_prev: "dict[tuple[str, str], tuple[int, str] | None]" = {}
         for edge_key, prev in journal[key:]:
             if edge_key not in first_prev:
                 first_prev[edge_key] = prev
@@ -350,28 +300,18 @@ def _restore_from_journal(graph: ConstraintGraph, names: "list[str]",
                 if prev is None:
                     continue  # created then removed: net no-op
                 return None  # removed since the memo: not monotone
-            old_weight = None if prev is None else prev[0]
-            if old_weight is None or current[0] > old_weight:
-                adds.append((0, edge_key[0], edge_key[1], current[0]))
-            elif current[0] < old_weight:
+            if prev is None or current[0] > prev[0]:
+                adds.append((edge_key[0], edge_key[1], current[0]))
+            elif current[0] < prev[0]:
                 return None  # weakened since the memo: not monotone
         if not adds:
-            new_dist, new_pred = dist, pred
-        else:
-            try:
-                propagated = _propagate_adds(graph, dict(dist),
-                                             dict(pred), adds, names)
-            except _Diverged as diverged:
-                if probe and _certified_infeasible(graph, diverged):
-                    return _INFEASIBLE
-                return None
-            if propagated is None:
-                return None
-            new_dist, new_pred = propagated
-        _COUNTERS["state_restores"] += 1
-        graph._lp_cache = (graph._version, new_dist, new_pred)
-        _remember_state(graph, new_dist, new_pred)
-        return _view(new_dist, new_pred)
+            return dist, pred
+        try:
+            return _propagate_adds(graph, dict(dist), dict(pred), adds)
+        except _Diverged as diverged:
+            if probe and _certified_infeasible(graph, diverged):
+                return _INFEASIBLE
+            return None
     return None
 
 
@@ -381,8 +321,8 @@ def _remember_state(graph: ConstraintGraph, dist: dict,
 
     ``ConstraintGraph.rollback`` drops memos above the restored token
     and ``strip_tags`` clears them, so a surviving key always names the
-    exact current edge set.  The dicts are shared with ``_lp_cache``
-    and never mutated in place (the incremental path copies first).
+    exact current edge set.  The dicts are shared with graph copies and
+    pickles and never mutated in place (the replay copies first).
     """
     state_cache = graph._state_cache
     state_cache[len(graph._journal)] = (len(dist), dist, pred)
@@ -392,24 +332,22 @@ def _remember_state(graph: ConstraintGraph, dist: dict,
             del state_cache[key]
 
 
-def _propagate_adds(graph, dist, pred, adds, names) \
-        -> "tuple[dict, dict] | None":
-    """Worklist relaxation of newly-added edges over cached distances.
+def _propagate_adds(graph, dist, pred, adds) -> "tuple[dict, dict]":
+    """Worklist relaxation of added or tightened edges over a fixpoint.
 
-    Returns the updated ``(distance, predecessor)`` dicts, or None when
-    the cached state is unusable (a new vertex appeared).  Divergence —
-    a suspected positive cycle — raises :class:`_Diverged` instead,
-    carrying whether the divergence is a proof (positive closed walk
-    through the anchor) or needs certification.  Non-probing callers
-    treat any divergence as "fall through to the full solve", which
-    raises the canonical :class:`PositiveCycleError` (message and
-    traced cycle included) — so infeasibility reported through a
-    cached state is byte-identical to a cold solve, and a false-positive
-    divergence guard costs a recompute, never a wrong exception.
+    ``adds`` holds ``(src, dst, weight)`` triples; ``dist``/``pred``
+    are private copies of the memoized fixpoint and are updated in
+    place and returned.  Divergence — a suspected positive cycle —
+    raises :class:`_Diverged`, carrying whether the divergence is a
+    proof (positive closed walk through the anchor) or needs
+    certification.  Non-probing callers treat any divergence as "fall
+    through to the full solve", which raises the canonical
+    :class:`PositiveCycleError` (message and traced cycle included) —
+    so infeasibility reported through a memo is byte-identical to a
+    cold solve, and a false-positive divergence guard costs a
+    recompute, never a wrong exception.
     """
-    from collections import deque
-
-    limit = len(names)
+    limit = len(dist)
     queue: "deque[str]" = deque()
     queued: "set[str]" = set()
     counts: "dict[str, int]" = {}
@@ -436,9 +374,7 @@ def _propagate_adds(graph, dist, pred, adds, names) \
                 queued.add(dst)
                 queue.append(dst)
 
-    for _, src, dst, weight in adds:
-        if src not in dist or dst not in dist:
-            return None  # pragma: no cover - new-vertex guard
+    for src, dst, weight in adds:
         relax(src, dst, weight)
     edges = graph._edges
     out = graph._out

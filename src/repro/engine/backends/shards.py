@@ -91,17 +91,14 @@ def run_manifest(manifest):
         store_delta.extend(
             ((result.stats or {}).get("reuse") or {})
             .get("new_entries") or [])
-    cache_entries = runner.cache.entries() \
-        if runner.cache is not None else []
     return ShardArtifact(
         index=manifest.index,
         of=manifest.of,
         results=results,
         trace=trace,
         store_delta=store_delta,
-        cache_stats=runner.cache.stats()
-        if runner.cache is not None else {},
-        cache_entries=cache_entries,
+        cache_stats=runner.cache.stats(),
+        cache_entries=runner.cache.entries(),
         metrics=dict(trace.metrics) if trace is not None else {})
 
 

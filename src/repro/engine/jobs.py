@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import inspect
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
 from ..core.problem import SchedulingProblem
@@ -63,15 +63,6 @@ class SolveJob:
     def key(self) -> str:
         """Canonical cache key for this job's complete input."""
         return problem_key(self.problem, self.options, kind=self.kind)
-
-    def reseeded(self, base_seed: int, index: int) -> "SolveJob":
-        """A copy whose options carry :func:`derive_seed` of ``index``."""
-        opts = self.options or SchedulerOptions()
-        return SolveJob(problem=self.problem, kind=self.kind,
-                        options=replace(opts,
-                                        seed=derive_seed(base_seed,
-                                                         index)),
-                        tags=dict(self.tags))
 
 
 @dataclass

@@ -7,9 +7,9 @@ returns one :class:`JobResult` per job, in order.  Internally it
 
 1. **keys** every job with its canonical problem hash,
 2. **dedups**: jobs sharing a key are solved once (first occurrence is
-   the *primary*; the rest are served from the in-run memo), and a
-   persistent :class:`ResultCache` — when attached — short-circuits
-   points already solved by earlier runs,
+   the *primary*; the rest are served from the in-run memo), and the
+   runner's persistent :class:`ResultCache` short-circuits points
+   already solved by earlier runs,
 3. **dispatches** the unique jobs either serially in-process
    (``workers <= 1``) or across a ``ProcessPoolExecutor`` in chunks of
    ``chunksize`` jobs, with a per-job timeout budget and a capped
@@ -18,9 +18,9 @@ returns one :class:`JobResult` per job, in order.  Internally it
    ``fork``/``spawn`` support, sandboxing, resource limits) the batch
    silently falls back to the serial loop — same results, one process.
 
-Determinism: job seeds are fixed inputs (see
-:meth:`SolveJob.reseeded` / ``RunnerConfig.reseed_base``), dedup serves
-byte-identical payloads, and result order is the submission order — so
+Determinism: job seeds are fixed inputs (``options.seed``; see
+:func:`~repro.engine.jobs.derive_seed`), dedup serves byte-identical
+payloads, and result order is the submission order — so
 a parallel run is indistinguishable from a serial run of the same jobs.
 """
 
@@ -64,22 +64,12 @@ class RunnerConfig:
         Capped retry budget, applied both in-worker (re-running a job
         whose kind function raised) and at chunk level (re-submitting a
         chunk that timed out or whose worker died).
-    cache_max_entries:
-        Size bound of the attached result cache (``None`` = unbounded).
-    use_cache:
-        Attach a persistent :class:`ResultCache` to the runner.  In-run
-        dedup of identical jobs happens regardless; the cache extends
-        that memo across successive ``run`` calls.
-    reseed_base:
-        When set, every job is reseeded with
-        ``derive_seed(reseed_base, position)`` before keying — one
-        deterministic seed per batch position (Monte Carlo batches).
     reuse_schedules:
         Attach a validity-range :class:`ScheduleStore`: jobs whose
         power environment falls inside a stored schedule's validity
         rectangle are served without running the pipeline (paper
-        Section 5.3).  Orthogonal to the exact-key ``use_cache`` memo —
-        the cache serves *identical* jobs, the store serves the same
+        Section 5.3).  Orthogonal to the runner's exact-key result
+        cache — the cache serves *identical* jobs, the store serves the same
         workload under *different* ``(P_max, P_min)``.
     reuse_policy:
         ``"identical"`` (default) serves only certified entries that
@@ -104,9 +94,6 @@ class RunnerConfig:
     chunksize: int = 1
     timeout_s: "float | None" = None
     retries: int = 1
-    cache_max_entries: "int | None" = 4096
-    use_cache: bool = True
-    reseed_base: "int | None" = None
     reuse_schedules: bool = False
     reuse_policy: str = "identical"
     trace_path: "str | None" = None
@@ -137,21 +124,17 @@ class BatchRunner:
     :class:`~repro.engine.backends.LocalBackend` reproduces the
     original serial/process-pool behaviour; sharded and remote backends
     plug into the same seam without changing keying, dedup, caching,
-    store settlement, or trace assembly.
+    store settlement, or trace assembly.  Every runner owns a
+    :class:`ResultCache` that extends the in-run dedup of identical
+    jobs across successive ``run`` calls.
     """
 
     def __init__(self, config: "RunnerConfig | None" = None,
-                 cache: "ResultCache | None" = None,
                  store: "ScheduleStore | None" = None,
                  backend: "ExecutionBackend | None" = None):
         self.config = config or RunnerConfig()
         self.backend: ExecutionBackend = backend or LocalBackend()
-        if cache is not None:
-            self.cache: "ResultCache | None" = cache
-        elif self.config.use_cache:
-            self.cache = ResultCache(self.config.cache_max_entries)
-        else:
-            self.cache = None
+        self.cache = ResultCache()
         if store is not None:
             self.store: "ScheduleStore | None" = store
         elif self.config.reuse_schedules:
@@ -187,14 +170,10 @@ class BatchRunner:
         """
         t_start = time.perf_counter()
         instrument = self.config.instrument or OBS.enabled
-        cache_before = self.cache.stats() if self.cache is not None \
-            else None
+        cache_before = self.cache.stats()
         store_before = self.store.counters() \
             if self.store is not None else None
         ordered = list(jobs)
-        if self.config.reseed_base is not None:
-            ordered = [job.reseeded(self.config.reseed_base, position)
-                       for position, job in enumerate(ordered)]
         keyed = [(position, job.key(), job)
                  for position, job in enumerate(ordered)]
 
@@ -205,21 +184,19 @@ class BatchRunner:
         primaries: "dict[str, tuple[int, SolveJob]]" = {}
         duplicates: "list[tuple[int, str]]" = []
         for position, key, job in keyed:
-            if self.cache is not None:
-                # peek(): classification must not disturb accounting —
-                # a job that ends up range-served by the schedule store
-                # was never a cache miss, and duplicate occurrences of
-                # one uncached key are one miss, not many.
-                hit, value = self.cache.peek(key)
-                if hit:
-                    self.cache.lookup(key)  # record hit, refresh LRU
-                    cache_hits += 1
-                    results[position] = JobResult(
-                        position=position, key=key, value=value,
-                        cached=True)
-                    if on_result is not None:
-                        on_result(results[position])
-                    continue
+            # peek(): classification must not disturb accounting — a job
+            # that ends up range-served by the schedule store was never
+            # a cache miss, and duplicate occurrences of one uncached
+            # key are one miss, not many.
+            hit, value = self.cache.peek(key)
+            if hit:
+                self.cache.lookup(key)  # record hit, refresh LRU
+                cache_hits += 1
+                results[position] = JobResult(
+                    position=position, key=key, value=value, cached=True)
+                if on_result is not None:
+                    on_result(results[position])
+                continue
             if key in primaries:
                 duplicates.append((position, key))
                 dedup_hits += 1
@@ -259,16 +236,15 @@ class BatchRunner:
                 ok=primary.ok, error=primary.error, cached=True)
             if on_result is not None:
                 on_result(results[position])
-        if self.cache is not None:
-            for key, (position, _job) in primaries.items():
-                primary = results[position]
-                if primary.ok:
-                    reuse = (primary.stats or {}).get("reuse") or {}
-                    if not reuse.get("hit"):
-                        # The solve is committed: record the miss the
-                        # classification peek deferred.
-                        self.cache.lookup(key)
-                    self.cache.put(key, primary.value)
+        for key, (position, _job) in primaries.items():
+            primary = results[position]
+            if primary.ok:
+                reuse = (primary.stats or {}).get("reuse") or {}
+                if not reuse.get("hit"):
+                    # The solve is committed: record the miss the
+                    # classification peek deferred.
+                    self.cache.lookup(key)
+                self.cache.put(key, primary.value)
 
         final = [results[position] for position in range(len(ordered))]
         elapsed_s = time.perf_counter() - t_start
@@ -439,9 +415,7 @@ class BatchRunner:
         registry.counter("engine.run.unique_solved").inc(
             len(run_span.children))
         registry.counter("engine.run.cache_hits").inc(cache_hits)
-        if self.cache is not None and cache_before is not None:
-            absorb_cache_stats(registry, cache_before,
-                               self.cache.stats())
+        absorb_cache_stats(registry, cache_before, self.cache.stats())
         if self.store is not None and store_before is not None:
             absorb_store_stats(registry, store_before,
                                self.store.counters())
@@ -493,9 +467,8 @@ class BatchRunner:
         trace = RunTrace(
             run=run_doc,
             cache={"hits": cache_hits, "misses": unique_solved,
-                   **({"evictions": self.cache.evictions,
-                       "entries": len(self.cache)}
-                      if self.cache is not None else {})},
+                   "evictions": self.cache.evictions,
+                   "entries": len(self.cache)},
             spans=list(spans or []),
             metrics=dict(metrics or {}),
             reuse=reuse_doc)

@@ -62,8 +62,6 @@ STATS_METRIC_NAMES: "dict[str, str]" = {
     "lp_cache_hits": "sched.lp.cache_hits",
     "lp_incremental_runs": "sched.lp.incremental_runs",
     "lp_full_runs": "sched.lp.full_runs",
-    "lp_cache_log_evictions": "sched.lp.log_evictions",
-    "lp_state_restores": "core.kernel.state_restores",
     "lp_probe_prunes": "core.kernel.probe_prunes",
 }
 

@@ -110,9 +110,9 @@ class SchedulerStats:
 
     Besides the algorithmic counters, a run carries its observability
     payload: per-stage wall-clock timings (``stage_seconds``, keyed by
-    pipeline stage name) and the longest-path solver's cache behaviour
-    (exact cache hits, incremental delta propagations, and full
-    Bellman–Ford recomputations).  The batch engine
+    pipeline stage name) and how the longest-path solver answered
+    (exact memo hits, journal replays, full Bellman–Ford solves, and
+    probes pruned from a certified contradiction).  The batch engine
     (:mod:`repro.engine`) aggregates these into its JSON run traces,
     and :meth:`absorb_into` folds them into a :mod:`repro.obs` metrics
     registry under the stable ``sched.*`` naming scheme
@@ -131,8 +131,6 @@ class SchedulerStats:
     lp_cache_hits: int = 0
     lp_incremental_runs: int = 0
     lp_full_runs: int = 0
-    lp_cache_log_evictions: int = 0
-    lp_state_restores: int = 0
     lp_probe_prunes: int = 0
     stage_seconds: "dict[str, float]" = field(default_factory=dict)
 

@@ -27,9 +27,9 @@ def _timed_stage(label: str, run) -> ScheduleResult:
     """Run one pipeline stage, recording wall time and cache activity.
 
     The stage's wall-clock seconds land in ``stats.stage_seconds[label]``
-    and the longest-path solver's cache counters (exact hits /
-    incremental propagations / full recomputes) observed during the
-    stage are folded into the stage result's stats.  Under an enabled
+    and the longest-path solver's answer counters (exact memo hits /
+    replays / full solves / probe prunes) observed during the stage
+    are folded into the stage result's stats.  Under an enabled
     :mod:`repro.obs` session the stage also records a
     ``sched.stage.<label>`` span carrying the same counters.
     """
@@ -42,8 +42,6 @@ def _timed_stage(label: str, run) -> ScheduleResult:
         stage_span.set(lp_cache_hits=delta["cache_hits"],
                        lp_incremental_runs=delta["incremental_runs"],
                        lp_full_runs=delta["full_runs"],
-                       lp_log_evictions=delta["log_evictions"],
-                       lp_state_restores=delta["state_restores"],
                        lp_probe_prunes=delta["probe_prunes"])
     stats = result.stats
     stats.stage_seconds[label] = \
@@ -51,8 +49,6 @@ def _timed_stage(label: str, run) -> ScheduleResult:
     stats.lp_cache_hits += delta["cache_hits"]
     stats.lp_incremental_runs += delta["incremental_runs"]
     stats.lp_full_runs += delta["full_runs"]
-    stats.lp_cache_log_evictions += delta["log_evictions"]
-    stats.lp_state_restores += delta["state_restores"]
     stats.lp_probe_prunes += delta["probe_prunes"]
     return result
 

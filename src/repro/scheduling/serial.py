@@ -40,7 +40,9 @@ class SerialScheduler:
 
         Raises :class:`SchedulingFailure` if no serial order satisfies
         the min/max separations (a max separation can make full
-        serialization impossible even when a parallel schedule exists).
+        serialization impossible even when a parallel schedule exists),
+        or if the search spent ``options.max_backtracks`` before finding
+        one — the message says which.
         """
         self.stats = SchedulerStats()
         self._budget = self.options.max_backtracks
@@ -48,7 +50,10 @@ class SerialScheduler:
         chain: "list[str]" = []
         if not self._extend(graph, chain):
             raise SchedulingFailure(
-                f"no fully-serial schedule exists for {problem.name!r}")
+                f"no fully-serial schedule exists for {problem.name!r}"
+                if self._budget > 0 else
+                f"serial scheduler gave up on {problem.name!r} after "
+                f"{self.options.max_backtracks} backtracks")
         schedule = asap_schedule(graph)
         result = make_result(problem, schedule, stats=self.stats,
                              stage="serial")

@@ -391,8 +391,7 @@ class Batcher:
             loop.call_soon_threadsafe(submission.record_result,
                                       index, job_result)
 
-        cache_before = self.runner.cache.stats() \
-            if self.runner.cache is not None else None
+        cache_before = self.runner.cache.stats()
         store_before = self.runner.store.counters() \
             if self.runner.store is not None else None
         # A batch holding exactly one submission runs under that
@@ -428,10 +427,8 @@ class Batcher:
                 .observe(len(jobs))
             self.registry.histogram("serving.batch.seconds") \
                 .observe(elapsed_s)
-            if cache_before is not None \
-                    and self.runner.cache is not None:
-                absorb_cache_stats(self.registry, cache_before,
-                                   self.runner.cache.stats())
+            absorb_cache_stats(self.registry, cache_before,
+                               self.runner.cache.stats())
             if store_before is not None \
                     and self.runner.store is not None:
                 absorb_store_stats(self.registry, store_before,

@@ -113,64 +113,6 @@ class TestAsapAlap:
             latest_starts(g, horizon=10)
 
 
-class TestAddLogTrim:
-    """The bounded add log: trim bound + eviction counter."""
-
-    def _seeded_graph(self) -> ConstraintGraph:
-        g = ConstraintGraph("trim")
-        for index in range(4):
-            g.new_task(f"t{index}", duration=2)
-        g.add_precedence("t0", "t1")
-        longest_paths(g)  # populate the incremental cache
-        return g
-
-    def test_trim_bound_respects_factor(self, monkeypatch):
-        monkeypatch.setattr("repro.core.graph.ADD_LOG_FACTOR", 1)
-        g = self._seeded_graph()
-        bound = 1 * (len(g._tasks) + 8)
-        for index in range(3 * bound):
-            g.add_edge("t2", "t3", index - 100)
-            assert len(g._add_log) <= bound
-
-    def test_stale_cache_eviction_is_counted_not_wrong(self, monkeypatch):
-        monkeypatch.setattr("repro.core.graph.ADD_LOG_FACTOR", 1)
-        g = self._seeded_graph()
-        bound = 1 * (len(g._tasks) + 8)
-        # push enough additions past the cached version that the
-        # trimmed log no longer covers it
-        for index in range(bound + 4):
-            g.add_edge("t2", "t3", index - 100)
-        snapshot = lp_counter_snapshot()
-        result = longest_paths(g)
-        delta = lp_counters_delta(snapshot)
-        # the incremental step was declined (log window lost) and
-        # counted; the journal-state memo of the seeding solve answers
-        # instead, replaying the monotone suffix
-        assert delta["log_evictions"] == 1
-        assert delta["state_restores"] == 1
-        assert delta["full_runs"] == 0
-        assert delta["incremental_runs"] == 0
-        # correctness unaffected: distances match a cold graph
-        fresh = ConstraintGraph("fresh")
-        for index in range(4):
-            fresh.new_task(f"t{index}", duration=2)
-        fresh.add_precedence("t0", "t1")
-        for index in range(bound + 4):
-            fresh.add_edge("t2", "t3", index - 100)
-        assert result.distance == longest_paths(fresh).distance
-
-    def test_default_factor_keeps_incremental_path(self):
-        from repro.core.longest_path import (lp_counter_snapshot,
-                                             lp_counters_delta)
-        g = self._seeded_graph()
-        g.add_edge("t2", "t3", 1)
-        snapshot = lp_counter_snapshot()
-        longest_paths(g)
-        delta = lp_counters_delta(snapshot)
-        assert delta["incremental_runs"] == 1
-        assert delta["log_evictions"] == 0
-
-
 def _random_graph(seed: int, tasks: int = 18) -> ConstraintGraph:
     """A random feasible-ish constraint graph with min/max edges."""
     rng = random.Random(seed)
@@ -191,24 +133,29 @@ def _random_graph(seed: int, tasks: int = 18) -> ConstraintGraph:
     return g
 
 
-def _cold_distances(graph: ConstraintGraph) -> "dict[str, int]":
-    """Distances of a cache-free rebuild of ``graph``'s edge set."""
+def _cold_graph(graph: ConstraintGraph) -> ConstraintGraph:
+    """A memo-free rebuild of ``graph``'s tasks and edge set."""
     cold = ConstraintGraph("cold")
     for task in graph.tasks():
         cold.add_task(task)
     for src, dst, weight in graph.edge_triples():
         cold.add_edge(src, dst, weight)
-    return dict(longest_paths(cold).distance)
+    return cold
+
+
+def _cold_distances(graph: ConstraintGraph) -> "dict[str, int]":
+    """Distances of a memo-free rebuild of ``graph``'s edge set."""
+    return dict(longest_paths(_cold_graph(graph)).distance)
 
 
 class TestAnswerLadder:
-    """Cache hit, incremental additions and journal-state restores must
-    be indistinguishable from a full solve of the same edge set."""
+    """Exact memo hits and journal replays must be indistinguishable
+    from a full solve of the same edge set."""
 
     def test_incremental_exception_parity(self):
-        """Infeasibility reported through a cached state is
-        byte-identical to a cold solve (the incremental steps delegate
-        to the full solve instead of raising their own error)."""
+        """Infeasibility reported through a memo is byte-identical to
+        a cold solve (the replay delegates to the full solve instead of
+        raising its own error)."""
         def build():
             g = ConstraintGraph("cached-infeasible")
             for name in ("A", "B"):
@@ -222,7 +169,7 @@ class TestAnswerLadder:
             longest_paths(cold)
 
         cached = build()
-        longest_paths(cached)  # primes the incremental cache
+        longest_paths(cached)  # primes the memo
         cached.add_min_separation("B", "A", 7)
         with pytest.raises(PositiveCycleError) as cached_exc:
             longest_paths(cached)
@@ -250,39 +197,93 @@ class TestAnswerLadder:
         snapshot = lp_counter_snapshot()
         restored = dict(longest_paths(g).distance)
         delta = lp_counters_delta(snapshot)
-        assert delta["state_restores"] == 1
+        assert delta["cache_hits"] == 1
         assert delta["full_runs"] == 0
         assert restored == base
 
+    def test_copy_right_after_rollback_needs_no_full_solve(self):
+        """The memo for the restored edge set survives the rollback, so
+        a copy taken before any query seeds its clone from it."""
+        g = _random_graph(13)
+        base = dict(longest_paths(g).distance)
+        token = g.checkpoint()
+        g.add_release("t5", 47)
+        longest_paths(g)
+        g.rollback(token)
+        snapshot = lp_counter_snapshot()
+        assert dict(longest_paths(g.copy()).distance) == base
+        delta = lp_counters_delta(snapshot)
+        assert delta["full_runs"] == 0
+        assert delta["cache_hits"] == 1
+
+    def test_query_after_set_duration_needs_no_full_solve(self):
+        """Durations are not edge weights, so ``set_duration`` leaves the
+        memo standing — as in the online session's overrun replan, which
+        stretches a task on a solved graph's working copy."""
+        g = _random_graph(17)
+        longest_paths(g)
+        working = g.copy()
+        working.add_edge("t3", "t8", 40, tag="replan")
+        working.set_duration("t3", working.task("t3").duration + 6)
+        snapshot = lp_counter_snapshot()
+        answer = dict(longest_paths(working).distance)
+        assert lp_counters_delta(snapshot)["full_runs"] == 0
+        assert answer == _cold_distances(working)
+
     def test_state_restore_fuzz_checkpoint_rollback(self):
-        """Random checkpoint/rollback/add interleavings: ladder answers
-        must equal a cold solve of the same edge set at every step."""
+        """Random interleavings of every graph mutation the schedulers
+        use, plus copies, pickles and duration changes: each answer,
+        plain or probing, must equal a cold solve of the same edge set,
+        and a probe returns None exactly when the cold solve raises."""
         rng = random.Random(1234)
         g = _random_graph(21, tasks=12)
         names = g.task_names()
-        tokens = []
+        tokens: "list[int]" = []
+        snapshot = lp_counter_snapshot()
         for _ in range(120):
+            before = g.checkpoint()
             op = rng.random()
-            if op < 0.4:
-                tokens.append(g.checkpoint())
-            elif op < 0.7 and tokens:
+            if op < 0.25:
+                tokens.append(before)
+            elif op < 0.4 and tokens:
                 g.rollback(tokens.pop(rng.randrange(len(tokens))))
-                tokens = [t for t in tokens if t <= len(g._journal)]
+                tokens = [t for t in tokens if t <= g.checkpoint()]
+            elif op < 0.5 and g.edge_count():
+                edge = rng.choice(g.edges())
+                g.remove_edge(edge.src, edge.dst)
+            elif op < 0.6 and g.edge_count():
+                edge = rng.choice(g.edges())
+                g.weaken_edge(edge.src, edge.dst)
+            elif op < 0.65:
+                g, tokens = g.copy(), []
+            elif op < 0.7:
+                g = pickle.loads(pickle.dumps(g))
+            elif op < 0.75:
+                g.set_duration(rng.choice(names), rng.randint(1, 9))
             else:
                 src, dst = rng.sample(names, 2)
-                try:
-                    g.add_min_separation(src, dst, rng.randint(0, 6))
-                except Exception:
-                    continue
+                g.add_edge(src, dst, rng.randint(-12, 8))
+            cold = _cold_graph(g)
             try:
-                answer = dict(longest_paths(g).distance)
-            except PositiveCycleError:
-                # infeasible interleaving: parity already covered by
-                # test_incremental_exception_parity; rewind and go on
-                if tokens:
-                    g.rollback(tokens.pop())
+                expected = dict(longest_paths(cold).distance)
+            except PositiveCycleError as cold_exc:
+                if rng.random() < 0.5:
+                    assert longest_paths(g, probe=True) is None
+                else:
+                    with pytest.raises(PositiveCycleError) as exc:
+                        longest_paths(g)
+                    assert str(exc.value) == str(cold_exc)
+                    assert exc.value.cycle == cold_exc.cycle
+                # only an addition can close a positive cycle: undo it
+                g.rollback(before)
                 continue
-            assert _cold_distances(g) == answer
+            answer = longest_paths(g, probe=rng.random() < 0.5)
+            assert answer is not None
+            assert dict(answer.distance) == expected
+        delta = lp_counters_delta(snapshot)
+        assert delta["cache_hits"] > 0
+        assert delta["incremental_runs"] > 0
+        assert delta["full_runs"] > 0
 
     def test_unmutated_copy_answers_from_carried_cache(self):
         g = _random_graph(31)
@@ -292,7 +293,7 @@ class TestAnswerLadder:
         delta = lp_counters_delta(snapshot)
         assert delta["cache_hits"] == 1
         assert delta["full_runs"] == 0
-        # a mutated copy builds on the carried cache and stays exact
+        # a mutated copy replays over the carried memo and stays exact
         mutated = g.copy()
         mutated.add_release("t3", 41)
         assert dict(longest_paths(mutated).distance) == \
@@ -307,25 +308,28 @@ class TestAnswerLadder:
         # plain-dict copies remain available to callers that need them
         assert dict(result.distance)["t0"] == result.distance["t0"]
 
-    def test_pickled_graph_keeps_lp_cache_drops_state_cache(self):
+    def test_pickled_graph_ships_only_the_current_memo(self):
         g = _random_graph(8)
         longest_paths(g)
-        assert g._state_cache
+        g.add_release("t1", 30)
+        current = dict(longest_paths(g).distance)
+        assert len(g._state_cache) == 2
         clone = pickle.loads(pickle.dumps(g))
-        assert clone._state_cache == {}
-        assert clone._lp_cache is not None
+        assert list(clone._state_cache) == [len(clone._journal)]
         snapshot = lp_counter_snapshot()
-        assert dict(longest_paths(clone).distance) == \
-            dict(longest_paths(g).distance)
-        assert lp_counters_delta(snapshot)["full_runs"] == 0
+        assert dict(longest_paths(clone).distance) == current
+        delta = lp_counters_delta(snapshot)
+        assert delta["full_runs"] == 0
+        assert delta["cache_hits"] == 1
 
 
 def test_journal_memos_answer_rover_session_arrivals():
-    """Why the journal-state memos stay: the online session's admission
-    and re-solve loops roll back onto already-solved journal prefixes
-    hundreds of times in the first 20 arrivals of the unrolled-rover
-    stream (the perfbench ``session-rover`` workload).  Dropping the
-    memos turns each of those restores into a full solve."""
+    """The journal memos answer the online session's admission and
+    re-solve loops, which roll back onto already-solved journal prefixes
+    and replay short monotone suffixes hundreds of times in the first 20
+    arrivals of the unrolled-rover stream (the perfbench
+    ``session-rover`` workload).  740 full solves is the count of the
+    earlier two-cache ladder on the same replay."""
     from repro.mission import MarsRover
     from repro.mission.rover import SolarCase
     from repro.online import (MissionSession, SessionConfig,
@@ -346,4 +350,5 @@ def test_journal_memos_answer_rover_session_arrivals():
         session.apply(arrival)
     delta = lp_counters_delta(snapshot)
     assert len(session.admitted) == 20
-    assert delta["state_restores"] > 0
+    assert delta["incremental_runs"] > 0
+    assert delta["full_runs"] <= 740

@@ -229,8 +229,8 @@ class TestIncrementalLongestPath:
     def test_incremental_equals_reference_bellman_ford(self, ops):
         """After every mutation, ``longest_paths`` (cached/incremental)
         must agree with ``_full_longest_paths`` run on a pristine copy
-        — distances and cycle verdicts alike.  Long add runs exercise
-        the bounded add-log (trim forces full recomputes); tighten ops
+        — distances and cycle verdicts alike.  Long add runs outgrow
+        the replay window (falling through to full solves); tighten ops
         exercise the grow-only worklist on existing edges."""
         from repro import PositiveCycleError, longest_paths
         from repro.core.longest_path import _full_longest_paths

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro import (ConstraintGraph, SchedulingFailure, SchedulingProblem,
-                   check_time_valid, serial_schedule)
+from repro import (ConstraintGraph, SchedulerOptions, SchedulingFailure,
+                   SchedulingProblem, check_time_valid, serial_schedule)
 from repro.workloads import independent
 
 
@@ -59,8 +59,28 @@ class TestSerialization:
         g.new_task("u", duration=10, power=1.0, resource="A")
         g.new_task("v", duration=10, power=1.0, resource="B")
         g.add_separation_window("u", "v", 0, 5)  # must overlap
-        with pytest.raises(SchedulingFailure):
+        with pytest.raises(SchedulingFailure,
+                           match="no fully-serial schedule exists"):
             serial_schedule(SchedulingProblem(g, p_max=10.0))
+
+    def test_spent_budget_is_not_reported_as_infeasible(self):
+        """Running out of backtracks is a give-up, not a proof that no
+        serial order exists: with a start deadline of 3 on ``y`` the
+        search needs four tries to reach the chain ``y, x``."""
+        def solve(budget: int):
+            g = ConstraintGraph("xy")
+            g.new_task("x", duration=5, power=1.0)
+            g.new_task("y", duration=5, power=1.0)
+            g.add_start_deadline("y", 3)
+            return serial_schedule(SchedulingProblem(g, p_max=10.0),
+                                   SchedulerOptions(max_backtracks=budget))
+
+        for budget in (1, 2, 3):
+            with pytest.raises(SchedulingFailure,
+                               match=f"gave up on 'xy' after {budget} "
+                                     "backtracks"):
+                solve(budget)
+        assert solve(4).extra["chain"] == ["y", "x"]
 
     def test_rover_serial_is_75s(self):
         from repro.mission import MarsRover, SolarCase
