@@ -292,9 +292,13 @@ class ScheduleStore:
         finishes *strictly earlier* than ``sigma_t`` (a different
         serialization of a timing-heuristic-hostile instance), in which
         case a fresh solve inside the rectangle would return the serial
-        schedule instead.  The guard solves the serial candidate once
-        and skips certification when it wins; ties are safe because the
-        pipeline keeps its first candidate (``sigma_t``) on ties.
+        schedule instead.  The guard runs the max-power stage's own
+        serial fallback search
+        (:func:`~repro.scheduling.max_power.serial_fallback_schedule`)
+        once, bounded by ``finish_by = tau(sigma_t) - 1``, and skips
+        certification when its schedule finishes strictly earlier than
+        ``sigma_t``; ties are safe because the pipeline keeps its first
+        candidate (``sigma_t``) on ties.
 
         Returns the base key.  Idempotent per base key, and the primed
         set ships with worker snapshots, so the priming cost is one
@@ -318,11 +322,9 @@ class ScheduleStore:
             return base_key
         self._primed.add(base_key)
         self.primes += 1
-        import dataclasses
-
         from ..errors import SchedulingFailure
         from ..scheduling.base import SchedulerOptions
-        from ..scheduling.serial import SerialScheduler
+        from ..scheduling.max_power import serial_fallback_schedule
         from ..scheduling.timing import TimingScheduler
         opts = options or SchedulerOptions()
         try:
@@ -331,15 +333,15 @@ class ScheduleStore:
             # Timing infeasibility is power-independent: no environment
             # can be served, so there is nothing to certify.
             return base_key
-        serial_tau = None
+        # Only a serial schedule finishing strictly before sigma_t can
+        # break the certification.
+        tau = timing.schedule.makespan
         try:
-            serial_opts = dataclasses.replace(opts, max_backtracks=200)
-            serial = SerialScheduler(serial_opts).solve(problem)
-            serial_tau = serial.schedule.makespan
+            serial = serial_fallback_schedule(problem, opts,
+                                              finish_by=tau - 1)
         except SchedulingFailure:
-            pass
-        if serial_tau is not None \
-                and serial_tau < timing.schedule.makespan:
+            serial = None
+        if serial is not None and serial.schedule.makespan < tau:
             return base_key
         entry = StoredSchedule.from_schedule(
             f"timing@{problem.name or 'problem'}", CERTIFIED_STAGE,

@@ -15,7 +15,8 @@ from .dvs import CPU_RESOURCE, DvsScheduler, dvs_schedule
 from .freq_select import FreqSelectScheduler, freq_select_schedule
 from .heuristics import PRESETS, preset, preset_names
 from .list_scheduler import GreedyListScheduler, greedy_schedule
-from .max_power import MaxPowerScheduler, max_power_schedule
+from .max_power import (SERIAL_FALLBACK_BACKTRACKS, MaxPowerScheduler,
+                        max_power_schedule, serial_fallback_schedule)
 from .min_power import GapFillConfig, MinPowerScheduler, min_power_schedule
 from .optimal import OptimalScheduler, optimal_schedule
 from .power_aware import PipelineResult, PowerAwareScheduler, schedule
@@ -46,6 +47,7 @@ __all__ = [
     "ScheduleTable",
     "SchedulerOptions",
     "SchedulerStats",
+    "SERIAL_FALLBACK_BACKTRACKS",
     "SerialScheduler",
     "TimingScheduler",
     "asap_schedule",
@@ -58,6 +60,7 @@ __all__ = [
     "preset",
     "preset_names",
     "schedule",
+    "serial_fallback_schedule",
     "serial_schedule",
     "timing_schedule",
 ]

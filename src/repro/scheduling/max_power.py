@@ -39,6 +39,7 @@ quantifies this).  It raises :class:`SchedulingFailure` in that case.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import sys
 
@@ -52,9 +53,37 @@ from ..errors import SchedulingFailure
 from ..obs import OBS
 from .base import ScheduleResult, SchedulerOptions, SchedulerStats, \
     make_result
+from .serial import SerialScheduler
 from .timing import TimingScheduler, asap_schedule
 
-__all__ = ["MaxPowerScheduler", "max_power_schedule"]
+__all__ = ["MaxPowerScheduler", "max_power_schedule",
+           "serial_fallback_schedule", "SERIAL_FALLBACK_BACKTRACKS"]
+
+#: Backtrack budget of the serial fallback's search.  The fallback is
+#: opportunistic, so a serialization-hostile instance (max windows that
+#: forbid a full serial order) fails fast instead of burning the
+#: caller's time.
+SERIAL_FALLBACK_BACKTRACKS = 200
+
+
+def serial_fallback_schedule(problem: SchedulingProblem,
+                             options: SchedulerOptions,
+                             finish_by: "int | None" = None) \
+        -> ScheduleResult:
+    """Run the serial fallback's budgeted search for one problem.
+
+    The search is :class:`SerialScheduler` under ``options`` with
+    :data:`SERIAL_FALLBACK_BACKTRACKS` backtracks.  The max-power stage
+    and the schedule store's certification guard both call this, so
+    they always run the same search.  ``finish_by`` is passed through
+    (see :meth:`SerialScheduler.solve`): callers set it to the last
+    finish time at which a serial schedule could still matter to them.
+    Raises :class:`SchedulingFailure` when there is no such schedule or
+    the search gives up.
+    """
+    budgeted = dataclasses.replace(
+        options, max_backtracks=SERIAL_FALLBACK_BACKTRACKS)
+    return SerialScheduler(budgeted).solve(problem, finish_by=finish_by)
 
 
 class MaxPowerScheduler:
@@ -68,7 +97,8 @@ class MaxPowerScheduler:
 
     # ------------------------------------------------------------------
 
-    def solve(self, problem: SchedulingProblem) -> ScheduleResult:
+    def solve(self, problem: SchedulingProblem,
+              timing: "ScheduleResult | None" = None) -> ScheduleResult:
         """Produce a *valid* (time- and power-valid) schedule.
 
         Runs the timing scheduler first (as the paper's algorithm
@@ -77,16 +107,25 @@ class MaxPowerScheduler:
         (finish time, energy cost) schedule is kept.  The returned
         result has ``stage="max_power"`` and carries the decorated
         graph in ``extra["graph"]``.
+
+        A caller that has already run the timing stage under the same
+        options passes its result as ``timing``: the restarts then copy
+        its serialized graph (which is left untouched) instead of
+        serializing again, and the timing stage's counters stay out of
+        this result's stats, since that caller accounts for them.
         """
         reasons = problem.feasible_power_check()
         if reasons:
             raise SchedulingFailure(
                 "problem is power-infeasible: " + "; ".join(reasons))
-        base_graph = problem.fresh_graph()
-        timing = TimingScheduler(self.options)
-        timing.schedule_graph(base_graph)  # adds serialization edges
         self.stats = SchedulerStats()
-        self.stats.merge(timing.stats)
+        if timing is None:
+            base_graph = problem.fresh_graph()
+            scheduler = TimingScheduler(self.options)
+            scheduler.schedule_graph(base_graph)  # adds serialization edges
+            self.stats.merge(scheduler.stats)
+        else:
+            base_graph = timing.extra["graph"]
 
         best: "tuple[tuple[float, float], Schedule, ConstraintGraph] | None" \
             = None
@@ -115,16 +154,17 @@ class MaxPowerScheduler:
                     continue
                 restart_span.set(makespan=schedule.makespan)
             consider(schedule, graph)
-            if best is not None and variant == 0:
-                # The pure paper heuristic succeeded; further restarts
-                # only matter when we are still failing or when the
-                # caller asked for exploration.
-                if self.options.max_power_restarts == 1:
-                    break
 
+        serial_outcome = ""
         if self.options.serial_fallback:
-            serial = self._serial_candidate(problem)
-            if serial is not None:
+            # A serial schedule finishing after the best repair loses,
+            # so the search runs only when it could tie or win.
+            finish_by = None if best is None else best[1].makespan
+            try:
+                serial = self._serial_candidate(problem, finish_by)
+            except SchedulingFailure as exc:
+                serial_outcome = f"; serial fallback: {exc}"
+            else:
                 consider(*serial)
 
         if best is None:
@@ -132,15 +172,16 @@ class MaxPowerScheduler:
                 f"max-power scheduler could not eliminate all spikes of "
                 f"{problem.name!r} under P_max = {problem.p_max:g} W "
                 f"({len(failures)} attempt(s); first failure: "
-                f"{failures[0] if failures else 'n/a'})")
+                f"{failures[0] if failures else 'n/a'}){serial_outcome}")
         _, schedule, graph = best
         result = make_result(problem, schedule, stats=self.stats,
                              stage="max_power")
         result.extra["graph"] = graph
         return result
 
-    def _serial_candidate(self, problem: SchedulingProblem) \
-            -> "tuple[Schedule, ConstraintGraph] | None":
+    def _serial_candidate(self, problem: SchedulingProblem,
+                          finish_by: "int | None") \
+            -> "tuple[Schedule, ConstraintGraph]":
         """The fully-serialized schedule as an extra candidate.
 
         In tightly power-bounded regimes (the rover's worst case) the
@@ -148,23 +189,22 @@ class MaxPowerScheduler:
         that its worst-case power-aware schedule coincides with JPL's
         serial schedule.  Greedy spike repair can strand idle time that
         the serial packing avoids, so the serial schedule competes in
-        the candidate pool whenever it is power-valid.
+        the candidate pool whenever it is power-valid.  Raises
+        :class:`SchedulingFailure` saying why there is no candidate:
+        the search found no serial order, gave up, was skipped by
+        ``finish_by``, or its schedule peaks above ``P_max``.
         """
-        from .serial import SerialScheduler  # local: avoid import cycle
-        import dataclasses
-        # The fallback is opportunistic: give it a small backtrack
-        # budget so a serialization-hostile instance (max windows that
-        # forbid a full serial order) fails fast instead of burning the
-        # caller's time.
-        options = dataclasses.replace(self.options, max_backtracks=200)
-        try:
-            result = SerialScheduler(options).solve(problem)
-        except SchedulingFailure:
-            return None
+        result = serial_fallback_schedule(problem, self.options,
+                                          finish_by=finish_by)
         profile = PowerProfile.from_schedule(
             result.schedule, baseline=problem.total_baseline)
-        if not profile.is_power_valid(problem.p_max):
-            return None
+        if not profile.is_power_valid(problem.p_max):  # pragma: no cover
+            # Defensive: one task at a time peaks at the largest task
+            # power plus baseline, which feasible_power_check bounds.
+            raise SchedulingFailure(
+                f"the serial schedule of {problem.name!r} peaks at "
+                f"{profile.peak():g} W, above P_max = "
+                f"{problem.p_max:g} W")
         return result.schedule, result.extra["graph"]
 
     # ------------------------------------------------------------------

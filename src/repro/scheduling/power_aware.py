@@ -104,6 +104,10 @@ class PowerAwareScheduler:
         is valid; the min-power stage result additionally maximizes
         utilization found across the heuristic configurations.
 
+        The graph is serialized once per solve: the max-power stage
+        copies the timing stage's serialized graph, and the final
+        result's stats count each stage's work once.
+
         A problem carrying DVFS operating-point ladders is delegated to
         :class:`~repro.scheduling.freq_select.FreqSelectScheduler`,
         which chooses a deadline-safe minimum-energy configuration and
@@ -121,18 +125,14 @@ class PowerAwareScheduler:
                 lambda: TimingScheduler(self.options).solve(problem))
             max_power = _timed_stage(
                 "max_power",
-                lambda: MaxPowerScheduler(self.options).solve(problem))
+                lambda: MaxPowerScheduler(self.options).solve(
+                    problem, timing=timing))
             min_power = _timed_stage(
                 "min_power",
                 lambda: MinPowerScheduler(self.options).improve(
                     problem, max_power))
         min_power.stats.merge(max_power.stats)
-        # The final result should expose all three stage timings; the
-        # standalone Fig.-2 timing run is not merged (its algorithmic
-        # counters would double-count the timing work MaxPowerScheduler
-        # repeats internally), so copy just its wall clock.
-        min_power.stats.stage_seconds.setdefault(
-            "timing", timing.stats.stage_seconds.get("timing", 0.0))
+        min_power.stats.merge(timing.stats)
         return PipelineResult(timing=timing, max_power=max_power,
                               min_power=min_power)
 

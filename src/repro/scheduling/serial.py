@@ -35,7 +35,8 @@ class SerialScheduler:
         self.options = options or SchedulerOptions()
         self.stats = SchedulerStats()
 
-    def solve(self, problem: SchedulingProblem) -> ScheduleResult:
+    def solve(self, problem: SchedulingProblem,
+              finish_by: "int | None" = None) -> ScheduleResult:
         """Find a fully-serial, time-valid schedule.
 
         Raises :class:`SchedulingFailure` if no serial order satisfies
@@ -43,8 +44,21 @@ class SerialScheduler:
         serialization impossible even when a parallel schedule exists),
         or if the search spent ``options.max_backtracks`` before finding
         one — the message says which.
+
+        A serial schedule runs one task at a time, so it cannot finish
+        before the sum of the task durations.  When that sum exceeds
+        ``finish_by`` the solve raises before any search work; the bound
+        is never applied to partial chains, so whenever the search runs
+        it spends its budget exactly as an unbounded solve would.
         """
         self.stats = SchedulerStats()
+        if finish_by is not None:
+            total = sum(task.duration for task in problem.graph.tasks())
+            if total > finish_by:
+                raise SchedulingFailure(
+                    f"no fully-serial schedule of {problem.name!r} can "
+                    f"finish by {finish_by}: its task durations sum to "
+                    f"{total}")
         self._budget = self.options.max_backtracks
         graph = problem.fresh_graph()
         chain: "list[str]" = []

@@ -5,7 +5,7 @@ import pytest
 from repro import (ConstraintGraph, MaxPowerScheduler, SchedulerOptions,
                    SchedulingFailure, SchedulingProblem,
                    check_power_valid, max_power_schedule)
-from repro.workloads import independent
+from repro.workloads import RandomWorkloadConfig, independent, random_problem
 
 
 class TestSpikeElimination:
@@ -113,3 +113,65 @@ class TestCompaction:
         result = max_power_schedule(rover.problem(SolarCase.WORST))
         assert result.finish_time == 75
         assert result.metrics.spikes == 0
+
+
+class TestSerialFallback:
+    @staticmethod
+    def tie_problem():
+        """Three 2 s, 5 W tasks on their own resources, ``c`` released
+        at 4: the repair and the serial chain both finish at 6 = sum
+        of the durations, but only the serial chain stays under
+        P_min."""
+        g = ConstraintGraph("tie")
+        for name in "abc":
+            g.new_task(name, duration=2, power=5.0,
+                       resource=name.upper())
+        g.add_release("c", 4)
+        return SchedulingProblem(g, p_max=20.0, p_min=5.0)
+
+    def test_serial_chain_wins_a_makespan_tie_on_energy(self):
+        """The fallback searches when the duration sum *equals* the best
+        repaired makespan: a tie on finish time can still win on
+        energy."""
+        result = MaxPowerScheduler().solve(self.tie_problem())
+        assert result.schedule.as_dict() == {"a": 0, "b": 2, "c": 4}
+        assert result.energy_cost == pytest.approx(0.0)
+
+    def test_repair_alone_keeps_the_overlap(self):
+        result = MaxPowerScheduler(
+            SchedulerOptions(serial_fallback=False)).solve(
+                self.tie_problem())
+        assert result.schedule.as_dict() == {"a": 0, "b": 0, "c": 4}
+        assert result.finish_time == 6
+        assert result.energy_cost == pytest.approx(10.0)
+
+    def test_failure_names_the_fallback_outcome(self):
+        """Both restarts spend their spike attempts and the fallback
+        gives up after its 200 backtracks, although a power-valid
+        serial schedule (71 s, peaking at exactly 8.4 W) exists 3,593
+        backtracks deep: the message must say the fallback gave up,
+        not that no serial schedule exists."""
+        problem = random_problem(3, RandomWorkloadConfig(
+            tasks=12, resources=3, layers=3)).with_power_constraints(
+                8.4, 0.0)
+        scheduler = MaxPowerScheduler()
+        with pytest.raises(SchedulingFailure) as failure:
+            scheduler.solve(problem)
+        assert scheduler.stats.spike_attempts == 4000
+        assert str(failure.value).endswith(
+            "; serial fallback: serial scheduler gave up on 'random-3' "
+            "after 200 backtracks")
+
+    def test_failure_says_when_no_serial_order_exists(self):
+        """The window forces ``a`` and ``b`` to overlap, which no
+        restart can fit under 8 W and no serial order allows."""
+        g = ConstraintGraph("window")
+        g.new_task("a", duration=5, power=6.0, resource="A")
+        g.new_task("b", duration=5, power=7.0, resource="B")
+        g.add_separation_window("a", "b", 0, 3)
+        problem = SchedulingProblem(g, p_max=8.0)
+        with pytest.raises(SchedulingFailure,
+                           match="; serial fallback: no fully-serial "
+                                 "schedule exists for 'window'$"):
+            max_power_schedule(problem,
+                               SchedulerOptions(max_spike_attempts=50))

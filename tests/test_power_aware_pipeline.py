@@ -1,11 +1,13 @@
 """Integration tests for the three-stage pipeline (Section 5)."""
 
+from unittest import mock
+
 import pytest
 
 from repro import (PowerAwareScheduler, SchedulerOptions,
-                   check_power_valid, schedule)
+                   TimingScheduler, check_power_valid, schedule)
 from repro.scheduling import preset, preset_names
-from repro.workloads import fork_join, random_problem
+from repro.workloads import RandomWorkloadConfig, fork_join, random_problem
 
 
 class TestPipeline:
@@ -74,3 +76,41 @@ class TestPresets:
 
     def test_paper_preset_is_default_options(self):
         assert preset("paper") == SchedulerOptions()
+
+
+class TestSingleSerialization:
+    """The max-power stage copies the timing stage's serialized graph
+    instead of serializing the problem a second time."""
+
+    @staticmethod
+    def problem():
+        # Its timing search backtracks once and adds 21 serializations.
+        return random_problem(18, RandomWorkloadConfig(
+            tasks=10, resources=3, layers=3))
+
+    def test_one_solve_serializes_once(self):
+        problem = self.problem()
+        with mock.patch.object(
+                TimingScheduler, "schedule_graph", autospec=True,
+                side_effect=TimingScheduler.schedule_graph) as serialize:
+            PowerAwareScheduler().solve_pipeline(problem)
+        assert serialize.call_count == 1
+
+    def test_final_stats_count_the_timing_work_once(self):
+        problem = self.problem()
+        alone = TimingScheduler().solve(problem).stats
+        assert alone.timing_backtracks > 0
+        final = PowerAwareScheduler().solve_pipeline(problem).final.stats
+        assert final.timing_backtracks == alone.timing_backtracks
+        assert final.serializations == alone.serializations
+        assert set(final.stage_seconds) \
+            == {"timing", "max_power", "min_power"}
+
+    def test_later_stages_leave_the_timing_graph_alone(self):
+        problem = self.problem()
+        alone = TimingScheduler().solve(problem).extra["graph"]
+        pipeline = PowerAwareScheduler().solve_pipeline(problem)
+        graph = pipeline.timing.extra["graph"]
+        assert graph.edges() == alone.edges()
+        assert graph.checkpoint() == alone.checkpoint()
+        assert pipeline.max_power.extra["graph"] is not graph

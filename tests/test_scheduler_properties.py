@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import (SchedulerOptions, SchedulingFailure,
                    check_power_valid, serial_schedule)
-from repro.scheduling import MaxPowerScheduler
+from repro.scheduling import MaxPowerScheduler, SerialScheduler
+from repro.workloads import RandomWorkloadConfig, random_problem
 from tests.test_properties import precedence_problems
 
 NO_EXTRAS = SchedulerOptions(max_power_restarts=1, compaction=False,
@@ -80,3 +83,47 @@ class TestSerialProperties:
                          if t.duration > 0), default=0.0)
         assert result.metrics.peak_power \
             <= max_power + problem.total_baseline + 1e-9
+
+
+@st.composite
+def budgeted_problems(draw):
+    """Random problems (windows, releases) under budgets from the
+    tightest admissible one — the largest task power plus baseline,
+    where repairs fail most — upward."""
+    config = RandomWorkloadConfig(tasks=draw(st.integers(3, 10)),
+                                  resources=draw(st.integers(1, 4)),
+                                  layers=3)
+    problem = random_problem(draw(st.integers(0, 10_000)), config)
+    floor = max(t.power for t in problem.graph.tasks()) \
+        + problem.total_baseline
+    p_max = floor + draw(st.sampled_from([0.0, 0.5, 1.0, 2.5, 5.0, 10.0]))
+    p_min = draw(st.sampled_from([0.0, 0.5, 1.0])) * p_max
+    return problem.with_power_constraints(p_max, p_min)
+
+
+def _max_power_outcome(problem, options):
+    """The max-power schedule, or the failure's text."""
+    try:
+        return MaxPowerScheduler(options).solve(problem).schedule.as_dict()
+    except SchedulingFailure as exc:
+        return str(exc)
+
+
+class TestSerialBoundProperties:
+    @given(budgeted_problems(), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_finish_by_never_changes_the_answer(self, problem, restarts):
+        """The serial fallback's ``finish_by`` bound only skips searches
+        that could not win: dropping it gives the same schedule, or the
+        same failure."""
+        options = SchedulerOptions(max_power_restarts=restarts,
+                                   max_spike_attempts=300)
+        solve = SerialScheduler.solve
+
+        def unbounded(self, problem, finish_by=None):
+            return solve(self, problem)
+
+        bounded = _max_power_outcome(problem, options)
+        with mock.patch.object(SerialScheduler, "solve", unbounded):
+            assert _max_power_outcome(problem, options) == bounded

@@ -3,7 +3,8 @@
 import pytest
 
 from repro import (ConstraintGraph, SchedulerOptions, SchedulingFailure,
-                   SchedulingProblem, check_time_valid, serial_schedule)
+                   SchedulingProblem, SerialScheduler, check_time_valid,
+                   serial_schedule)
 from repro.workloads import independent
 
 
@@ -87,3 +88,30 @@ class TestSerialization:
         rover = MarsRover.standard()
         result = serial_schedule(rover.problem(SolarCase.WORST))
         assert result.finish_time == 75
+
+
+class TestFinishByBound:
+    """``finish_by`` skips the search when the task durations alone sum
+    past it: a serial schedule cannot finish any earlier."""
+
+    @staticmethod
+    def problem():
+        return independent(3, duration=4, power=1.0, p_max=100.0)
+
+    def test_bound_below_duration_sum_raises_before_searching(self):
+        scheduler = SerialScheduler()
+        with pytest.raises(SchedulingFailure,
+                           match="can finish by 11: its task "
+                                 "durations sum to 12"):
+            scheduler.solve(self.problem(), finish_by=11)
+        assert scheduler.stats.timing_backtracks == 0
+        assert scheduler.stats.longest_path_runs == 0
+
+    def test_bound_at_duration_sum_searches_as_unbounded(self):
+        """The packed chain takes exactly the duration sum, so a bound
+        equal to it must not change the answer."""
+        unbounded = SerialScheduler().solve(self.problem())
+        assert unbounded.finish_time == 12
+        bounded = SerialScheduler().solve(self.problem(), finish_by=12)
+        assert bounded.extra["chain"] == unbounded.extra["chain"]
+        assert bounded.schedule == unbounded.schedule
