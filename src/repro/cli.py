@@ -1102,14 +1102,11 @@ def _cmd_session(args) -> int:
             and all(name in starts for name in admitted)
         if validated:
             from .core.schedule import Schedule
-            from .core.validation import check_power_valid
             from .online import problem_from_script
             local = problem_from_script(script, admitted)
             plan = Schedule(local.graph,
                             {name: starts[name] for name in admitted})
-            report_ok = check_power_valid(
-                plan, local.p_max,
-                baseline=local.total_baseline).ok
+            report_ok = local.check(plan).ok
         else:
             # Nothing to validate (or faults make the nominal rebuild
             # inapplicable); the coverage checks below still run.

@@ -8,6 +8,11 @@ scheduler needs:
 * the soft min power constraint ``P_min`` (free-power level),
 * a constant ``baseline`` load (always-on consumers like the rover CPU).
 
+It is also the one place that says how its schedules are profiled
+and checked (:meth:`SchedulingProblem.profile`,
+:meth:`SchedulingProblem.check`), so every always-on watt is counted
+once.
+
 The problem owns *user* constraints only; schedulers work on a private
 copy of the graph, so a problem can be solved repeatedly under different
 power constraints (the essence of power-aware design-space exploration).
@@ -20,6 +25,9 @@ from typing import Any, Mapping
 
 from ..errors import GraphError
 from .graph import ConstraintGraph
+from .profile import PowerProfile
+from .schedule import Schedule
+from .validation import ValidationReport, check_power_valid
 
 __all__ = ["SchedulingProblem"]
 
@@ -52,8 +60,24 @@ class SchedulingProblem:
 
     @property
     def total_baseline(self) -> float:
-        """Baseline plus declared resource idle power."""
+        """Baseline plus declared resource idle power, for scalar budget
+        arithmetic.  Never a profile's ``baseline``: the profile adds
+        the idle power itself (use :meth:`profile`)."""
         return self.baseline + self.graph.resources.total_idle_power
+
+    def profile(self, schedule: Schedule,
+                horizon: "int | None" = None) -> PowerProfile:
+        """The power profile ``P(t)`` of ``schedule`` under this problem:
+        active task powers plus ``baseline`` plus resource idle power,
+        each counted once."""
+        return PowerProfile.from_schedule(schedule, baseline=self.baseline,
+                                          horizon=horizon)
+
+    def check(self, schedule: Schedule) -> ValidationReport:
+        """Time-validity of ``schedule`` plus this problem's ``P_max``
+        on its :meth:`profile`."""
+        return check_power_valid(schedule, self.p_max,
+                                 baseline=self.baseline)
 
     @property
     def has_operating_points(self) -> bool:
@@ -77,16 +101,19 @@ class SchedulingProblem:
         Returns human-readable reasons the problem is trivially
         power-infeasible: a single task (plus baseline) already above
         ``P_max`` can never be scheduled.  An empty list does not prove
-        feasibility.
+        feasibility.  "Above" means by more than
+        :attr:`PowerProfile.POWER_TOL`, as in :meth:`check`, so the
+        screen never rejects a problem that has a valid schedule.
         """
         reasons = []
-        if self.total_baseline > self.p_max:
+        budget = self.p_max + PowerProfile.POWER_TOL
+        if self.total_baseline > budget:
             reasons.append(
                 f"baseline load {self.total_baseline:g} W exceeds "
                 f"P_max = {self.p_max:g} W")
         for task in self.graph.tasks():
             if task.duration > 0 and \
-                    task.power + self.total_baseline > self.p_max:
+                    task.power + self.total_baseline > budget:
                 reasons.append(
                     f"task {task.name!r} needs "
                     f"{task.power + self.total_baseline:g} W "

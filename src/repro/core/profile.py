@@ -165,6 +165,14 @@ class PowerProfile:
         idx = bisect_right(self._starts, t) - 1
         return self._segments[idx][2]
 
+    def segment_end(self, t: int) -> int:
+        """End of the segment containing ``t``: the first time after
+        ``t`` at which the power changes (``t + 1`` outside the
+        domain)."""
+        if not self._segments or t < 0 or t >= self.horizon:
+            return t + 1
+        return self._segments[bisect_right(self._starts, t) - 1][1]
+
     def peak(self) -> float:
         """The maximum instantaneous power."""
         return max((seg[2] for seg in self._segments), default=0.0)

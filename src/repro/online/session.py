@@ -49,7 +49,7 @@ from ..core.graph import ConstraintGraph
 from ..core.problem import SchedulingProblem
 from ..core.schedule import Schedule
 from ..core.task import ANCHOR_NAME
-from ..core.validation import check_power_valid, check_time_valid
+from ..core.validation import check_time_valid
 from ..errors import (GraphError, InfeasibleError, PositiveCycleError,
                       ReproError, SchedulingFailure, ValidationError)
 from ..execution.executor import ScheduleExecutor
@@ -634,9 +634,7 @@ class MissionSession:
         if self._result is None:
             return check_time_valid(
                 Schedule(self._graph.copy(), {}))
-        return check_power_valid(
-            self._result.schedule, self.config.p_max,
-            baseline=self.problem().total_baseline)
+        return self.problem().check(self._result.schedule)
 
     def __repr__(self) -> str:
         return (f"MissionSession({self.config.name!r}, now={self.now}, "

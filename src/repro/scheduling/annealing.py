@@ -25,7 +25,6 @@ import math
 import random
 
 from ..core.problem import SchedulingProblem
-from ..core.profile import PowerProfile
 from ..core.schedule import Schedule
 from ..core.validation import check_time_valid
 from ..errors import ReproError
@@ -137,9 +136,7 @@ class AnnealingImprover:
     def _validate(self, problem, schedule, strict: bool) -> bool:
         report = check_time_valid(schedule)
         if report.ok:
-            profile = PowerProfile.from_schedule(
-                schedule, baseline=problem.baseline)
-            if profile.is_power_valid(problem.p_max):
+            if problem.profile(schedule).is_power_valid(problem.p_max):
                 return True
             if strict:
                 from ..errors import ValidationError
@@ -151,10 +148,8 @@ class AnnealingImprover:
         return False
 
     def _key(self, problem, schedule) -> "tuple[int, float]":
-        profile = PowerProfile.from_schedule(schedule,
-                                             baseline=problem.baseline)
-        return (schedule.makespan,
-                round(profile.energy_above(problem.p_min), 9))
+        cost = problem.profile(schedule).energy_above(problem.p_min)
+        return (schedule.makespan, round(cost, 9))
 
     @staticmethod
     def _scalar(key: "tuple[int, float]") -> float:

@@ -208,8 +208,7 @@ def make_result(problem: SchedulingProblem, schedule: Schedule,
                 stage: str = "power_aware",
                 extra: "Mapping[str, Any] | None" = None) -> ScheduleResult:
     """Assemble a :class:`ScheduleResult` (profile + metrics computed)."""
-    profile = PowerProfile.from_schedule(schedule,
-                                         baseline=problem.baseline)
+    profile = problem.profile(schedule)
     metrics = evaluate(schedule, problem.p_max, problem.p_min,
                        baseline=problem.baseline)
     return ScheduleResult(problem=problem, schedule=schedule,

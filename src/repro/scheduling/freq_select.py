@@ -49,6 +49,7 @@ from typing import Mapping
 
 from ..core.dvfs import materialize_assignment, scaled_duration, scaled_power
 from ..core.problem import SchedulingProblem
+from ..core.profile import PowerProfile
 from ..core.task import OperatingPoint, Task
 from ..errors import PositiveCycleError, SchedulingFailure
 from ..obs import OBS
@@ -224,7 +225,8 @@ class FreqSelectScheduler:
         if task.duration == 0:
             return False
         power = scaled_power(task.power, point.freq, point.cores)
-        return power + problem.total_baseline > problem.p_max
+        return power + problem.total_baseline \
+            > problem.p_max + PowerProfile.POWER_TOL
 
     def _evaluate(self, problem: SchedulingProblem,
                   assignment: "dict[str, OperatingPoint]",

@@ -25,7 +25,6 @@ from ..core.longest_path import longest_paths
 from ..core.problem import SchedulingProblem
 from ..core.schedule import Schedule
 from ..core.task import ANCHOR_NAME
-from ..core.validation import check_power_valid
 from ..errors import SchedulingFailure
 from .base import ScheduleResult, SchedulerOptions, SchedulerStats, \
     make_result
@@ -83,8 +82,7 @@ class GreedyListScheduler:
                 power_deltas[end] = power_deltas.get(end, 0.0) - task.power
 
         schedule = Schedule(graph, starts)
-        report = check_power_valid(schedule, problem.p_max,
-                                   baseline=problem.baseline)
+        report = problem.check(schedule)
         if not report.ok:
             raise SchedulingFailure(
                 "greedy list scheduler produced an invalid schedule "

@@ -133,10 +133,8 @@ class MaxPowerScheduler:
 
         def consider(schedule: Schedule, graph: ConstraintGraph) -> None:
             nonlocal best
-            profile = PowerProfile.from_schedule(
-                schedule, baseline=problem.total_baseline)
             key = (float(schedule.makespan),
-                   profile.energy_above(problem.p_min))
+                   problem.profile(schedule).energy_above(problem.p_min))
             if best is None or key < best[0]:
                 best = (key, schedule, graph)
 
@@ -145,9 +143,8 @@ class MaxPowerScheduler:
             with OBS.span("sched.maxp.restart",
                           variant=variant) as restart_span:
                 try:
-                    schedule = self.eliminate_spikes(
-                        graph, problem.p_max, problem.total_baseline,
-                        variant=variant)
+                    schedule = self.eliminate_spikes(graph, problem,
+                                                     variant=variant)
                 except SchedulingFailure as exc:
                     restart_span.set(failed=True)
                     failures.append(str(exc))
@@ -196,8 +193,7 @@ class MaxPowerScheduler:
         """
         result = serial_fallback_schedule(problem, self.options,
                                           finish_by=finish_by)
-        profile = PowerProfile.from_schedule(
-            result.schedule, baseline=problem.total_baseline)
+        profile = problem.profile(result.schedule)
         if not profile.is_power_valid(problem.p_max):  # pragma: no cover
             # Defensive: one task at a time peaks at the largest task
             # power plus baseline, which feasible_power_check bounds.
@@ -209,12 +205,14 @@ class MaxPowerScheduler:
 
     # ------------------------------------------------------------------
 
-    def eliminate_spikes(self, graph: ConstraintGraph, p_max: float,
-                         baseline: float, variant: int = 0) -> Schedule:
+    def eliminate_spikes(self, graph: ConstraintGraph,
+                         problem: SchedulingProblem,
+                         variant: int = 0) -> Schedule:
         """Remove every spike from the ASAP schedule of ``graph``.
 
         The graph must already contain serialization edges (i.e. be the
-        output of the timing scheduler).  On success the graph has been
+        timing scheduler's output for ``problem``, whose profile and
+        ``P_max`` define the spikes).  On success the graph has been
         decorated with the delay/lock edges that realize the valid
         schedule.  ``variant > 0`` perturbs heuristic tie-breaking
         (multi-start).
@@ -231,26 +229,25 @@ class MaxPowerScheduler:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(limit, 50_000))
         try:
-            schedule = self._repair(graph, p_max, baseline)
+            schedule = self._repair(graph, problem)
         finally:
             sys.setrecursionlimit(limit)
         if schedule is None:
             raise SchedulingFailure(
                 f"max-power scheduler could not eliminate all spikes of "
-                f"{graph.name!r} under P_max = {p_max:g} W "
+                f"{graph.name!r} under P_max = {problem.p_max:g} W "
                 f"(attempt budget {self.options.max_spike_attempts})")
         if self.options.compaction:
-            schedule = self.compact(graph, p_max, baseline)
+            schedule = self.compact(graph, problem)
         return schedule
 
-    def _repair(self, graph: ConstraintGraph, p_max: float,
-                baseline: float) -> "Schedule | None":
+    def _repair(self, graph: ConstraintGraph,
+                problem: SchedulingProblem) -> "Schedule | None":
         """Recursive spike repair; None signals a failed branch."""
         schedule = asap_schedule(graph, probe=True)
         if schedule is None:
             return None
-        profile = PowerProfile.from_schedule(schedule, baseline=baseline)
-        spike = profile.first_spike(p_max)
+        spike = problem.profile(schedule).first_spike(problem.p_max)
         if spike is None:
             return schedule
         if self._attempts <= 0:
@@ -267,11 +264,11 @@ class MaxPowerScheduler:
             self._attempts -= 1
             self.stats.spike_attempts += 1
             token = graph.checkpoint()
-            cleared = self._clear_time(graph, t, p_max, baseline,
+            cleared = self._clear_time(graph, problem, t,
                                        prefer=candidates[lead])
             if cleared:
                 self.stats.spikes_removed += 1
-                solved = self._repair(graph, p_max, baseline)
+                solved = self._repair(graph, problem)
                 if solved is not None:
                     return solved
             graph.rollback(token)
@@ -296,8 +293,9 @@ class MaxPowerScheduler:
                                   self._salt.get(n, 0.0), n))
         return names
 
-    def _clear_time(self, graph: ConstraintGraph, t: int, p_max: float,
-                    baseline: float, prefer: "str | None" = None) -> bool:
+    def _clear_time(self, graph: ConstraintGraph,
+                    problem: SchedulingProblem, t: int,
+                    prefer: "str | None" = None) -> bool:
         """Delay tasks until the profile at slot ``t`` is within budget.
 
         Victims whose delay would contradict the constraints (positive
@@ -305,6 +303,8 @@ class MaxPowerScheduler:
         branch; the branch dead-ends only when no delayable active task
         remains.
         """
+        budget = problem.p_max + PowerProfile.POWER_TOL
+        baseline = problem.total_baseline
         guard = 4 * len(graph) + 8
         blocked: "set[str]" = set()
         zero_slack_delayed = False
@@ -314,8 +314,7 @@ class MaxPowerScheduler:
             schedule = asap_schedule(graph, probe=True)
             if schedule is None:  # pragma: no cover - defensive
                 return False
-            power = baseline + schedule.power_at(t)
-            if power <= p_max + PowerProfile.POWER_TOL:
+            if baseline + schedule.power_at(t) <= budget:
                 if zero_slack_delayed:
                     self._lock_remaining(graph, schedule, t)
                 return True
@@ -332,7 +331,8 @@ class MaxPowerScheduler:
                 continue
             victim = prefer if prefer in order else order[0]
             prefer = None
-            target = self._segment_end(schedule, baseline, t)
+            # Land just past the moment the power composition changes.
+            target = problem.profile(schedule).segment_end(t)
             had_zero_slack = slack(schedule, victim) == 0
             token = graph.checkpoint()
             if not self._delay_past(graph, schedule, victim, t, target):
@@ -373,17 +373,6 @@ class MaxPowerScheduler:
         return graph.add_edge(ANCHOR_NAME, name, current + distance,
                               tag="delay")
 
-    @staticmethod
-    def _segment_end(schedule: Schedule, baseline: float, t: int) -> int:
-        """End of the profile segment containing ``t`` — the natural
-        landing point for a delayed task (just past the moment where
-        the power composition changes)."""
-        profile = PowerProfile.from_schedule(schedule, baseline=baseline)
-        for t0, t1, _ in profile.segments:
-            if t0 <= t < t1:
-                return t1
-        return t + 1
-
     def _unlock_one(self, graph: ConstraintGraph, schedule: Schedule,
                     t: int, blocked: "set[str]") -> bool:
         """Remove the start-time lock of one task active at ``t``.
@@ -423,8 +412,8 @@ class MaxPowerScheduler:
     #: Edge tags the compaction pass is allowed to relax.
     _RELAXABLE_TAGS = frozenset({"delay", "gapfill", "lock"})
 
-    def compact(self, graph: ConstraintGraph, p_max: float,
-                baseline: float) -> Schedule:
+    def compact(self, graph: ConstraintGraph,
+                problem: SchedulingProblem) -> Schedule:
         """Left-shift compaction of scheduler-added delays.
 
         Visits tasks in start-time order and, for each anchor release
@@ -436,11 +425,12 @@ class MaxPowerScheduler:
         """
         while True:
             schedule = asap_schedule(graph)
-            if not self._compact_round(graph, schedule, p_max, baseline):
+            if not self._compact_round(graph, problem, schedule):
                 return schedule
 
-    def _compact_round(self, graph: ConstraintGraph, schedule: Schedule,
-                       p_max: float, baseline: float) -> bool:
+    def _compact_round(self, graph: ConstraintGraph,
+                       problem: SchedulingProblem,
+                       schedule: Schedule) -> bool:
         """One pass over all tasks; True if anything moved."""
         makespan = schedule.makespan
         order = sorted(schedule, key=lambda n: (schedule.start(n), n))
@@ -449,13 +439,12 @@ class MaxPowerScheduler:
             tag = graph.edge_tag(ANCHOR_NAME, name)
             if tag not in self._RELAXABLE_TAGS:
                 continue
-            if self._relax_release(graph, name, p_max, baseline,
-                                   makespan):
+            if self._relax_release(graph, problem, name, makespan):
                 moved = True
         return moved
 
-    def _relax_release(self, graph: ConstraintGraph, name: str,
-                       p_max: float, baseline: float,
+    def _relax_release(self, graph: ConstraintGraph,
+                       problem: SchedulingProblem, name: str,
                        makespan: int) -> bool:
         """Try to move one task earlier by weakening its release edge."""
         release = graph.separation(ANCHOR_NAME, name)
@@ -473,8 +462,9 @@ class MaxPowerScheduler:
         if earliest >= release:
             graph.rollback(token)
             return False
-        profile = PowerProfile.from_schedule(trial, baseline=baseline)
-        if trial.makespan <= makespan and profile.is_power_valid(p_max):
+        profile = problem.profile(trial)
+        if trial.makespan <= makespan \
+                and profile.is_power_valid(problem.p_max):
             return True
         # Full removal reopens a spike: try intermediate starts at the
         # profile's change points, earliest first.
@@ -487,10 +477,8 @@ class MaxPowerScheduler:
             trial = asap_schedule(graph, probe=True)
             if trial is None:           # pragma: no cover - defensive
                 continue
-            trial_profile = PowerProfile.from_schedule(
-                trial, baseline=baseline)
-            if trial.makespan <= makespan \
-                    and trial_profile.is_power_valid(p_max):
+            if trial.makespan <= makespan and problem.profile(trial) \
+                    .is_power_valid(problem.p_max):
                 return True
         graph.rollback(token)
         return False

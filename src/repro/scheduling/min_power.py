@@ -96,22 +96,19 @@ class MinPowerScheduler:
         :class:`MaxPowerScheduler`).
         """
         base_graph: ConstraintGraph = base.extra["graph"]
-        p_max, p_min = problem.p_max, problem.p_min
-        baseline = problem.total_baseline
-
         best_schedule = base.schedule
         best_graph = base_graph
         best_rho = base.metrics.utilization
         best_config = None
-        needs_work = p_min > 0 and best_rho < 1.0 - _RHO_EPS
+        needs_work = problem.p_min > 0 and best_rho < 1.0 - _RHO_EPS
         if needs_work:
             for config in self._configs():
                 graph = base_graph.copy()
                 with OBS.span("sched.minp.scan",
                               order=config.scan_order,
                               slot=config.slot) as scan_span:
-                    schedule, rho = self._fill_gaps(graph, p_max, p_min,
-                                                    baseline, config)
+                    schedule, rho = self._fill_gaps(graph, problem,
+                                                    config)
                     scan_span.set(rho=round(rho, 6))
                 if rho > best_rho + _RHO_EPS:
                     best_schedule, best_graph, best_rho = \
@@ -137,8 +134,8 @@ class MinPowerScheduler:
         return [GapFillConfig(order, slot, self.options.seed + i)
                 for i, (order, slot) in enumerate(combos)]
 
-    def _fill_gaps(self, graph: ConstraintGraph, p_max: float,
-                   p_min: float, baseline: float,
+    def _fill_gaps(self, graph: ConstraintGraph,
+                   problem: SchedulingProblem,
                    config: GapFillConfig) -> "tuple[Schedule, float]":
         """Run repeated gap-filling scans under one configuration.
 
@@ -147,20 +144,19 @@ class MinPowerScheduler:
         """
         rng = random.Random(config.seed)
         schedule = asap_schedule(graph)
-        profile = PowerProfile.from_schedule(schedule, baseline=baseline)
-        rho = _utilization(profile, p_min)
+        profile = problem.profile(schedule)
+        rho = _utilization(profile, problem.p_min)
         for _ in range(self.MAX_SCANS_PER_CONFIG):
             self.stats.scans += 1
             moved = False
-            gap_times = [gap.start for gap in profile.gaps(p_min)]
+            gap_times = [gap.start for gap in profile.gaps(problem.p_min)]
             if config.scan_order == "reverse":
                 gap_times.reverse()
             elif config.scan_order == "random":
                 rng.shuffle(gap_times)
             for t in gap_times:
-                outcome = self._fill_one_gap(graph, schedule, profile,
-                                             t, p_max, p_min, baseline,
-                                             config, rng, rho)
+                outcome = self._fill_one_gap(graph, problem, schedule,
+                                             profile, t, config, rng, rho)
                 if outcome is not None:
                     schedule, profile, rho = outcome
                     moved = True
@@ -170,15 +166,15 @@ class MinPowerScheduler:
                 break
         return schedule, rho
 
-    def _fill_one_gap(self, graph, schedule, profile, t, p_max, p_min,
-                      baseline, config, rng, rho_now):
+    def _fill_one_gap(self, graph, problem, schedule, profile, t, config,
+                      rng, rho_now):
         """Try to move one earlier task into the gap at time ``t``.
 
         Returns ``(schedule, profile, rho)`` on an accepted move, else
         None.  The gap may have moved or closed since the scan list was
         built; we re-read the profile and skip stale entries.
         """
-        if profile.value(t) >= p_min - PowerProfile.POWER_TOL:
+        if profile.value(t) >= problem.p_min - PowerProfile.POWER_TOL:
             return None
         makespan = schedule.makespan
         candidates = self._gap_candidates(graph, schedule, t)
@@ -197,10 +193,9 @@ class MinPowerScheduler:
             accepted = None
             trial = asap_schedule(graph, probe=True)
             if trial is not None and trial.makespan <= makespan:
-                trial_profile = PowerProfile.from_schedule(
-                    trial, baseline=baseline, horizon=makespan)
-                if trial_profile.is_power_valid(p_max):
-                    rho_new = _utilization(trial_profile, p_min)
+                trial_profile = problem.profile(trial, horizon=makespan)
+                if trial_profile.is_power_valid(problem.p_max):
+                    rho_new = _utilization(trial_profile, problem.p_min)
                     if rho_new > rho_now + _RHO_EPS:
                         accepted = (trial, trial_profile, rho_new)
             if accepted is not None:
@@ -249,21 +244,10 @@ class MinPowerScheduler:
             choice = t
         elif config.slot == "finish_at_gap_end":
             # Right-align the task to the end of the gap containing t.
-            gap_end = self._gap_end(profile, t)
-            choice = gap_end - graph.task(name).duration
+            choice = profile.segment_end(t) - graph.task(name).duration
         else:
             choice = rng.randint(lo, hi)
         return min(max(choice, lo), hi)
-
-    @staticmethod
-    def _gap_end(profile: PowerProfile, t: int) -> int:
-        """End of the contiguous profile segment run containing ``t``
-        whose power stays below the segment level at ``t`` + epsilon —
-        conservatively, the end of the segment containing ``t``."""
-        for t0, t1, _ in profile.segments:
-            if t0 <= t < t1:
-                return t1
-        return t + 1
 
 
 def _utilization(profile: PowerProfile, p_min: float) -> float:

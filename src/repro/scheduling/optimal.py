@@ -34,9 +34,7 @@ from dataclasses import dataclass
 from ..core.graph import ConstraintGraph
 from ..core.longest_path import longest_paths
 from ..core.problem import SchedulingProblem
-from ..core.profile import PowerProfile
 from ..core.schedule import Schedule
-from ..core.validation import check_power_valid
 from ..errors import (InfeasibleError, ReproError,
                       SchedulingFailure)
 from .base import ScheduleResult, SchedulerStats, make_result
@@ -180,13 +178,9 @@ class OptimalScheduler:
         dist = result.distance
         starts = {n: dist[n] for n in names}
         schedule = Schedule(graph, starts)
-        report = check_power_valid(schedule, problem.p_max,
-                                   baseline=problem.baseline)
-        if not report.ok:
+        if not problem.check(schedule).ok:
             return
-        profile = PowerProfile.from_schedule(schedule,
-                                             baseline=problem.baseline)
-        cost = profile.energy_above(problem.p_min)
+        cost = problem.profile(schedule).energy_above(problem.p_min)
         makespan = schedule.makespan
         if self.objective == "makespan":
             key: "tuple[float, ...]" = (float(makespan),)

@@ -25,7 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ANCHOR_NAME, ConstraintGraph, PowerProfile, Schedule
+from repro.core import (ANCHOR_NAME, ConstraintGraph, PowerProfile,
+                        Schedule, SchedulingProblem)
 from repro.errors import ValidationError
 from repro.scheduling.max_power import MaxPowerScheduler
 
@@ -118,8 +119,8 @@ class TestSchedulerUserConstraintLoss:
         g.add_release("A", 3)
         _as_scheduler_input(g)
         g.add_edge(ANCHOR_NAME, "A", 6, tag="delay")
-        schedule = MaxPowerScheduler().compact(g, p_max=100.0,
-                                               baseline=0.0)
+        schedule = MaxPowerScheduler().compact(
+            g, SchedulingProblem(g, p_max=100.0))
         assert schedule.start("A") == 3
         assert g.separation(ANCHOR_NAME, "A") == 3
         assert g.edge_tag(ANCHOR_NAME, "A") == "user"

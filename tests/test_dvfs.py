@@ -281,6 +281,23 @@ def test_slowdown_rescues_provably_delay_infeasible_problem():
     assert chosen["freq"] < 1.0
 
 
+def test_static_screen_uses_the_profile_tolerance():
+    """Full speed draws 7.9 W on 2.5 W, an ulp above this P_max, which
+    the profile forgives; the screens must not rule out the only rung
+    that meets the successor's deadline."""
+    g = ConstraintGraph("ulp")
+    g.new_task("hot", 4, 7.9, "cpu")
+    g.new_task("next", 0, 0.0)
+    g.add_precedence("hot", "next")
+    g.add_start_deadline("next", 4)
+    problem = SchedulingProblem(graph=g, p_max=10.399999999999999,
+                                baseline=2.5)
+    result = PowerAwareScheduler().solve(
+        attach_ladder(problem, DEFAULT_LADDER))
+    assert result.extra["dvfs"]["assignment"]["hot"]["freq"] == 1.0
+    assert result.finish_time == 4
+
+
 def test_freq_select_pipeline_reports_stage_and_extras():
     laddered = attach_ladder(_overbudget_problem(), DEFAULT_LADDER)
     pipeline = FreqSelectScheduler().solve_pipeline(laddered)

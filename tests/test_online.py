@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.validation import check_power_valid, check_time_valid
+from repro.core.validation import check_time_valid
 from repro.errors import ReproError
 from repro.examples_data import fig1_problem
 from repro.online import (MissionSession, SessionConfig, SessionScript,
@@ -178,8 +178,7 @@ class TestFaults:
         # x now runs [0, 6); y at 5 W cannot overlap it under 8 W
         assert s.spans["x"] == (0, 6)
         assert s.schedule.start("y") >= 6
-        report = check_power_valid(s.schedule, 8.0,
-                                   baseline=s.problem().total_baseline)
+        report = s.problem().check(s.schedule)
         assert report.ok, report.violations
 
     def test_all_tasks_faulted_degenerate_case(self):
@@ -282,9 +281,7 @@ class TestQuiesce:
             s.offer(f"t{i}", duration=2, power=4.0)
         result = s.quiesce()
         assert check_time_valid(result.schedule).ok
-        assert check_power_valid(
-            result.schedule, 9.0,
-            baseline=s.problem().total_baseline).ok
+        assert s.problem().check(result.schedule).ok
 
     def test_closed_session_refuses_everything(self):
         s = make_session()

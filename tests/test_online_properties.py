@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.validation import check_power_valid, check_time_valid
+from repro.core.validation import check_time_valid
 from repro.online import MissionSession, SessionConfig
 from repro.scheduling.base import SchedulerOptions
 
@@ -124,9 +124,7 @@ class TestCommittedPrefixValidity:
             return
         time_report = check_time_valid(sess.schedule)
         assert time_report.ok, time_report.violations
-        power_report = check_power_valid(
-            sess.schedule, sess.config.p_max,
-            baseline=sess.problem().total_baseline)
+        power_report = sess.problem().check(sess.schedule)
         assert power_report.ok, power_report.violations
         # committed starts are frozen: the plan agrees with history
         for name, start in sess.committed.items():

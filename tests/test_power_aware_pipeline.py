@@ -4,9 +4,10 @@ from unittest import mock
 
 import pytest
 
-from repro import (PowerAwareScheduler, SchedulerOptions,
-                   TimingScheduler, check_power_valid, schedule)
-from repro.scheduling import preset, preset_names
+from repro import (ConstraintGraph, PowerAwareScheduler, Resource,
+                   SchedulerOptions, SchedulingProblem, TimingScheduler,
+                   check_power_valid, schedule)
+from repro.scheduling import OptimalScheduler, preset, preset_names
 from repro.workloads import RandomWorkloadConfig, fork_join, random_problem
 
 
@@ -114,3 +115,34 @@ class TestSingleSerialization:
         assert graph.edges() == alone.edges()
         assert graph.checkpoint() == alone.checkpoint()
         assert pipeline.max_power.extra["graph"] is not graph
+
+
+def idle_probe() -> SchedulingProblem:
+    """Two 5-tick, 4 W tasks on resources A and B, with A idling at
+    2 W.  Run side by side they peak at exactly 10 W."""
+    g = ConstraintGraph("idle-probe")
+    g.declare_resource(Resource(name="A", idle_power=2.0))
+    g.new_task("x", duration=5, power=4.0, resource="A")
+    g.new_task("y", duration=5, power=4.0, resource="B")
+    return SchedulingProblem(g, p_max=10.0)
+
+
+class TestIdlePower:
+    """Resource idle power is a constant load, counted once: the
+    probe's side-by-side schedule is valid at P_max = 10 W."""
+
+    def test_probe_needs_no_repair(self):
+        result = PowerAwareScheduler().solve(idle_probe())
+        assert result.schedule.as_dict() == {"x": 0, "y": 0}
+        assert result.stats.spike_attempts == 0
+
+    def test_probe_solves_without_the_serial_fallback(self):
+        options = SchedulerOptions(serial_fallback=False)
+        result = PowerAwareScheduler(options).solve(idle_probe())
+        assert result.schedule.as_dict() == {"x": 0, "y": 0}
+
+    def test_probe_agrees_with_the_exhaustive_oracle(self):
+        oracle = OptimalScheduler().solve(idle_probe())
+        assert oracle.schedule.as_dict() == {"x": 0, "y": 0}
+        assert PowerAwareScheduler().solve(idle_probe()).schedule \
+            == oracle.schedule

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import ConstraintGraph, GraphError, Resource, \
+from repro import ConstraintGraph, GraphError, Resource, Schedule, \
     SchedulingProblem
 
 
@@ -52,6 +52,24 @@ class TestDerived:
     def test_feasible_power_check_ok(self):
         assert SchedulingProblem(graph_with(3.0),
                                  p_max=10.0).feasible_power_check() == []
+
+    def test_feasible_power_check_uses_the_profile_tolerance(self):
+        """7.9 W on 2.5 W sums to 10.4 W, an ulp above this P_max: a
+        miss the profile's tolerance forgives, so the screen must too."""
+        g = graph_with(7.9)
+        p = SchedulingProblem(g, p_max=10.399999999999999, baseline=2.5)
+        assert p.feasible_power_check() == []
+        assert p.check(Schedule(g, {"t": 0})).ok
+
+    def test_profile_counts_idle_power_once(self):
+        g = graph_with(3.0)
+        g.declare_resource(Resource(name="cpu", idle_power=2.0))
+        p = SchedulingProblem(g, p_max=6.0, baseline=1.0)
+        schedule = Schedule(g, {"t": 0})
+        assert p.profile(schedule).segments == [(0, 5, 6.0)]
+        assert p.profile(schedule, horizon=8).value(6) == 3.0
+        assert p.check(schedule).ok
+        assert not p.with_power_constraints(5.5, 0.0).check(schedule).ok
 
     def test_with_power_constraints_shares_graph(self):
         p = SchedulingProblem(graph_with(3.0), p_max=10.0, p_min=5.0)

@@ -82,6 +82,23 @@ class TestQueries:
         assert stepped.value(20) == 0.0
         assert stepped.value(-1) == 0.0
 
+    def test_segment_end_inside_a_segment(self, stepped):
+        assert stepped.segment_end(0) == 5
+        assert stepped.segment_end(7) == 10
+        assert stepped.segment_end(19) == 20
+
+    def test_segment_end_at_a_boundary(self, stepped):
+        assert stepped.segment_end(5) == 10
+        assert stepped.segment_end(10) == 20
+
+    def test_segment_end_outside_the_domain(self, stepped):
+        assert stepped.segment_end(20) == 21
+        assert stepped.segment_end(25) == 26
+        assert stepped.segment_end(-1) == 0
+
+    def test_segment_end_of_an_empty_profile(self):
+        assert PowerProfile([]).segment_end(3) == 4
+
     def test_peak_and_floor(self, stepped):
         assert stepped.peak() == 16.0
         assert stepped.floor() == 12.0

@@ -13,15 +13,18 @@ These pin down the algebraic contracts the schedulers rely on:
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import (ConstraintGraph, PowerProfile, Schedule,
+from repro import (ConstraintGraph, PowerProfile, Resource, Schedule,
                    SchedulerOptions, SchedulingFailure,
                    SchedulingProblem, check_power_valid,
                    check_time_valid, slack, UNBOUNDED_SLACK)
 from repro.core.metrics import min_power_utilization
+from repro.io import problem_from_dict, problem_to_dict
 from repro.power import split_energy
 from repro.scheduling import PowerAwareScheduler
 
@@ -38,9 +41,17 @@ task_specs = st.lists(
 
 starts_for = st.integers(min_value=0, max_value=30)
 
+#: Idle power of one resource: usually none, sometimes a constant load
+#: the profile must count exactly once.
+idle_watts = st.sampled_from([0.0, 0.0, 0.5, 1.5])
 
-def build_graph(specs) -> ConstraintGraph:
+
+def build_graph(specs, idle=()) -> ConstraintGraph:
+    """Tasks on resources ``R0..R2``; ``idle[i]`` watts on ``Ri``."""
     g = ConstraintGraph("prop")
+    for res, watts in enumerate(idle):
+        if watts:
+            g.declare_resource(Resource(name=f"R{res}", idle_power=watts))
     for i, (duration, power, res) in enumerate(specs):
         g.new_task(f"t{i}", duration=duration, power=round(power, 1),
                    resource=f"R{res}")
@@ -58,21 +69,37 @@ def scheduled_instances(draw):
 
 @st.composite
 def precedence_problems(draw):
-    """Feasible problems: forward-only precedence edges + headroom."""
+    """Feasible problems: forward-only precedence edges + headroom
+    above the largest task plus the resources' idle power."""
     specs = draw(task_specs)
-    g = build_graph(specs)
+    g = build_graph(specs, draw(st.tuples(idle_watts, idle_watts,
+                                          idle_watts)))
     names = g.task_names()
     for i in range(1, len(names)):
         if draw(st.booleans()):
             src = names[draw(st.integers(0, i - 1))]
             g.add_precedence(src, names[i])
-    max_power = max(t.power for t in g.tasks())
+    max_power = max(t.power for t in g.tasks()) \
+        + g.resources.total_idle_power
     p_max = max_power + draw(
         st.floats(min_value=0.5, max_value=10.0, allow_nan=False))
     p_min = draw(st.floats(min_value=0.0, max_value=1.0,
                            allow_nan=False)) * p_max
     return SchedulingProblem(g, p_max=round(p_max, 1),
                              p_min=round(min(p_min, p_max), 1))
+
+
+def idle_power_twins(problem: SchedulingProblem, watts: float) \
+        -> "tuple[SchedulingProblem, SchedulingProblem]":
+    """``problem`` with ``watts`` more constant load and ``P_max``
+    raised by as much, twice: once as idle power on its first resource,
+    once in ``baseline``.  Both twins draw the same ``P(t)``."""
+    based = problem_to_dict(problem)
+    based["p_max"] = problem.p_max + watts
+    idle = copy.deepcopy(based)
+    idle["resources"][0]["idle_power"] += watts
+    based["baseline"] = problem.baseline + watts
+    return problem_from_dict(idle), problem_from_dict(based)
 
 
 # ----------------------------------------------------------------------

@@ -39,6 +39,8 @@ from repro.scheduling import (OptimalScheduler, ScheduleTable,
                               SchedulerOptions, TimingScheduler,
                               in_validity_range)
 from repro.workloads import RandomWorkloadConfig, random_problem
+from tests.test_power_aware_pipeline import idle_probe
+from tests.test_properties import idle_power_twins
 
 TOL = PowerProfile.POWER_TOL
 
@@ -227,10 +229,16 @@ class TestDifferentialIdentical:
         assert sum(job.reused for job in trace.jobs) \
             == trace.reuse["range_hits"]
 
-    @pytest.mark.parametrize("seed", [7, 21, 42, 1337])
-    def test_random_workloads_bit_for_bit(self, seed):
+    @pytest.mark.parametrize("seed,idle", [
+        pytest.param(seed, idle, id=f"{seed}-idle" if idle else str(seed))
+        for idle in (0.0, 1.5) for seed in (7, 21, 42, 1337)])
+    def test_random_workloads_bit_for_bit(self, seed, idle):
+        """Also with 1.5 W of idle power on the first resource (the
+        ``-idle`` ids)."""
         config = RandomWorkloadConfig(tasks=10, resources=3, layers=3)
         problem = random_problem(seed, config)
+        if idle:
+            problem, _ = idle_power_twins(problem, idle)
         options = SchedulerOptions(seed=seed)
         budgets, levels = environment_grid(problem, options)
         jobs = grid_jobs(problem, budgets, levels, options)
@@ -241,6 +249,20 @@ class TestDifferentialIdentical:
 
         assert_points_identical(reused, fresh)
         assert reuse_runner.last_trace.reuse["range_hits"] > 0
+
+    @pytest.mark.parametrize("reuse,policy", [(False, "identical"),
+                                              (True, "identical"),
+                                              (True, "valid")])
+    def test_idle_power_sweep_ignores_reuse(self, reuse, policy):
+        """The idle probe's side-by-side schedule peaks at 10 W, so
+        both budgets keep it, whether the store serves the 10.5 W
+        point or a fresh solve does."""
+        jobs = grid_jobs(idle_probe(), [12.0, 10.5], [0.0])
+        runner = BatchRunner(RunnerConfig(reuse_schedules=reuse,
+                                          reuse_policy=policy))
+        points = runner.run_values(jobs)
+        assert [(p.p_max, p.finish_time) for p in points] \
+            == [(12.0, 5), (10.5, 5)]
 
     def test_warm_store_across_runs(self):
         """A store written by one run serves the next run's points."""

@@ -7,11 +7,13 @@ from unittest import mock
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import (SchedulerOptions, SchedulingFailure,
-                   check_power_valid, serial_schedule)
-from repro.scheduling import MaxPowerScheduler, SerialScheduler
+from repro import (PowerAwareScheduler, SchedulerOptions,
+                   SchedulingFailure, check_power_valid, serial_schedule)
+from repro.scheduling import (MaxPowerScheduler, SerialScheduler,
+                              TimingScheduler)
 from repro.workloads import RandomWorkloadConfig, random_problem
-from tests.test_properties import precedence_problems
+from tests.test_properties import (idle_power_twins, idle_watts,
+                                   precedence_problems)
 
 NO_EXTRAS = SchedulerOptions(max_power_restarts=1, compaction=False,
                              serial_fallback=False,
@@ -47,8 +49,7 @@ class TestCompactionProperties:
             return
         scheduler = MaxPowerScheduler(WITH_COMPACTION)
         graph = result.extra["graph"]
-        again = scheduler.compact(graph, problem.p_max,
-                                  problem.total_baseline)
+        again = scheduler.compact(graph, problem)
         assert again == result.schedule
 
 
@@ -87,13 +88,17 @@ class TestSerialProperties:
 
 @st.composite
 def budgeted_problems(draw):
-    """Random problems (windows, releases) under budgets from the
-    tightest admissible one — the largest task power plus baseline,
-    where repairs fail most — upward."""
+    """Random problems (windows, releases), some with idle power on
+    their first resource, under budgets from the tightest admissible
+    one — the largest task power plus baseline and idle power, where
+    repairs fail most — upward."""
     config = RandomWorkloadConfig(tasks=draw(st.integers(3, 10)),
                                   resources=draw(st.integers(1, 4)),
                                   layers=3)
     problem = random_problem(draw(st.integers(0, 10_000)), config)
+    watts = draw(idle_watts)
+    if watts:
+        problem, _ = idle_power_twins(problem, watts)
     floor = max(t.power for t in problem.graph.tasks()) \
         + problem.total_baseline
     p_max = floor + draw(st.sampled_from([0.0, 0.5, 1.0, 2.5, 5.0, 10.0]))
@@ -127,3 +132,48 @@ class TestSerialBoundProperties:
         bounded = _max_power_outcome(problem, options)
         with mock.patch.object(SerialScheduler, "solve", unbounded):
             assert _max_power_outcome(problem, options) == bounded
+
+
+def _pipeline_answer(problem):
+    """The pipeline's (schedule, energy cost), or None on failure."""
+    try:
+        result = PowerAwareScheduler().solve(problem)
+    except SchedulingFailure:
+        return None
+    return result.schedule.as_dict(), result.energy_cost
+
+
+class TestIdlePowerProperties:
+    """Idle power is a constant load: the schedulers must see exactly
+    what they would see with the same watts in ``baseline``."""
+
+    @given(st.integers(0, 10_000), st.sampled_from([0.5, 1.5]))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_idle_power_answers_like_baseline(self, seed, watts):
+        problem = random_problem(seed, RandomWorkloadConfig(
+            tasks=10, resources=3, layers=3))
+        idle, based = idle_power_twins(problem, watts)
+        got, want = _pipeline_answer(idle), _pipeline_answer(based)
+        if want is None:
+            assert got is None
+            return
+        assert got is not None
+        assert got[0] == want[0]
+        assert abs(got[1] - want[1]) <= 1e-9
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_no_repair_when_timing_is_power_valid(self, seed):
+        """Under ``P_max`` at the timing schedule's own peak there is
+        nothing to repair, so the max-power stage tries no delay."""
+        problem, _ = idle_power_twins(random_problem(
+            seed, RandomWorkloadConfig(tasks=8, resources=3, layers=3)),
+            1.5)
+        timing = TimingScheduler().solve(problem)
+        at_peak = problem.with_power_constraints(timing.profile.peak(),
+                                                 0.0)
+        assert at_peak.check(timing.schedule).ok
+        result = MaxPowerScheduler().solve(at_peak)
+        assert result.stats.spike_attempts == 0
