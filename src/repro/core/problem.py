@@ -44,15 +44,17 @@ class SchedulingProblem:
     meta: "Mapping[str, Any]" = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.p_max < 0:
+        # "not >= 0" rather than "< 0": NaN fails every comparison, so
+        # it would pass a "< 0" check and make every spike test false.
+        if not self.p_max >= 0:
             raise GraphError(f"P_max must be >= 0, got {self.p_max}")
-        if self.p_min < 0:
+        if not self.p_min >= 0:
             raise GraphError(f"P_min must be >= 0, got {self.p_min}")
         if self.p_min > self.p_max:
             raise GraphError(
                 f"P_min ({self.p_min}) must not exceed P_max "
                 f"({self.p_max}); the window would be empty")
-        if self.baseline < 0:
+        if not self.baseline >= 0:
             raise GraphError(
                 f"baseline power must be >= 0, got {self.baseline}")
         if not self.name:

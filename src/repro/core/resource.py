@@ -48,7 +48,7 @@ class Resource:
     def __post_init__(self) -> None:
         if not self.name:
             raise GraphError("resource name must be a non-empty string")
-        if self.idle_power < 0:
+        if not self.idle_power >= 0:  # also refuses NaN
             raise GraphError(
                 f"resource {self.name!r}: idle_power must be >= 0, "
                 f"got {self.idle_power}")

@@ -130,7 +130,7 @@ class Task:
             raise GraphError(
                 f"task {self.name!r}: duration must be >= 0, "
                 f"got {self.duration}")
-        if self.power < 0:
+        if not self.power >= 0:  # also refuses NaN
             raise GraphError(
                 f"task {self.name!r}: power must be >= 0, got {self.power}")
         if self.operating_points:

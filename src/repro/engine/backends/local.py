@@ -3,17 +3,17 @@
 This is the batch runner's original dispatch mechanism, extracted
 verbatim behind the :class:`~repro.engine.backends.base.
 ExecutionBackend` seam.  ``workers <= 1`` selects the serial loop;
-otherwise jobs go through a ``ProcessPoolExecutor`` in chunks, with a
-per-job timeout budget and capped chunk retries, degrading silently to
-the serial loop when worker processes cannot be created at all
-(``"serial-fallback"``) — same results, one process.
+otherwise jobs go through a ``ProcessPoolExecutor``, one job per
+future, with a per-job timeout budget and capped retries, degrading
+silently to the serial loop when worker processes cannot be created at
+all (``"serial-fallback"``) — same results, one process.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from ..jobs import JobResult, SolveJob, run_chunk, run_job
+from ..jobs import JobResult, SolveJob, run_job
 from .base import ExecutionBackend
 
 __all__ = ["LocalBackend"]
@@ -63,7 +63,7 @@ class LocalBackend(ExecutionBackend):
 
     def _run_pool(self, entries, results, config, store,
                   instrument=False, on_result=None) -> None:
-        """Chunked dispatch over a process pool with timeout + retry.
+        """One job per future over a process pool, with timeout + retry.
 
         Raises :class:`_PoolUnavailable` only when the pool cannot be
         *created* — once dispatch has begun, failures are retried and
@@ -82,39 +82,36 @@ class LocalBackend(ExecutionBackend):
         # the runner); their new entries return via the job results and
         # are merged by BatchRunner._settle_reuse.
         snapshot = store.snapshot() if store is not None else None
-        chunks = [list(entries[i:i + cfg.chunksize])
-                  for i in range(0, len(entries), cfg.chunksize)]
-        pending = [(chunk, 0) for chunk in chunks]
+        pending = [(entry, 0) for entry in entries]
         clean = True
         try:
             while pending:
                 submitted = []
-                for chunk, attempt in pending:
+                for (position, key, job), attempt in pending:
                     try:
-                        future = pool.submit(run_chunk, chunk,
-                                             cfg.retries, instrument,
-                                             snapshot)
+                        future = pool.submit(
+                            run_job, job, position=position, key=key,
+                            retries=cfg.retries, instrument=instrument,
+                            store=snapshot)
                     except Exception:  # noqa: BLE001 - pool is gone
                         future = None
-                    submitted.append((future, chunk, attempt))
+                    submitted.append((future, (position, key, job),
+                                      attempt))
                 pending = []
-                for future, chunk, attempt in submitted:
+                for future, entry, attempt in submitted:
                     error = None
                     if future is None:
-                        error = "worker pool rejected the chunk"
+                        error = "worker pool rejected the job"
                     else:
-                        budget = None if cfg.timeout_s is None \
-                            else cfg.timeout_s * len(chunk)
                         try:
-                            for job_result in future.result(budget):
-                                results[job_result.position] = job_result
-                                if on_result is not None:
-                                    on_result(job_result)
+                            job_result = future.result(cfg.timeout_s)
+                            results[job_result.position] = job_result
+                            if on_result is not None:
+                                on_result(job_result)
                         except FutureTimeout:
                             future.cancel()
                             clean = False
-                            error = (f"timed out after {budget:g}s "
-                                     f"(chunk of {len(chunk)})")
+                            error = f"timed out after {cfg.timeout_s:g}s"
                         except BrokenProcessPool:
                             clean = False
                             error = "worker process died"
@@ -123,14 +120,14 @@ class LocalBackend(ExecutionBackend):
                     if error is None:
                         continue
                     if attempt < cfg.retries:
-                        pending.append((chunk, attempt + 1))
+                        pending.append((entry, attempt + 1))
                     else:
-                        for position, key, _job in chunk:
-                            results[position] = JobResult(
-                                position=position, key=key, ok=False,
-                                error=error, attempts=attempt + 1)
-                            if on_result is not None:
-                                on_result(results[position])
+                        position, key, _job = entry
+                        results[position] = JobResult(
+                            position=position, key=key, ok=False,
+                            error=error, attempts=attempt + 1)
+                        if on_result is not None:
+                            on_result(results[position])
         finally:
             # A timed-out worker may still be running its job; waiting
             # for it would defeat the timeout, so release the pool

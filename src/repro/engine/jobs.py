@@ -42,7 +42,7 @@ from ..scheduling.base import SchedulerOptions
 from .hashing import problem_key
 
 __all__ = ["SolveJob", "JobResult", "derive_seed", "register_kind",
-           "run_job", "run_chunk", "solve_problems"]
+           "run_job", "solve_problems"]
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -267,22 +267,6 @@ def run_job(job: SolveJob, position: int = 0, key: "str | None" = None,
             reuse["new_entries"] = new_entries
             result.stats["reuse"] = reuse
     return result
-
-
-def run_chunk(jobs: "list[tuple[int, str, SolveJob]]",
-              retries: int = 0,
-              instrument: bool = False,
-              store=None) -> "list[JobResult]":
-    """Worker entry point: execute a chunk of keyed jobs in order.
-
-    ``store`` is the worker's private snapshot of the parent's schedule
-    store: jobs in the chunk build on each other's entries locally, and
-    each job's freshly-inserted entries travel back to the parent in its
-    result's ``stats["reuse"]["new_entries"]``.
-    """
-    return [run_job(job, position=position, key=key, retries=retries,
-                    instrument=instrument, store=store)
-            for position, key, job in jobs]
 
 
 def solve_problems(problems: "Iterable[SchedulingProblem]",

@@ -11,9 +11,9 @@ returns one :class:`JobResult` per job, in order.  Internally it
    runner's persistent :class:`ResultCache` short-circuits points
    already solved by earlier runs,
 3. **dispatches** the unique jobs either serially in-process
-   (``workers <= 1``) or across a ``ProcessPoolExecutor`` in chunks of
-   ``chunksize`` jobs, with a per-job timeout budget and a capped
-   number of chunk retries, and
+   (``workers <= 1``) or across a ``ProcessPoolExecutor``, one job per
+   future, with a per-job timeout budget and a capped number of
+   retries, and
 4. **degrades gracefully**: if worker processes cannot be created (no
    ``fork``/``spawn`` support, sandboxing, resource limits) the batch
    silently falls back to the serial loop — same results, one process.
@@ -53,17 +53,12 @@ class RunnerConfig:
     workers:
         Worker processes; ``0`` or ``1`` selects the in-process serial
         loop (the default — parallelism is opt-in).
-    chunksize:
-        Jobs per dispatched chunk.  Larger chunks amortize IPC for
-        very cheap jobs; 1 (default) gives the finest timeout/retry
-        granularity.
     timeout_s:
-        Per-job wall-clock budget; a chunk's budget is
-        ``timeout_s * len(chunk)``.  ``None`` (default) waits forever.
+        Per-job wall-clock budget.  ``None`` (default) waits forever.
     retries:
         Capped retry budget, applied both in-worker (re-running a job
-        whose kind function raised) and at chunk level (re-submitting a
-        chunk that timed out or whose worker died).
+        whose kind function raised) and at pool level (re-submitting a
+        job that timed out or whose worker died).
     reuse_schedules:
         Attach a validity-range :class:`ScheduleStore`: jobs whose
         power environment falls inside a stored schedule's validity
@@ -91,7 +86,6 @@ class RunnerConfig:
     """
 
     workers: int = 0
-    chunksize: int = 1
     timeout_s: "float | None" = None
     retries: int = 1
     reuse_schedules: bool = False
@@ -102,9 +96,6 @@ class RunnerConfig:
     def __post_init__(self) -> None:
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
-        if self.chunksize < 1:
-            raise ValueError(
-                f"chunksize must be >= 1, got {self.chunksize}")
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
         if self.timeout_s is not None and self.timeout_s <= 0:
@@ -452,7 +443,6 @@ class BatchRunner:
             "unique_solved": unique_solved,
             "workers": cfg.workers,
             "mode": mode,
-            "chunksize": cfg.chunksize,
             "timeout_s": cfg.timeout_s,
             "retries": cfg.retries,
             "instrumented": bool(spans),

@@ -143,17 +143,26 @@ class StoredSchedule:
             starts = tuple(sorted(
                 (str(name), int(start))
                 for name, start in doc["starts"].items()))
-            return cls(label=doc.get("label", ""),
-                       stage=doc.get("stage", "min_power"),
-                       starts=starts,
-                       makespan=int(doc["makespan"]),
-                       peak=float(doc["peak"]),
-                       floor=float(doc["floor"]),
-                       solved_p_max=doc.get("solved_p_max"),
-                       solved_p_min=doc.get("solved_p_min"))
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            entry = cls(label=doc.get("label", ""),
+                        stage=doc.get("stage", "min_power"),
+                        starts=starts,
+                        makespan=int(doc["makespan"]),
+                        peak=float(doc["peak"]),
+                        floor=float(doc["floor"]),
+                        solved_p_max=doc.get("solved_p_max"),
+                        solved_p_min=doc.get("solved_p_min"))
+        except (KeyError, TypeError, ValueError, AttributeError,
+                OverflowError) as exc:
             raise SerializationError(
                 f"malformed schedule-store entry: {exc}") from exc
+        # A NaN or negative level would poison every probe reading it.
+        if entry.makespan < 0 \
+                or any(start < 0 for _name, start in starts) \
+                or not 0 <= entry.floor <= entry.peak < float("inf"):
+            raise SerializationError(
+                "malformed schedule-store entry: starts and makespan "
+                "must be >= 0, and 0 <= floor <= peak finite")
+        return entry
 
     @staticmethod
     def from_schedule(label: str, stage: str, schedule: Schedule,

@@ -1,7 +1,7 @@
 """Structured JSON traces of batch-engine runs.
 
 One :class:`RunTrace` per :meth:`BatchRunner.run`: how the batch was
-executed (mode, workers, chunking), what the cache did (hits, misses,
+executed (mode, workers, retries), what the cache did (hits, misses,
 evictions, dedup), how long each job took, the per-stage scheduler
 timings and longest-path counters each job's :class:`SchedulerStats`
 reported — and, when the run was instrumented, the hierarchical span
@@ -14,8 +14,8 @@ Schema (``format: "repro-trace", version: 2``)::
     {
       "format": "repro-trace", "version": 2,
       "run": {"jobs": 20, "unique_solved": 5, "workers": 4,
-              "mode": "process", "chunksize": 1, "timeout_s": null,
-              "retries": 1, "instrumented": true, "elapsed_s": 0.93},
+              "mode": "process", "timeout_s": null, "retries": 1,
+              "instrumented": true, "elapsed_s": 0.93},
       "cache": {"hits": 15, "misses": 5, "evictions": 0, "entries": 5},
       "stage_seconds": {"timing": ..., "max_power": ..., "min_power": ...},
       "counters": {"longest_path_runs": ..., "lp_cache_hits": ..., ...},

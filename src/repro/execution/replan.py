@@ -89,6 +89,9 @@ def replan(problem: SchedulingProblem, snapshot: ExecutionResult,
                         graph.add_edge(name, edge.dst,
                                        edge.weight + overrun,
                                        tag="replan")
+                # ...and hold its resource and power for the realized
+                # span, so nothing is serialized into its tail
+                graph.set_duration(name, end - start)
     for name in problem.graph.task_names():
         if name not in snapshot.spans:
             graph.add_release(name, now, tag="replan")

@@ -40,11 +40,12 @@ event stream — is documented (and conformance-tested) in
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from ..core.problem import SchedulingProblem
-from ..errors import SerializationError
+from ..errors import ReproError
 from .json_io import problem_from_dict, problem_to_dict
 
 __all__ = ["SolveRequest", "SolvedPoint", "RequestError",
@@ -284,41 +285,36 @@ def _point_list(data: "Mapping[str, Any]",
     inverts (same rule as ``repro-schedule sweep``).
     """
     if "points" in data:
-        pairs = []
-        for row in data["points"]:
-            if (not isinstance(row, (list, tuple)) or len(row) != 2
-                    or not all(isinstance(v, (int, float))
-                               and not isinstance(v, bool)
-                               for v in row)):
-                raise RequestError(
-                    "bad_request",
-                    "points must be [p_max, p_min] number pairs")
-            pairs.append((float(row[0]), float(row[1])))
-        if not pairs:
-            raise RequestError("bad_request",
-                               "points must not be empty")
-        return pairs
-    if "budgets" in data or "levels" in data:
-        budgets = data.get("budgets") or [problem.p_max]
-        levels = data.get("levels") or [problem.p_min]
-        try:
-            budgets = [float(b) for b in budgets]
-            levels = [float(lv) for lv in levels]
-        except (TypeError, ValueError) as exc:
+        rows = data["points"]
+        if not isinstance(rows, (list, tuple)) or not rows \
+                or not all(isinstance(row, (list, tuple))
+                           and len(row) == 2 for row in rows):
             raise RequestError(
                 "bad_request",
-                f"budgets/levels must be numbers: {exc}") from exc
-        if not budgets or not levels:
-            raise RequestError("bad_request",
-                               "budgets/levels must not be empty")
+                "points must be a non-empty array of [p_max, p_min] "
+                "pairs")
+        return [_window(_power(p_max, "points p_max"),
+                        _power(p_min, "points p_min"))
+                for p_max, p_min in rows]
+    if "budgets" in data or "levels" in data:
+        budgets = _power_list(data.get("budgets"), "budgets",
+                              problem.p_max)
+        levels = _power_list(data.get("levels"), "levels",
+                             problem.p_min)
         return [(b, min(lv, b)) for b in budgets for lv in levels]
-    p_max = data.get("p_max", problem.p_max)
-    p_min = data.get("p_min", problem.p_min)
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-               for v in (p_max, p_min)):
+    p_max = _power(data.get("p_max", problem.p_max), "p_max")
+    p_min = _power(data.get("p_min", problem.p_min), "p_min")
+    return [(p_max, min(p_min, p_max))]
+
+
+def _power_list(raw: Any, name: str, default: float) -> "list[float]":
+    """A ``budgets``/``levels`` array; absent or empty -> ``[default]``."""
+    if not raw:
+        return [default]
+    if not isinstance(raw, (list, tuple)):
         raise RequestError("bad_request",
-                           "p_max/p_min must be numbers")
-    return [(float(p_max), min(float(p_min), float(p_max)))]
+                           f"{name} must be an array of numbers")
+    return [_power(value, name) for value in raw]
 
 
 def solve_request_from_dict(data: Any) -> SolveRequest:
@@ -336,7 +332,8 @@ def solve_request_from_dict(data: Any) -> SolveRequest:
             f"format must be {REQUEST_FORMAT!r}, "
             f"got {data.get('format')!r}")
     version = data.get("version")
-    if not isinstance(version, int) or version < 1:
+    if not isinstance(version, int) or isinstance(version, bool) \
+            or version < 1:
         raise RequestError("bad_request",
                            f"version must be a positive integer, "
                            f"got {version!r}")
@@ -351,7 +348,7 @@ def solve_request_from_dict(data: Any) -> SolveRequest:
                            "request is missing 'problem'")
     try:
         problem = problem_from_dict(data["problem"])
-    except SerializationError as exc:
+    except ReproError as exc:
         raise RequestError("bad_request",
                            f"invalid problem document: {exc}") from exc
     except (TypeError, KeyError, AttributeError) as exc:
@@ -460,14 +457,29 @@ def _check_version(data: "Mapping[str, Any]", expected_format: str,
             f"{max_version}")
 
 
-def _number(value: Any, name: str, default: "float | None" = None) \
+def _power(value: Any, name: str, default: "float | None" = None) \
         -> float:
+    """A wire power value: a finite number >= 0 (``default`` when
+    absent).  NaN and infinities are refused here because they pass
+    every ``< 0`` check downstream."""
     if value is None and default is not None:
         return default
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise RequestError("bad_request",
-                           f"{name} must be a number, got {value!r}")
+    if not isinstance(value, (int, float)) or isinstance(value, bool) \
+            or not 0 <= value <= sys.float_info.max:
+        raise RequestError(
+            "bad_request",
+            f"{name} must be a finite non-negative number, "
+            f"got {value!r}")
     return float(value)
+
+
+def _window(p_max: float, p_min: float) -> "tuple[float, float]":
+    """An explicit ``(p_max, p_min)`` pair; refuses an inverted one."""
+    if p_min > p_max:
+        raise RequestError(
+            "bad_request",
+            f"p_min ({p_min:g}) must not exceed p_max ({p_max:g})")
+    return p_max, p_min
 
 
 def _nonneg_int(value: Any, name: str) -> int:
@@ -517,9 +529,10 @@ def session_request_from_dict(data: Any) -> SessionRequest:
     if "p_max" not in data:
         raise RequestError("bad_request",
                            "session request is missing 'p_max'")
-    p_max = _number(data.get("p_max"), "p_max")
-    p_min = _number(data.get("p_min"), "p_min", default=0.0)
-    baseline = _number(data.get("baseline"), "baseline", default=0.0)
+    p_max, p_min = _window(
+        _power(data.get("p_max"), "p_max"),
+        _power(data.get("p_min"), "p_min", default=0.0))
+    baseline = _power(data.get("baseline"), "baseline", default=0.0)
     scheduler = data.get("scheduler", "min_power")
     if scheduler not in _SESSION_SCHEDULERS:
         raise RequestError(
@@ -658,15 +671,9 @@ def session_command_from_dict(data: Any) -> "dict[str, Any]":
             f"got {duration!r}")
     normalized_task: "dict[str, Any]" = {"name": name,
                                          "duration": duration}
-    power = task.get("power", 0.0)
-    if not isinstance(power, (int, float)) or isinstance(power, bool) \
-            or power < 0:
-        raise RequestError(
-            "bad_request",
-            f"arrival task power must be a non-negative number, "
-            f"got {power!r}")
+    power = _power(task.get("power", 0.0), "arrival task power")
     if power:
-        normalized_task["power"] = float(power)
+        normalized_task["power"] = power
     resource = task.get("resource")
     if resource is not None:
         if not isinstance(resource, str) or not resource:
@@ -675,9 +682,13 @@ def session_command_from_dict(data: Any) -> "dict[str, Any]":
                 f"arrival task resource must be a string, "
                 f"got {resource!r}")
         normalized_task["resource"] = resource
+    constraints = data.get("constraints", [])
+    if not isinstance(constraints, (list, tuple)):
+        raise RequestError("bad_request",
+                           "arrival constraints must be an array")
     out = {"event": "arrival", "task": normalized_task,
            "constraints": [_session_constraint_from_dict(record)
-                           for record in data.get("constraints", [])]}
+                           for record in constraints]}
     if "at" in data and data["at"] is not None:
         out["at"] = _nonneg_int(data["at"], "arrival 'at'")
     return out
@@ -833,8 +844,8 @@ def store_request_from_dict(data: Any) -> StoreRequest:
             "get-range needs both p_max and p_min, or neither "
             "(prime probe)")
     if p_max is not None:
-        p_max = _number(p_max, "p_max")
-        p_min = _number(p_min, "p_min")
+        p_max, p_min = _window(_power(p_max, "p_max"),
+                               _power(p_min, "p_min"))
     return StoreRequest(op=op, base_key=base_key,
                         p_max=p_max, p_min=p_min)
 

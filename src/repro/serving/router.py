@@ -44,13 +44,10 @@ from dataclasses import dataclass, field
 from ..engine.backends.remote import RETRYABLE_CODES
 from ..io.requests import (ROUTER_MEMBERS_FORMAT,
                            ROUTER_MEMBERS_VERSION, RequestError)
-from ..obs import (LOG, TRACEPARENT_HEADER, MetricsRegistry,
-                   format_traceparent, new_span_id, new_trace_id,
-                   parse_traceparent, prometheus_text,
-                   reset_trace_context, set_trace_context, span)
-from .protocol import (DEFAULT_MAX_BODY, HttpRequest, read_request,
-                       send_ndjson_line, start_ndjson, write_error,
-                       write_json, write_text)
+from ..obs import LOG, TRACEPARENT_HEADER, format_traceparent
+from .protocol import (DEFAULT_MAX_BODY, HttpRequest, HttpService,
+                       Route, send_ndjson_line, start_ndjson,
+                       write_json)
 
 __all__ = ["RouterConfig", "Router"]
 
@@ -138,59 +135,64 @@ def _parse_member_url(index: int, url: str) -> _Member:
                    port=parsed.port or 8080)
 
 
-class Router:
+class Router(HttpService):
     """Load-balance solve serving over N members; see module doc."""
+
+    routes = (
+        Route("/healthz", "GET", "healthz", "_get_health"),
+        Route("/metrics", "GET", "metrics", "_get_metrics"),
+        Route("/v1/router/members", "GET", "members", "_get_members"),
+        Route("/v1/solve", "POST", "v1.solve", "_forward_balanced"),
+        Route("/v1/sweep", "POST", "v1.sweep", "_forward_balanced"),
+        Route("/v1/sessions", "POST", "v1.sessions",
+              "_forward_balanced"),
+        Route("/v1/sessions/{}", None, "v1.sessions.id",
+              "_forward_sticky"),
+        Route("/v1/sessions/{}/events", None, "v1.sessions.events",
+              "_forward_sticky"),
+        Route("/v1/jobs/{}", None, "v1.jobs", "_forward_sticky"),
+        Route("/v1/jobs/{}/events", None, "v1.jobs.events",
+              "_forward_sticky"),
+        Route("/v1/debug/{}", None, "other", "_refuse_debug"),
+        Route("/v1/debug/trace/{}", None, "other", "_refuse_debug"),
+    )
+    span_name = "router.request"
+    requests_metric = "router.requests"
+    errors_metric = "router.errors"
+    latency_prefix = "router.latency"
+    access_event = "router.access"
+    start_event = "router.start"
+    stop_event = "router.stop"
 
     def __init__(self, config: RouterConfig):
         if not config.members:
             raise ValueError("a router needs at least one member")
-        self.config = config
+        super().__init__(config)
         self.members = [_parse_member_url(index, url)
                         for index, url in enumerate(config.members)]
-        self.metrics = MetricsRegistry()
-        self._server: "asyncio.AbstractServer | None" = None
-        self._health_task: "asyncio.Task | None" = None
-        self.port: "int | None" = None
-        self.started_unix = time.time()
         self._rr = 0
-        self._owns_log = False
 
-    # -- lifecycle -----------------------------------------------------
+    # -- service hooks -------------------------------------------------
 
-    async def start(self) -> None:
-        """Bind the socket and start the health probe loop."""
-        if self.config.log_path and not LOG.enabled:
-            LOG.enable(path=self.config.log_path)
-            self._owns_log = True
-            LOG.emit("router.start", members=len(self.members))
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host,
-            self.config.port)
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._health_task = asyncio.ensure_future(self._health_loop())
+    def _start_fields(self) -> "dict":
+        return {"members": len(self.members)}
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        async with self._server:
-            await self._server.serve_forever()
+    async def _on_start(self) -> None:
+        """Start the health probe loop."""
+        self._tasks.append(asyncio.ensure_future(self._health_loop()))
 
-    async def shutdown(self) -> None:
-        if self._health_task is not None:
-            self._health_task.cancel()
-            try:
-                await self._health_task
-            except asyncio.CancelledError:
-                pass
-            self._health_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if self._owns_log:
-            LOG.emit("router.stop")
-            LOG.disable()
-            self._owns_log = False
+    def _health_doc(self) -> "dict":
+        healthy = sum(1 for m in self.members if m.healthy)
+        return {
+            "status": "ok" if healthy == len(self.members)
+                      else ("degraded" if healthy else "down"),
+            "members": len(self.members),
+            "healthy": healthy,
+        }
+
+    def _refresh_gauges(self) -> None:
+        self.metrics.gauge("router.members.healthy").set(
+            sum(1 for m in self.members if m.healthy))
 
     # -- membership health ---------------------------------------------
 
@@ -223,7 +225,7 @@ class Router:
             if LOG.enabled:
                 LOG.emit("router.member.revived",
                          member=f"m{member.index}", url=member.url)
-        self._set_health_gauge()
+        self._refresh_gauges()
 
     def _note_failure(self, member: _Member, reason: str) -> None:
         member.consecutive_failures += 1
@@ -236,11 +238,7 @@ class Router:
                 LOG.emit("router.member.benched",
                          member=f"m{member.index}", url=member.url,
                          reason=member.last_error)
-        self._set_health_gauge()
-
-    def _set_health_gauge(self) -> None:
-        self.metrics.gauge("router.members.healthy").set(
-            sum(1 for m in self.members if m.healthy))
+        self._refresh_gauges()
 
     def _pick(self, attempt: int) -> _Member:
         """Round-robin over healthy members; when every member is
@@ -333,115 +331,21 @@ class Router:
             "not_found",
             f"id {tagged!r} names no member of this router")
 
-    # -- connection handling -------------------------------------------
+    # -- router endpoints ----------------------------------------------
 
-    async def _handle_connection(self, reader, writer) -> None:
-        t0 = time.perf_counter()
-        request = None
-        error_code = None
-        try:
-            try:
-                request = await read_request(reader,
-                                             self.config.max_body)
-            except RequestError as exc:
-                error_code = exc.code
-                write_error(writer, exc)
-                return
-            if request is None:
-                return
-            context = parse_traceparent(
-                request.headers.get(TRACEPARENT_HEADER))
-            if context is not None:
-                request.trace_id, request.parent_span_id = context
-            else:
-                request.trace_id = new_trace_id()
-                request.parent_span_id = None
-            request.span_id = new_span_id()
-            self.metrics.counter("router.requests").inc()
-            token = set_trace_context((request.trace_id,
-                                       request.span_id))
-            try:
-                with span("router.request", method=request.method,
-                          path=request.path,
-                          trace_id=request.trace_id,
-                          span_id=request.span_id):
-                    await self._route(request, writer)
-            except RequestError as exc:
-                error_code = exc.code
-                self.metrics.counter("router.errors").inc()
-                write_error(writer, exc)
-            except Exception as exc:  # noqa: BLE001 - 500, not a crash
-                error_code = "internal"
-                self.metrics.counter("router.errors").inc()
-                write_error(writer, RequestError(
-                    "internal", f"{type(exc).__name__}: {exc}"))
-            finally:
-                reset_trace_context(token)
-        finally:
-            if request is not None:
-                self._observe_request(
-                    request, writer, time.perf_counter() - t0,
-                    error_code)
-            try:
-                await writer.drain()
-                writer.close()
-                await writer.wait_closed()
-            except Exception:  # noqa: BLE001 - peer already gone
-                pass
-
-    async def _route(self, request: HttpRequest, writer) -> None:
-        method, path = request.method, request.path
-        if path == "/healthz":
-            self._require(method, "GET")
-            write_json(writer, 200, self._health_doc())
-            return
-        if path == "/metrics":
-            self._require(method, "GET")
-            self._set_health_gauge()
-            write_text(writer, 200,
-                       prometheus_text(self.metrics.snapshot()))
-            return
-        if path == "/v1/router/members":
-            self._require(method, "GET")
-            write_json(writer, 200, self._members_doc())
-            return
-        if path in ("/v1/solve", "/v1/sweep", "/v1/sessions"):
-            self._require(method, "POST")
-            await self._forward_balanced(request, writer)
-            return
-        if path.startswith("/v1/jobs/") \
-                or path.startswith("/v1/sessions/"):
-            await self._forward_sticky(request, writer)
-            return
-        if path.startswith("/v1/debug/"):
-            raise RequestError(
-                "not_found",
-                "debug endpoints are per-instance; ask the member "
-                "directly (see docs/scaling.md)")
-        raise RequestError("not_found", f"no route for {path!r}")
-
-    @staticmethod
-    def _require(method: str, expected: str) -> None:
-        if method != expected:
-            raise RequestError(
-                "method_not_allowed",
-                f"use {expected} for this endpoint, not {method}")
-
-    def _health_doc(self) -> "dict":
-        healthy = sum(1 for m in self.members if m.healthy)
-        return {
-            "status": "ok" if healthy == len(self.members)
-                      else ("degraded" if healthy else "down"),
-            "members": len(self.members),
-            "healthy": healthy,
-        }
-
-    def _members_doc(self) -> "dict":
-        return {
+    async def _get_members(self, request: HttpRequest, writer) -> None:
+        write_json(writer, 200, {
             "format": ROUTER_MEMBERS_FORMAT,
             "version": ROUTER_MEMBERS_VERSION,
             "members": [member.to_doc() for member in self.members],
-        }
+        })
+
+    async def _refuse_debug(self, request: HttpRequest, writer,
+                            *_ids: str) -> None:
+        raise RequestError(
+            "not_found",
+            "debug endpoints are per-instance; ask the member "
+            "directly (see docs/scaling.md)")
 
     # -- forwarding ----------------------------------------------------
 
@@ -521,8 +425,8 @@ class Router:
             f"no member answered {request.path} after {attempts} "
             f"attempt(s); last error: {last_error}")
 
-    async def _forward_sticky(self, request: HttpRequest,
-                              writer) -> None:
+    async def _forward_sticky(self, request: HttpRequest, writer,
+                              tagged_id: str) -> None:
         """Route an id-addressed request to the member that owns it.
 
         No reassignment: the job/session state lives on exactly one
@@ -530,14 +434,11 @@ class Router:
         (clients see a retryable code and can resubmit — the job id
         itself is lost with its instance).
         """
-        parts = request.path.split("/")
+        member, upstream_id = self._resolve_id(tagged_id)
         # ["", "v1", "jobs"|"sessions", "<tagged id>", ...suffix]
-        if len(parts) < 4 or not parts[3]:
-            raise RequestError("not_found",
-                               f"no route for {request.path!r}")
-        member, upstream_id = self._resolve_id(parts[3])
-        upstream_path = "/".join(parts[:3] + [upstream_id]
-                                 + parts[4:])
+        parts = request.path.split("/")
+        parts[3] = upstream_id
+        upstream_path = "/".join(parts)
         trace_header = self._upstream_trace(request)
         try:
             status, _headers, raw, up_reader, up_writer = \
@@ -584,42 +485,3 @@ class Router:
                 await writer.drain()
         finally:
             up_writer.close()
-
-    # -- observability -------------------------------------------------
-
-    @staticmethod
-    def _endpoint_label(path: str) -> str:
-        if path == "/healthz":
-            return "healthz"
-        if path == "/metrics":
-            return "metrics"
-        if path == "/v1/router/members":
-            return "members"
-        if path == "/v1/solve":
-            return "v1.solve"
-        if path == "/v1/sweep":
-            return "v1.sweep"
-        if path == "/v1/sessions":
-            return "v1.sessions"
-        if path.startswith("/v1/sessions/"):
-            return "v1.sessions.events" if path.endswith("/events") \
-                else "v1.sessions.id"
-        if path.startswith("/v1/jobs/"):
-            return "v1.jobs.events" if path.endswith("/events") \
-                else "v1.jobs"
-        return "other"
-
-    def _observe_request(self, request: HttpRequest, writer,
-                         elapsed_s: float,
-                         error_code: "str | None") -> None:
-        label = self._endpoint_label(request.path)
-        self.metrics.histogram(
-            f"router.latency.{label}.seconds").observe(
-                elapsed_s, trace_id=request.trace_id)
-        if LOG.enabled:
-            LOG.emit("router.access", trace_id=request.trace_id,
-                     span_id=request.span_id, method=request.method,
-                     path=request.path,
-                     status=getattr(writer, "last_status", 200),
-                     latency_ms=round(elapsed_s * 1000.0, 3),
-                     **({"error": error_code} if error_code else {}))

@@ -75,14 +75,11 @@ from ..io.requests import (DEBUG_REQUESTS_FORMAT,
                            session_request_from_dict)
 from ..online import MissionSession, SessionConfig
 from ..scheduling.base import SchedulerOptions
-from ..obs import (LOG, TRACEPARENT_HEADER, MetricsRegistry,
-                   new_span_id, new_trace_id, parse_traceparent,
-                   prometheus_text, reset_trace_context,
-                   set_trace_context, span)
+from ..obs import LOG
 from .batching import Batcher, BatchingConfig, Submission
-from .protocol import (DEFAULT_MAX_BODY, HttpRequest, read_request,
-                       send_ndjson_line, start_ndjson, write_error,
-                       write_json, write_text)
+from .protocol import (DEFAULT_MAX_BODY, HttpRequest, HttpService,
+                       Route, send_ndjson_line, start_ndjson,
+                       write_json)
 
 __all__ = ["ServingConfig", "SolveServer"]
 
@@ -207,12 +204,41 @@ class _SessionEntry:
         return doc
 
 
-class SolveServer:
+class SolveServer(HttpService):
     """Serve solve requests over HTTP; see the module docstring."""
+
+    routes = (
+        Route("/healthz", "GET", "healthz", "_get_health"),
+        Route("/metrics", "GET", "metrics", "_get_metrics"),
+        Route("/v1/solve", "POST", "v1.solve", "_handle_solve"),
+        Route("/v1/sweep", "POST", "v1.sweep", "_handle_sweep"),
+        Route("/v1/debug/requests", "GET", "v1.debug.requests",
+              "_debug_requests"),
+        Route("/v1/debug/trace/{}", "GET", "v1.debug.trace",
+              "_debug_trace"),
+        Route("/v1/sessions", "POST", "v1.sessions", "_open_session"),
+        Route("/v1/sessions/{}", "GET", "v1.sessions.id",
+              "_session_status"),
+        Route("/v1/sessions/{}", "DELETE", "v1.sessions.id",
+              "_close_session"),
+        Route("/v1/sessions/{}/events", "POST", "v1.sessions.events",
+              "_session_events"),
+        Route("/v1/jobs/{}", "GET", "v1.jobs", "_job_status"),
+        Route("/v1/jobs/{}", "DELETE", "v1.jobs", "_cancel_job"),
+        Route("/v1/jobs/{}/events", "GET", "v1.jobs.events",
+              "_stream_events"),
+    )
+    span_name = "serving.request"
+    requests_metric = "serving.http.requests"
+    errors_metric = "serving.http.errors"
+    latency_prefix = "serving.latency"
+    access_event = "http.access"
+    start_event = "server.start"
+    stop_event = "server.stop"
 
     def __init__(self, config: "ServingConfig | None" = None,
                  runner: "BatchRunner | None" = None):
-        self.config = config or ServingConfig()
+        super().__init__(config or ServingConfig())
         if runner is not None:
             self.runner = runner
         else:
@@ -236,7 +262,6 @@ class SolveServer:
                              reuse_policy=self.config.reuse_policy,
                              instrument=self.config.instrument),
                 store=store)
-        self.metrics = MetricsRegistry()
         self.batcher = Batcher(self.runner, self.config.batching(),
                                registry=self.metrics)
         self.jobs: "dict[str, Submission]" = {}
@@ -246,26 +271,20 @@ class SolveServer:
         #: one session serialize while distinct sessions run freely.
         self.sessions: "dict[str, _SessionEntry]" = {}
         self._session_counter = 0
-        self._server: "asyncio.AbstractServer | None" = None
-        self._session_gc_task: "asyncio.Task | None" = None
-        self.port: "int | None" = None
-        self.started_unix = time.time()
         capacity = max(1, self.config.flight_recorder)
         #: Flight recorder: the last ``capacity`` requests, and every
         #: slow/errored request, each as a small JSON-able record.
         self.recent: "deque[dict]" = deque(maxlen=capacity)
         self.notable: "deque[dict]" = deque(maxlen=capacity)
-        self._owns_log = False
 
-    # -- lifecycle -----------------------------------------------------
+    # -- service hooks -------------------------------------------------
 
-    async def start(self) -> None:
-        """Bind the socket and start the dispatch loop."""
-        if self.config.log_path and not LOG.enabled:
-            LOG.enable(path=self.config.log_path)
-            self._owns_log = True
-            LOG.emit("server.start", host=self.config.host,
-                     workers=self.config.workers)
+    def _start_fields(self) -> "dict":
+        return {"host": self.config.host,
+                "workers": self.config.workers}
+
+    async def _on_start(self) -> None:
+        """Start the dispatch loop and the session sweep."""
         self.batcher.start()
         if getattr(self.runner.store, "remote", False):
             # Warm the local cache from the shared store so this
@@ -276,29 +295,12 @@ class SolveServer:
             if LOG.enabled:
                 LOG.emit("store.pull", pulled=pulled,
                          url=self.runner.store.store_url)
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host,
-            self.config.port)
-        self.port = self._server.sockets[0].getsockname()[1]
         if self.config.session_ttl_s:
-            self._session_gc_task = asyncio.ensure_future(
-                self._session_gc_loop())
+            self._tasks.append(asyncio.ensure_future(
+                self._session_gc_loop()))
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        async with self._server:
-            await self._server.serve_forever()
-
-    async def shutdown(self) -> None:
-        """Drain: finish accepted jobs, persist state, close."""
-        if self._session_gc_task is not None:
-            self._session_gc_task.cancel()
-            try:
-                await self._session_gc_task
-            except asyncio.CancelledError:
-                pass
-            self._session_gc_task = None
+    async def _on_stop(self) -> "dict":
+        """Drain: finish accepted jobs, then persist state."""
         await self.batcher.drain()
         if getattr(self.runner.store, "remote", False):
             # Last push so the shared store keeps entries this
@@ -308,14 +310,18 @@ class SolveServer:
             self.runner.store.write(self.config.store_path)
         if self.config.trace_path:
             self.write_trace(self.config.trace_path)
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if self._owns_log:
-            LOG.emit("server.stop", batches=self.batcher.batches)
-            LOG.disable()
-            self._owns_log = False
+        return {"batches": self.batcher.batches}
+
+    def _health_doc(self) -> "dict":
+        live = [s for s in self.jobs.values()
+                if s.status in ("queued", "running")]
+        return {
+            "status": "draining" if self.batcher.draining else "ok",
+            "draining": self.batcher.draining,
+            "queued_jobs": self.batcher.queued_jobs,
+            "live_submissions": len(live),
+            "batches": self.batcher.batches,
+        }
 
     async def _session_gc_loop(self) -> None:
         """Close and evict mission sessions idle past the TTL.
@@ -398,172 +404,17 @@ class SolveServer:
                 break
         return submission
 
-    # -- connection handling -------------------------------------------
-
-    async def _handle_connection(self, reader, writer) -> None:
-        t0 = time.perf_counter()
-        request = None
-        error_code = None
-        try:
-            try:
-                request = await read_request(reader,
-                                             self.config.max_body)
-            except RequestError as exc:
-                error_code = exc.code
-                write_error(writer, exc)
-                return
-            if request is None:
-                return
-            # Adopt the caller's trace (W3C-style traceparent header)
-            # or mint a fresh one; the server-side request span id is
-            # what engine/runner spans hang beneath.
-            context = parse_traceparent(
-                request.headers.get(TRACEPARENT_HEADER))
-            if context is not None:
-                request.trace_id, request.parent_span_id = context
-            else:
-                request.trace_id = new_trace_id()
-                request.parent_span_id = None
-            request.span_id = new_span_id()
-            request.job_id = None
-            request.session_id = None
-            self.metrics.counter("serving.http.requests").inc()
-            token = set_trace_context((request.trace_id,
-                                       request.span_id))
-            try:
-                with span("serving.request",
-                          method=request.method, path=request.path,
-                          trace_id=request.trace_id,
-                          span_id=request.span_id):
-                    await self._route(request, reader, writer)
-            except RequestError as exc:
-                error_code = exc.code
-                self.metrics.counter("serving.http.errors").inc()
-                write_error(writer, exc)
-            except Exception as exc:  # noqa: BLE001 - 500, not a crash
-                error_code = "internal"
-                self.metrics.counter("serving.http.errors").inc()
-                write_error(writer, RequestError(
-                    "internal", f"{type(exc).__name__}: {exc}"))
-            finally:
-                reset_trace_context(token)
-        finally:
-            if request is not None:
-                self._observe_request(
-                    request, writer, time.perf_counter() - t0,
-                    error_code)
-            try:
-                await writer.drain()
-                writer.close()
-                await writer.wait_closed()
-            except Exception:  # noqa: BLE001 - peer already gone
-                pass
-
-    async def _route(self, request: HttpRequest, reader,
-                     writer) -> None:
-        method, path = request.method, request.path
-        if path == "/healthz":
-            self._require(method, "GET")
-            write_json(writer, 200, self._health_doc())
-            return
-        if path == "/metrics":
-            self._require(method, "GET")
-            write_text(writer, 200,
-                       prometheus_text(self.metrics.snapshot()))
-            return
-        if path == "/v1/solve":
-            self._require(method, "POST")
-            await self._handle_solve(request, writer)
-            return
-        if path == "/v1/sweep":
-            self._require(method, "POST")
-            submission = self._admit(request)
-            write_json(writer, 202, submission.to_response())
-            return
-        if path == "/v1/debug/requests":
-            self._require(method, "GET")
-            write_json(writer, 200, self._debug_requests_doc())
-            return
-        if path.startswith("/v1/debug/trace/"):
-            self._require(method, "GET")
-            trace_id = path[len("/v1/debug/trace/"):]
-            write_json(writer, 200, self._debug_trace_doc(trace_id))
-            return
-        if path == "/v1/sessions":
-            self._require(method, "POST")
-            self._open_session(request, writer)
-            return
-        if path.startswith("/v1/sessions/"):
-            await self._route_session(request, writer)
-            return
-        if path.startswith("/v1/jobs/"):
-            await self._route_job(request, writer)
-            return
-        raise RequestError("not_found", f"no route for {path!r}")
-
-    @staticmethod
-    def _require(method: str, expected: str) -> None:
-        if method != expected:
-            raise RequestError(
-                "method_not_allowed",
-                f"use {expected} for this endpoint, not {method}")
-
-    def _health_doc(self) -> "dict":
-        live = [s for s in self.jobs.values()
-                if s.status in ("queued", "running")]
-        return {
-            "status": "draining" if self.batcher.draining else "ok",
-            "draining": self.batcher.draining,
-            "queued_jobs": self.batcher.queued_jobs,
-            "live_submissions": len(live),
-            "batches": self.batcher.batches,
-        }
-
     # -- flight recorder -----------------------------------------------
 
-    @staticmethod
-    def _endpoint_label(path: str) -> str:
-        """The bounded endpoint label latency metrics are keyed by."""
-        if path == "/healthz":
-            return "healthz"
-        if path == "/metrics":
-            return "metrics"
-        if path == "/v1/solve":
-            return "v1.solve"
-        if path == "/v1/sweep":
-            return "v1.sweep"
-        if path == "/v1/debug/requests":
-            return "v1.debug.requests"
-        if path.startswith("/v1/debug/trace/"):
-            return "v1.debug.trace"
-        if path == "/v1/sessions":
-            return "v1.sessions"
-        if path.startswith("/v1/sessions/"):
-            return "v1.sessions.events" if path.endswith("/events") \
-                else "v1.sessions.id"
-        if path.startswith("/v1/jobs/"):
-            return "v1.jobs.events" if path.endswith("/events") \
-                else "v1.jobs"
-        return "other"
-
-    def _observe_request(self, request: HttpRequest, writer,
-                         elapsed_s: float,
-                         error_code: "str | None") -> None:
-        """Record one finished request everywhere it is observable:
-        the per-endpoint latency histogram (with this trace id as the
-        exemplar candidate), the flight-recorder rings, and the
-        structured access log."""
-        status = getattr(writer, "last_status", 200)
-        label = self._endpoint_label(request.path)
-        self.metrics.histogram(
-            f"serving.latency.{label}.seconds").observe(
-                elapsed_s, trace_id=request.trace_id)
-        latency_ms = round(elapsed_s * 1000.0, 3)
+    def _record(self, request: HttpRequest, status: int,
+                latency_ms: float, error_code: "str | None") -> "dict":
+        """Keep the request in the flight-recorder rings; the access
+        log carries its job and session ids."""
         record = {
             "at_unix": round(time.time(), 3),
             "method": request.method,
             "path": request.path,
-            "endpoint": label,
+            "endpoint": request.endpoint,
             "status": status,
             "latency_ms": latency_ms,
             "trace_id": request.trace_id,
@@ -573,7 +424,7 @@ class SolveServer:
             record["parent_span_id"] = request.parent_span_id
         if request.job_id:
             record["job"] = request.job_id
-        if getattr(request, "session_id", None):
+        if request.session_id:
             record["session"] = request.session_id
         if error_code:
             record["error"] = error_code
@@ -581,29 +432,23 @@ class SolveServer:
         if error_code or status >= 400 \
                 or latency_ms >= self.config.slow_ms:
             self.notable.append(record)
-        if LOG.enabled:
-            LOG.emit("http.access", trace_id=request.trace_id,
-                     span_id=request.span_id, method=request.method,
-                     path=request.path, status=status,
-                     latency_ms=latency_ms,
-                     **({"job": request.job_id}
-                        if request.job_id else {}),
-                     **({"session": request.session_id}
-                        if getattr(request, "session_id", None)
-                        else {}))
+        return {key: record[key] for key in ("job", "session")
+                if key in record}
 
-    def _debug_requests_doc(self) -> "dict":
+    async def _debug_requests(self, request: HttpRequest,
+                              writer) -> None:
         """``GET /v1/debug/requests``: both rings, newest first."""
-        return {
+        write_json(writer, 200, {
             "format": DEBUG_REQUESTS_FORMAT,
             "version": DEBUG_REQUESTS_VERSION,
             "capacity": self.recent.maxlen,
             "slow_ms": self.config.slow_ms,
             "requests": list(reversed(self.recent)),
             "notable": list(reversed(self.notable)),
-        }
+        })
 
-    def _debug_trace_doc(self, trace_id: str) -> "dict":
+    async def _debug_trace(self, request: HttpRequest, writer,
+                           trace_id: str) -> None:
         """``GET /v1/debug/trace/{id}``: assemble one stitched trace.
 
         Every recorded request span of the trace, oldest first, each
@@ -640,12 +485,12 @@ class SolveServer:
                     dict(doc) for doc in
                     getattr(submission, "spans", [])]
             spans.append(span_doc)
-        return {
+        write_json(writer, 200, {
             "format": DEBUG_TRACE_FORMAT,
             "version": DEBUG_TRACE_VERSION,
             "trace_id": trace_id,
             "spans": spans,
-        }
+        })
 
     async def _handle_solve(self, request: HttpRequest,
                             writer) -> None:
@@ -671,36 +516,35 @@ class SolveServer:
         self.metrics.counter("serving.http.errors").inc()
         write_json(writer, error.http_status, doc)
 
-    async def _route_job(self, request: HttpRequest, writer) -> None:
-        parts = request.path.strip("/").split("/")
-        # "/v1/jobs/{id}" -> [v1, jobs, id]; +"/events" -> 4 parts
-        if len(parts) < 3 or len(parts) > 4:
-            raise RequestError("not_found",
-                               f"no route for {request.path!r}")
-        submission = self.jobs.get(parts[2])
+    async def _handle_sweep(self, request: HttpRequest,
+                            writer) -> None:
+        """``POST /v1/sweep``: admit and answer ``202`` at once."""
+        submission = self._admit(request)
+        write_json(writer, 202, submission.to_response())
+
+    def _job(self, request: HttpRequest, job_id: str) -> Submission:
+        submission = self.jobs.get(job_id)
         if submission is None:
-            raise RequestError("not_found",
-                               f"unknown job {parts[2]!r}")
+            raise RequestError("not_found", f"unknown job {job_id!r}")
         request.job_id = submission.id
-        if len(parts) == 4:
-            if parts[3] != "events":
-                raise RequestError("not_found",
-                                   f"no route for {request.path!r}")
-            self._require(request.method, "GET")
-            await self._stream_events(submission, writer)
-            return
-        if request.method == "DELETE":
-            was_live = submission.cancel()
-            if was_live:
-                self.metrics.counter("serving.jobs.cancelled").inc()
-            write_json(writer, 200, submission.to_response())
-            return
-        self._require(request.method, "GET")
+        return submission
+
+    async def _job_status(self, request: HttpRequest, writer,
+                          job_id: str) -> None:
+        write_json(writer, 200,
+                   self._job(request, job_id).to_response())
+
+    async def _cancel_job(self, request: HttpRequest, writer,
+                          job_id: str) -> None:
+        submission = self._job(request, job_id)
+        if submission.cancel():
+            self.metrics.counter("serving.jobs.cancelled").inc()
         write_json(writer, 200, submission.to_response())
 
-    async def _stream_events(self, submission: Submission,
-                             writer) -> None:
+    async def _stream_events(self, request: HttpRequest, writer,
+                             job_id: str) -> None:
         """``GET /v1/jobs/{id}/events``: replay + live-tail NDJSON."""
+        submission = self._job(request, job_id)
         start_ndjson(writer, 200)
         send_ndjson_line(writer, {
             "format": EVENTS_FORMAT, "version": EVENTS_VERSION,
@@ -723,7 +567,8 @@ class SolveServer:
 
     # -- mission sessions ----------------------------------------------
 
-    def _open_session(self, request: HttpRequest, writer) -> None:
+    async def _open_session(self, request: HttpRequest,
+                            writer) -> None:
         """``POST /v1/sessions``: validate, register, acknowledge."""
         if self.batcher.draining:
             raise RequestError("shutting_down",
@@ -757,43 +602,19 @@ class SolveServer:
             "open", session=entry.id, scheduler=parsed.scheduler,
             p_max=parsed.p_max, p_min=parsed.p_min, now=0))
 
-    def _session_entry(self, session_id: str) -> _SessionEntry:
+    def _session_entry(self, request: HttpRequest,
+                       session_id: str) -> _SessionEntry:
         entry = self.sessions.get(session_id)
         if entry is None:
             raise RequestError("not_found",
                                f"unknown session {session_id!r}")
-        return entry
-
-    async def _route_session(self, request: HttpRequest,
-                             writer) -> None:
-        parts = request.path.strip("/").split("/")
-        # "/v1/sessions/{id}" -> 3 parts; +"/events" -> 4
-        if len(parts) < 3 or len(parts) > 4:
-            raise RequestError("not_found",
-                               f"no route for {request.path!r}")
-        entry = self._session_entry(parts[2])
         entry.touch()
         request.session_id = entry.id
-        if len(parts) == 4:
-            if parts[3] != "events":
-                raise RequestError("not_found",
-                                   f"no route for {request.path!r}")
-            self._require(request.method, "POST")
-            await self._session_events(entry, request, writer)
-            return
-        if request.method == "DELETE":
-            async with entry.lock:
-                was_open = not entry.session.closed
-                entry.session.close()
-                doc = entry.status_doc()
-            if was_open:
-                self.metrics.counter("session.closed").inc()
-                self.metrics.gauge("session.live").set(
-                    sum(1 for e in self.sessions.values()
-                        if not e.session.closed))
-            write_json(writer, 200, response_envelope("closed", **doc))
-            return
-        self._require(request.method, "GET")
+        return entry
+
+    async def _session_status(self, request: HttpRequest, writer,
+                              session_id: str) -> None:
+        entry = self._session_entry(request, session_id)
         # Snapshot under the session lock: a command batch may be
         # mutating the engine in an executor thread right now, and
         # iterating its dicts mid-mutation would tear the document.
@@ -802,8 +623,22 @@ class SolveServer:
             doc = entry.status_doc()
         write_json(writer, 200, response_envelope(status, **doc))
 
-    async def _session_events(self, entry: _SessionEntry,
-                              request: HttpRequest, writer) -> None:
+    async def _close_session(self, request: HttpRequest, writer,
+                             session_id: str) -> None:
+        entry = self._session_entry(request, session_id)
+        async with entry.lock:
+            was_open = not entry.session.closed
+            entry.session.close()
+            doc = entry.status_doc()
+        if was_open:
+            self.metrics.counter("session.closed").inc()
+            self.metrics.gauge("session.live").set(
+                sum(1 for e in self.sessions.values()
+                    if not e.session.closed))
+        write_json(writer, 200, response_envelope("closed", **doc))
+
+    async def _session_events(self, request: HttpRequest, writer,
+                              session_id: str) -> None:
         """``POST /v1/sessions/{id}/events``: apply a command batch,
         streaming the session events each command produced as
         ``repro-session-event`` v1 NDJSON lines.
@@ -818,6 +653,7 @@ class SolveServer:
         session) terminates the stream with an ``error`` record but
         leaves prior commands' effects in place.
         """
+        entry = self._session_entry(request, session_id)
         commands = session_commands_from_dict(request.json())
         engine = entry.session
         loop = asyncio.get_running_loop()

@@ -35,22 +35,16 @@ configured, mirroring ``serve --store``.
 
 from __future__ import annotations
 
-import asyncio
 import os
-import time
-
 from dataclasses import dataclass
 
 from ..engine.schedule_store import CERTIFIED_STAGE, ScheduleStore
 from ..errors import SerializationError
 from ..io.requests import (RequestError, store_request_from_dict,
                            store_response_envelope)
-from ..obs import (LOG, TRACEPARENT_HEADER, MetricsRegistry,
-                   new_span_id, new_trace_id, parse_traceparent,
-                   prometheus_text, reset_trace_context,
-                   set_trace_context, span)
-from .protocol import (DEFAULT_MAX_BODY, HttpRequest, read_request,
-                       write_error, write_json, write_text)
+from ..obs import LOG
+from .protocol import (DEFAULT_MAX_BODY, HttpRequest, HttpService,
+                       Route, write_json)
 
 __all__ = ["StoreServiceConfig", "StoreService"]
 
@@ -87,12 +81,29 @@ class StoreServiceConfig:
     log_path: "str | None" = None
 
 
-class StoreService:
+class StoreService(HttpService):
     """Serve one shared :class:`ScheduleStore` over HTTP."""
+
+    routes = (
+        Route("/healthz", "GET", "healthz", "_get_health"),
+        Route("/metrics", "GET", "metrics", "_get_metrics"),
+        Route("/v1/store/get-range", "POST", "get_range",
+              "_handle_get_range"),
+        Route("/v1/store/put-delta", "POST", "put_delta",
+              "_handle_put_delta"),
+        Route("/v1/store/snapshot", "GET", "snapshot", "_get_snapshot"),
+    )
+    span_name = "store.request"
+    requests_metric = "store.requests"
+    errors_metric = "store.errors"
+    latency_prefix = "store.latency"
+    access_event = "store.access"
+    start_event = "store.start"
+    stop_event = "store.stop"
 
     def __init__(self, config: "StoreServiceConfig | None" = None,
                  store: "ScheduleStore | None" = None):
-        self.config = config or StoreServiceConfig()
+        super().__init__(config or StoreServiceConfig())
         if store is not None:
             self.store = store
         elif self.config.store_path \
@@ -103,135 +114,18 @@ class StoreService:
         else:
             self.store = ScheduleStore(
                 policy=self.config.reuse_policy)
-        self.metrics = MetricsRegistry()
-        self._server: "asyncio.AbstractServer | None" = None
-        self.port: "int | None" = None
-        self.started_unix = time.time()
-        self._owns_log = False
 
-    # -- lifecycle -----------------------------------------------------
+    # -- service hooks -------------------------------------------------
 
-    async def start(self) -> None:
-        """Bind the socket."""
-        if self.config.log_path and not LOG.enabled:
-            LOG.enable(path=self.config.log_path)
-            self._owns_log = True
-            LOG.emit("store.start", host=self.config.host,
-                     policy=self.store.policy,
-                     entries=len(self.store))
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host,
-            self.config.port)
-        self.port = self._server.sockets[0].getsockname()[1]
+    def _start_fields(self) -> "dict":
+        return {"host": self.config.host, "policy": self.store.policy,
+                "entries": len(self.store)}
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        async with self._server:
-            await self._server.serve_forever()
-
-    async def shutdown(self) -> None:
-        """Persist the store (when configured) and close the socket."""
+    async def _on_stop(self) -> "dict":
+        """Persist the store when configured."""
         if self.config.store_path:
             self.store.write(self.config.store_path)
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if self._owns_log:
-            LOG.emit("store.stop", entries=len(self.store))
-            LOG.disable()
-            self._owns_log = False
-
-    # -- connection handling -------------------------------------------
-
-    async def _handle_connection(self, reader, writer) -> None:
-        t0 = time.perf_counter()
-        request = None
-        error_code = None
-        try:
-            try:
-                request = await read_request(reader,
-                                             self.config.max_body)
-            except RequestError as exc:
-                error_code = exc.code
-                write_error(writer, exc)
-                return
-            if request is None:
-                return
-            context = parse_traceparent(
-                request.headers.get(TRACEPARENT_HEADER))
-            if context is not None:
-                request.trace_id, request.parent_span_id = context
-            else:
-                request.trace_id = new_trace_id()
-                request.parent_span_id = None
-            request.span_id = new_span_id()
-            self.metrics.counter("store.requests").inc()
-            token = set_trace_context((request.trace_id,
-                                       request.span_id))
-            try:
-                with span("store.request", method=request.method,
-                          path=request.path,
-                          trace_id=request.trace_id,
-                          span_id=request.span_id):
-                    self._route(request, writer)
-            except RequestError as exc:
-                error_code = exc.code
-                self.metrics.counter("store.errors").inc()
-                write_error(writer, exc)
-            except Exception as exc:  # noqa: BLE001 - 500, not a crash
-                error_code = "internal"
-                self.metrics.counter("store.errors").inc()
-                write_error(writer, RequestError(
-                    "internal", f"{type(exc).__name__}: {exc}"))
-            finally:
-                reset_trace_context(token)
-        finally:
-            if request is not None:
-                self._observe_request(
-                    request, writer, time.perf_counter() - t0,
-                    error_code)
-            try:
-                await writer.drain()
-                writer.close()
-                await writer.wait_closed()
-            except Exception:  # noqa: BLE001 - peer already gone
-                pass
-
-    def _route(self, request: HttpRequest, writer) -> None:
-        method, path = request.method, request.path
-        if path == "/healthz":
-            self._require(method, "GET")
-            write_json(writer, 200, self._health_doc())
-            return
-        if path == "/metrics":
-            self._require(method, "GET")
-            self.metrics.gauge("store.entries").set(len(self.store))
-            write_text(writer, 200,
-                       prometheus_text(self.metrics.snapshot()))
-            return
-        if path == "/v1/store/get-range":
-            self._require(method, "POST")
-            self._handle_get_range(request, writer)
-            return
-        if path == "/v1/store/put-delta":
-            self._require(method, "POST")
-            self._handle_put_delta(request, writer)
-            return
-        if path == "/v1/store/snapshot":
-            self._require(method, "GET")
-            write_json(writer, 200, store_response_envelope(
-                "snapshot", store=self.store.to_dict()))
-            return
-        raise RequestError("not_found", f"no route for {path!r}")
-
-    @staticmethod
-    def _require(method: str, expected: str) -> None:
-        if method != expected:
-            raise RequestError(
-                "method_not_allowed",
-                f"use {expected} for this endpoint, not {method}")
+        return {"entries": len(self.store)}
 
     def _health_doc(self) -> "dict":
         return {
@@ -241,10 +135,13 @@ class StoreService:
             "entries": len(self.store),
         }
 
+    def _refresh_gauges(self) -> None:
+        self.metrics.gauge("store.entries").set(len(self.store))
+
     # -- the store protocol --------------------------------------------
 
-    def _handle_get_range(self, request: HttpRequest,
-                          writer) -> None:
+    async def _handle_get_range(self, request: HttpRequest,
+                                writer) -> None:
         parsed = store_request_from_dict(request.json())
         if parsed.op != "get-range":
             raise RequestError(
@@ -278,8 +175,8 @@ class StoreService:
             name=bucket.name if bucket is not None else "",
             entry=entry.to_dict()))
 
-    def _handle_put_delta(self, request: HttpRequest,
-                          writer) -> None:
+    async def _handle_put_delta(self, request: HttpRequest,
+                                writer) -> None:
         parsed = store_request_from_dict(request.json())
         if parsed.op != "put-delta":
             raise RequestError(
@@ -305,33 +202,7 @@ class StoreService:
             "put-delta", merged=merged, deduped=deduped,
             entries=len(self.store)))
 
-    # -- observability -------------------------------------------------
-
-    @staticmethod
-    def _endpoint_label(path: str) -> str:
-        if path == "/healthz":
-            return "healthz"
-        if path == "/metrics":
-            return "metrics"
-        if path == "/v1/store/get-range":
-            return "get_range"
-        if path == "/v1/store/put-delta":
-            return "put_delta"
-        if path == "/v1/store/snapshot":
-            return "snapshot"
-        return "other"
-
-    def _observe_request(self, request: HttpRequest, writer,
-                         elapsed_s: float,
-                         error_code: "str | None") -> None:
-        label = self._endpoint_label(request.path)
-        self.metrics.histogram(
-            f"store.latency.{label}.seconds").observe(
-                elapsed_s, trace_id=request.trace_id)
-        if LOG.enabled:
-            LOG.emit("store.access", trace_id=request.trace_id,
-                     span_id=request.span_id, method=request.method,
-                     path=request.path,
-                     status=getattr(writer, "last_status", 200),
-                     latency_ms=round(elapsed_s * 1000.0, 3),
-                     **({"error": error_code} if error_code else {}))
+    async def _get_snapshot(self, request: HttpRequest,
+                            writer) -> None:
+        write_json(writer, 200, store_response_envelope(
+            "snapshot", store=self.store.to_dict()))

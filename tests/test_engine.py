@@ -231,14 +231,6 @@ class TestBatchRunnerParallel:
                               runner=runner)
         assert parallel == serial
 
-    def test_chunked_dispatch(self):
-        problem = tiny_problem()
-        runner = BatchRunner(RunnerConfig(workers=2, chunksize=3))
-        points = sweep_p_max(problem, [10.0, 11.0, 12.0, 13.0, 14.0],
-                             runner=runner)
-        assert len(points) == 5
-        assert all(point.feasible for point in points)
-
     def test_degrades_to_serial_when_pool_unavailable(self, monkeypatch):
         import concurrent.futures as futures
 
@@ -258,8 +250,6 @@ class TestRunnerConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             RunnerConfig(workers=-1)
-        with pytest.raises(ValueError):
-            RunnerConfig(chunksize=0)
         with pytest.raises(ValueError):
             RunnerConfig(retries=-1)
         with pytest.raises(ValueError):

@@ -202,6 +202,23 @@ class TestReplan:
         result = replan(problem, snapshot, now=5, options=FAST)
         assert result.schedule.start("b") >= 8
 
+    def test_replan_holds_the_resource_through_an_overrun(self):
+        """a and b share R with no precedence between them: a 4-tick
+        overrun keeps a on R over [0, 8), so the replanned b may not
+        start on R before 8 (the stretched separations alone do not
+        reach b; a's realized duration must)."""
+        g = ConstraintGraph("overrun")
+        g.new_task("a", duration=4, power=4.0, resource="R")
+        g.new_task("b", duration=4, power=4.0, resource="R")
+        problem = SchedulingProblem(g, p_max=9.0)
+        snapshot = ScheduleExecutor(
+            problem, planned(problem).schedule,
+            durations=FixedOverruns({"a": 4}),
+            policy="self_timed").run(until=5)
+        assert snapshot.spans == {"a": (0, 8)}
+        result = replan(problem, snapshot, now=5, options=FAST)
+        assert result.schedule.start("b") >= 8
+
     def test_replan_under_new_power_constraints(self):
         problem = pipeline_problem()
         snapshot = ScheduleExecutor(problem,

@@ -29,6 +29,20 @@ class TestConstruction:
         with pytest.raises(GraphError):
             SchedulingProblem(graph_with(3.0), p_max=5.0, baseline=-1.0)
 
+    @pytest.mark.parametrize("field", ["p_max", "p_min", "baseline"])
+    def test_nan_constraints_rejected(self, field):
+        """NaN passes every ``< 0`` check and makes every spike test
+        false, so it must be refused like a negative value."""
+        powers = {"p_max": 10.0, field: float("nan")}
+        with pytest.raises(GraphError):
+            SchedulingProblem(graph_with(3.0), **powers)
+
+    def test_nan_task_and_idle_power_rejected(self):
+        with pytest.raises(GraphError):
+            graph_with(float("nan"))
+        with pytest.raises(GraphError):
+            Resource("R", idle_power=float("nan"))
+
 
 class TestDerived:
     def test_total_baseline_includes_idle_power(self):

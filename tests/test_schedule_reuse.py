@@ -416,7 +416,7 @@ class TestSerialParallelParity:
                                           reuse_schedules=True))
         serial_points = serial.run_values(jobs)
 
-        parallel = BatchRunner(RunnerConfig(workers=2, chunksize=2,
+        parallel = BatchRunner(RunnerConfig(workers=2,
                                             reuse_schedules=True))
         parallel_points = parallel.run_values(jobs)
 
