@@ -2,8 +2,8 @@
 
 The value proposition of :mod:`repro.online` is that a live mission
 does *not* pay a full offline solve per arrival: the committed prefix
-is frozen, and the suffix re-solve works on a graph copy that carries
-the session graph's current solved longest-path memo.
+is frozen, so the suffix re-solve (on a copy of the session graph,
+which starts without a longest-path memo) has less left to move.
 This bench puts a number on that claim with the repository's headline
 online workload — a 50-arrival stream cut from the unrolled Mars-rover
 mission (typical solar case, five iterations) with clock advances

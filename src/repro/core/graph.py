@@ -402,10 +402,10 @@ class ConstraintGraph:
 
         The default ``"lock"`` tag marks a *scheduler-owned* pin: the
         max-power stage may lift it during spike repair and left-shift
-        it during compaction.  Callers freezing executed history
-        (:mod:`repro.execution.replan`, :mod:`repro.online`) must pass
-        a different tag — conventionally ``"frozen"`` — so neither
-        pass can move a task that has already run.
+        it during compaction.  Freezing executed history
+        (:func:`repro.execution.replan.freeze`) passes a different tag,
+        ``"frozen"``, so neither pass can move a task that has already
+        run.
         """
         self.add_min_separation(ANCHOR_NAME, name, time, tag=tag)
         self.add_max_separation(ANCHOR_NAME, name, time, tag=tag)

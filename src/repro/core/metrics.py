@@ -30,7 +30,7 @@ from .profile import PowerProfile
 from .schedule import Schedule
 
 __all__ = ["ScheduleMetrics", "energy_cost", "min_power_utilization",
-           "power_jitter", "evaluate"]
+           "power_jitter", "evaluate", "profile_metrics"]
 
 
 def energy_cost(profile: PowerProfile, p_min: float) -> float:
@@ -96,10 +96,18 @@ class ScheduleMetrics:
 def evaluate(schedule: Schedule, p_max: float, p_min: float,
              baseline: float = 0.0) -> ScheduleMetrics:
     """Compute the full metric set of a schedule under (P_max, P_min)."""
-    profile = PowerProfile.from_schedule(schedule, baseline=baseline)
+    return profile_metrics(
+        PowerProfile.from_schedule(schedule, baseline=baseline),
+        schedule.makespan, p_max, p_min)
+
+
+def profile_metrics(profile: PowerProfile, finish_time: int,
+                    p_max: float, p_min: float) -> ScheduleMetrics:
+    """The full metric set of a schedule finishing at ``finish_time``,
+    read off its already-built ``profile`` (over ``[0, finish_time]``)."""
     std, ratio = power_jitter(profile)
     return ScheduleMetrics(
-        finish_time=schedule.makespan,
+        finish_time=finish_time,
         total_energy=profile.energy(),
         energy_cost=energy_cost(profile, p_min),
         utilization=min_power_utilization(profile, p_min),

@@ -12,7 +12,7 @@ paper's static scheduler.
 from .executor import ExecutionResult, ScheduleExecutor
 from .faults import (DurationModel, ExactDurations, FixedOverruns,
                      SolarDropout, UniformJitter)
-from .replan import replan
+from .replan import freeze, replan
 from .trace import (BATTERY_DEPLETED, POWER_SPIKE, RESOURCE_VIOLATION,
                     SEPARATION_VIOLATION, TASK_FINISHED, TASK_STARTED,
                     Trace, TraceEvent)
@@ -33,5 +33,6 @@ __all__ = [
     "Trace",
     "TraceEvent",
     "UniformJitter",
+    "freeze",
     "replan",
 ]

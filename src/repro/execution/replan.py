@@ -6,12 +6,11 @@ imposed by the environment".  When execution diverges from the plan —
 a task overran, the solar supply changed — the right response is not to
 keep replaying a stale table but to *re-solve from current state*:
 
-1. freeze history — every started task is locked at its actual start
-   time (with its remaining execution, if still running, protected by a
-   release on its successors);
-2. the future is released — every pending task gets
+1. freeze history (:func:`freeze`) — every started task is locked at
+   its actual start time, a still-running overrun keeps its resource
+   for its realized span, and every pending task gets
    ``sigma(v) >= now``;
-3. the remainder is re-solved by the normal three-stage pipeline under
+2. the remainder is re-solved by the normal three-stage pipeline under
    the *current* power constraints.
 
 The result is a full schedule (history + future) that is time-valid by
@@ -21,13 +20,17 @@ cost.
 
 from __future__ import annotations
 
+from typing import Mapping
+
+from ..core.graph import ConstraintGraph
 from ..core.problem import SchedulingProblem
+from ..core.task import ANCHOR_NAME
 from ..errors import ReproError
 from ..scheduling.base import ScheduleResult, SchedulerOptions
 from ..scheduling.power_aware import PowerAwareScheduler
 from .executor import ExecutionResult
 
-__all__ = ["replan"]
+__all__ = ["freeze", "replan"]
 
 
 def replan(problem: SchedulingProblem, snapshot: ExecutionResult,
@@ -66,36 +69,7 @@ def replan(problem: SchedulingProblem, snapshot: ExecutionResult,
     if now < 0:
         raise ReproError(f"now must be >= 0, got {now}")
     graph = problem.graph.copy()
-
-    for name, (start, end) in snapshot.spans.items():
-        # "frozen", not the default "lock": the max-power stage treats
-        # its own "lock" pins as relaxable (spike repair lifts them,
-        # compaction left-shifts them), but executed history must never
-        # move — a distinct tag keeps it out of both passes.
-        graph.lock_start(name, start, tag="frozen")
-        if end > now:
-            # still running: its realized duration may exceed the
-            # nominal one; push successors past the *actual* end
-            nominal = graph.task(name).duration
-            overrun = (end - start) - nominal
-            if overrun > 0:
-                for edge in graph.out_edges(name):
-                    if edge.weight >= nominal \
-                            and edge.dst != graph.anchor.name \
-                            and edge.dst not in snapshot.spans:
-                        # end-anchored separations stretch with the
-                        # overrun — but only toward tasks that have not
-                        # themselves started (history cannot be moved)
-                        graph.add_edge(name, edge.dst,
-                                       edge.weight + overrun,
-                                       tag="replan")
-                # ...and hold its resource and power for the realized
-                # span, so nothing is serialized into its tail
-                graph.set_duration(name, end - start)
-    for name in problem.graph.task_names():
-        if name not in snapshot.spans:
-            graph.add_release(name, now, tag="replan")
-
+    freeze(graph, snapshot.spans, now)
     scaled = SchedulingProblem(
         graph=graph,
         p_max=problem.p_max if p_max is None else p_max,
@@ -109,3 +83,41 @@ def replan(problem: SchedulingProblem, snapshot: ExecutionResult,
     result.extra["replanned_at"] = now
     result.extra["frozen"] = sorted(snapshot.spans)
     return result
+
+
+def freeze(graph: ConstraintGraph,
+           spans: "Mapping[str, tuple[int, int]]", now: int) -> None:
+    """Turn executed history into constraints on ``graph``, in place.
+
+    ``spans`` maps every started task to its executed ``[start, end)``
+    span; ``graph`` must be a working copy holding nominal durations.
+    This is the one re-solve rule: :func:`replan` and the mission
+    session both call it.  In order:
+
+    1. a still-running overrun (``end > now``, longer than nominal) is
+       real: its end-anchored out-edges (at least one nominal duration
+       long — the paper's precedence encoding) toward tasks that have
+       not started are pushed out by the overrun, and its duration
+       becomes the realized one, so resource exclusion and the power
+       profile see its tail;
+    2. every executed start is locked — tagged ``"frozen"``, not the
+       default ``"lock"``: the max-power stage treats its own ``"lock"``
+       pins as relaxable (spike repair lifts them, compaction
+       left-shifts them), but history must never move;
+    3. every task that has not started is released at ``now``.
+    """
+    for name, (start, end) in spans.items():
+        nominal = graph.task(name).duration
+        overrun = (end - start) - nominal
+        if end > now and overrun > 0:
+            for edge in graph.out_edges(name):
+                if edge.weight >= nominal and edge.dst != ANCHOR_NAME \
+                        and edge.dst not in spans:
+                    graph.add_edge(name, edge.dst,
+                                   edge.weight + overrun, tag="replan")
+            graph.set_duration(name, end - start)
+    for name, (start, _end) in spans.items():
+        graph.lock_start(name, start, tag="frozen")
+    for name in graph.task_names():
+        if name not in spans:
+            graph.add_release(name, now, tag="replan")

@@ -421,6 +421,9 @@ SESSION_COMMAND_KINDS = ("arrival", "advance", "fault", "quiesce")
 SESSION_CONSTRAINT_KINDS = ("min", "max", "precedence", "release",
                             "deadline")
 
+#: The fields an ``arrival`` task may carry; any other is refused.
+_ARRIVAL_TASK_KEYS = ("name", "duration", "power", "resource")
+
 
 @dataclass
 class SessionRequest:
@@ -529,6 +532,11 @@ def session_request_from_dict(data: Any) -> SessionRequest:
     if "p_max" not in data:
         raise RequestError("bad_request",
                            "session request is missing 'p_max'")
+    if "freq_levels" in data:
+        raise RequestError(
+            "bad_request",
+            "sessions take no 'freq_levels': arrivals have no DVFS "
+            "operating points")
     p_max, p_min = _window(
         _power(data.get("p_max"), "p_max"),
         _power(data.get("p_min"), "p_min", default=0.0))
@@ -656,6 +664,14 @@ def session_command_from_dict(data: Any) -> "dict[str, Any]":
     if not isinstance(task, Mapping):
         raise RequestError("bad_request",
                            "arrival command needs a 'task' object")
+    unknown = [key for key in task if key not in _ARRIVAL_TASK_KEYS]
+    if unknown:
+        # A typo such as "powr" would otherwise admit a 0 W task, and
+        # an "operating_points" ladder would be dropped.
+        raise RequestError(
+            "bad_request",
+            f"arrival task takes only {list(_ARRIVAL_TASK_KEYS)}, "
+            f"got unknown field(s) {unknown}")
     name = task.get("name")
     if not isinstance(name, str) or not name:
         raise RequestError(

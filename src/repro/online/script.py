@@ -25,7 +25,7 @@ from ..core.task import ANCHOR_NAME
 from ..errors import ReproError
 from ..scheduling.base import SchedulerOptions
 from .session import (SESSION_SCHEDULERS, MissionSession, SessionConfig,
-                      apply_constraint, parse_constraint)
+                      apply_constraint)
 
 __all__ = [
     "SessionScript",
@@ -116,8 +116,9 @@ def problem_from_script(script: SessionScript,
 
     With ``admitted`` the graph is restricted to those tasks — exactly
     the constraint set a live session holds after rejections, since a
-    rejected arrival's tasks and edges were rolled back and an admitted
-    arrival can only constrain already-admitted tasks.  This is what
+    rejected arrival was tried on a copy and never reached the session
+    graph, and an admitted arrival can only constrain already-admitted
+    tasks.  This is what
     lets ``repro-schedule session --check --server`` run the power/time
     validators *client-side* against the starts a remote server
     reported (nominal durations only, so it is not applicable to
@@ -136,7 +137,7 @@ def problem_from_script(script: SessionScript,
                        power=task.get("power", 0.0),
                        resource=task.get("resource"))
         for record in command.get("constraints", ()):
-            apply_constraint(graph, parse_constraint(name, record))
+            apply_constraint(graph, name, record)
     return SchedulingProblem(graph=graph, p_max=script.p_max,
                              p_min=script.p_min,
                              baseline=script.baseline,

@@ -10,17 +10,16 @@ maintains a live schedule under the paper's constraints:
   separations it brings) is admitted iff the whole remaining problem
   still has a valid schedule under ``P_max`` with every committed task
   frozen; otherwise the arrival is rejected and the session state is
-  untouched (the graph checkpoint/rollback machinery makes the failed
-  attempt free);
+  untouched (the arrival is tried on a candidate copy of the session
+  graph, which becomes the session graph only on admission);
 * **committed prefix is frozen** — once mission time passes a task's
   scheduled start the task has physically begun; it is locked at its
   executed start time and no later re-solve may move it;
-* **incremental suffix re-solve** — each re-solve copies the session's
-  constraint graph (the copy carries the solved longest-path cache of
-  :mod:`repro.core.longest_path`, so the added edges are propagated
-  incrementally instead of paying a cold Bellman–Ford), adds the
-  freeze locks and ``sigma(v) >= now`` releases, and runs the normal
-  offline scheduler on the remainder;
+* **suffix re-solve** — each re-solve copies the constraint graph,
+  turns executed history into locks and ``sigma(v) >= now`` releases
+  with :func:`repro.execution.replan.freeze`, and runs the normal
+  offline scheduler on the remainder (the session graph itself is
+  never solved, so the copy starts without a longest-path memo);
 * **replan on faults** — injected overruns
   (:class:`~repro.execution.faults.FixedOverruns`) are executed against
   the live schedule and the remainder is re-planned through
@@ -42,26 +41,25 @@ Sessions surface on the wire protocol as ``POST /v1/sessions`` (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Iterable, Mapping
 
 from ..core.graph import ConstraintGraph
 from ..core.problem import SchedulingProblem
 from ..core.schedule import Schedule
-from ..core.task import ANCHOR_NAME
 from ..core.validation import check_time_valid
 from ..errors import (GraphError, InfeasibleError, PositiveCycleError,
                       ReproError, SchedulingFailure, ValidationError)
 from ..execution.executor import ScheduleExecutor
 from ..execution.faults import FixedOverruns
-from ..execution.replan import replan
+from ..execution.replan import freeze, replan
 from ..obs import OBS
 from ..scheduling.base import ScheduleResult, SchedulerOptions
 from ..scheduling.max_power import MaxPowerScheduler
 from ..scheduling.min_power import MinPowerScheduler
 
 __all__ = ["MissionSession", "SessionConfig", "SESSION_SCHEDULERS",
-           "apply_constraint", "parse_constraint"]
+           "apply_constraint"]
 
 #: Scheduler selections a session accepts.  ``min_power`` is the full
 #: paper pipeline (timing -> max power -> min power); ``max_power``
@@ -113,56 +111,45 @@ class SessionConfig:
                           baseline=self.baseline)
 
 
-@dataclass(frozen=True)
-class _Constraint:
-    """One parsed arrival constraint (see :meth:`MissionSession.offer`)."""
+def apply_constraint(graph: ConstraintGraph, arriving: str,
+                     record: "Mapping[str, Any]") -> None:
+    """Apply one wire-shape constraint record (see
+    :meth:`MissionSession.offer` for the table), brought by the arrival
+    of task ``arriving``, to ``graph``.
 
-    kind: str
-    src: "str | None" = None
-    dst: "str | None" = None
-    value: int = 0
-
-
-def parse_constraint(arriving: str,
-                     record: "Mapping[str, Any]") -> _Constraint:
-    """Parse one wire-shape constraint record (see
-    :meth:`MissionSession.offer` for the table) brought by the arrival
-    of task ``arriving``."""
+    An unknown kind raises :class:`ReproError` and a record missing a
+    field raises ``KeyError``; a constraint naming an unknown task
+    raises :class:`GraphError`.
+    """
     kind = record.get("kind")
-    if kind in ("min", "max"):
-        src = record.get("src", arriving)
-        dst = record.get("dst", arriving)
-        return _Constraint(kind=kind, src=src, dst=dst,
-                           value=int(record["sep"]))
-    if kind == "precedence":
-        return _Constraint(kind=kind, src=record["src"],
-                           dst=arriving,
-                           value=int(record.get("gap", 0)))
-    if kind == "release":
-        return _Constraint(kind=kind, dst=arriving,
-                           value=int(record["time"]))
-    if kind == "deadline":
-        return _Constraint(kind=kind, dst=arriving,
-                           value=int(record["time"]))
-    raise ReproError(f"unknown constraint kind {kind!r}")
+    if kind == "min":
+        graph.add_min_separation(record.get("src", arriving),
+                                 record.get("dst", arriving),
+                                 int(record["sep"]))
+    elif kind == "max":
+        graph.add_max_separation(record.get("src", arriving),
+                                 record.get("dst", arriving),
+                                 int(record["sep"]))
+    elif kind == "precedence":
+        graph.add_precedence(record["src"], arriving,
+                             gap=int(record.get("gap", 0)))
+    elif kind == "release":
+        graph.add_release(arriving, int(record["time"]))
+    elif kind == "deadline":
+        graph.add_start_deadline(arriving, int(record["time"]))
+    else:
+        raise ReproError(f"unknown constraint kind {kind!r}")
 
 
-def apply_constraint(graph: ConstraintGraph,
-                     constraint: _Constraint) -> None:
-    """Apply one parsed arrival constraint to a constraint graph."""
-    if constraint.kind == "min":
-        graph.add_min_separation(constraint.src, constraint.dst,
-                                 constraint.value)
-    elif constraint.kind == "max":
-        graph.add_max_separation(constraint.src, constraint.dst,
-                                 constraint.value)
-    elif constraint.kind == "precedence":
-        graph.add_precedence(constraint.src, constraint.dst,
-                             gap=constraint.value)
-    elif constraint.kind == "release":
-        graph.add_release(constraint.dst, constraint.value)
-    elif constraint.kind == "deadline":
-        graph.add_start_deadline(constraint.dst, constraint.value)
+def _check_frozen(result: ScheduleResult,
+                  spans: "Mapping[str, tuple[int, int]]",
+                  what: str) -> None:
+    """Raise unless ``result`` keeps every executed start in place."""
+    for name, (start, _end) in spans.items():
+        if result.schedule.start(name) != start:
+            raise SchedulingFailure(
+                f"{what} moved committed task {name!r} from {start} "
+                f"to {result.schedule.start(name)}")
 
 
 class MissionSession:
@@ -300,33 +287,29 @@ class MissionSession:
         *admitted* task; a constraint against a rejected or unknown
         task rejects the arrival.  A late arrival (``at < now``) is
         clamped to ``now`` — mission reality delivered it late, the
-        session processes it now.
+        session processes it now.  The arrival is tried on a copy of
+        the session graph, which replaces the session graph only on
+        admission; a rejection, or a malformed record (which raises,
+        see :func:`apply_constraint`), leaves the graph as it was.
 
         Returns the admit or reject event record.
         """
         self._check_open()
         if at is not None:
             self.advance(at)
-        parsed = [parse_constraint(name, record)
-                  for record in constraints]
-        token = self._graph.checkpoint()
-        tasks_before = len(self._graph)
+        candidate = self._graph.copy()
         try:
-            self._graph.new_task(name, duration=duration, power=power,
-                                 resource=resource)
-            for constraint in parsed:
-                apply_constraint(self._graph, constraint)
-            result = self._resolve_suffix()
+            candidate.new_task(name, duration=duration, power=power,
+                               resource=resource)
+            for record in constraints:
+                apply_constraint(candidate, name, record)
+            result = self._resolve_suffix(candidate)
         except _REJECTION_ERRORS as exc:
-            self._graph.rollback(token)
-            if len(self._graph) > tasks_before:
-                # Tasks are append-only; drop the speculative vertex by
-                # rebuilding the session graph without it.
-                self._graph = self._rebuild_without(name)
             self.rejected.append((name, str(exc)))
             return self._emit("reject", task=name, reason=str(exc))
+        self._graph = candidate
         self.admitted.append(name)
-        self._adopt(result)
+        self._result = result
         return self._emit("admit", task=name,
                           start=result.schedule.start(name),
                           makespan=result.schedule.makespan)
@@ -344,11 +327,12 @@ class MissionSession:
         (:class:`~repro.execution.executor.ScheduleExecutor`, policy
         ``self_timed``) with a
         :class:`~repro.execution.faults.FixedOverruns` duration model;
-        every task the execution *started* is frozen at its actual
-        start (overruns stretch the separations of still-running tasks
-        exactly as :func:`repro.execution.replan.replan` prescribes),
-        and the remainder is re-solved by the session's configured
-        scheduler under the session's power constraints.  Committed
+        :func:`repro.execution.replan.replan` then freezes every task
+        the execution *started* at its actual start (a still-running
+        overrun keeps its realized length, see
+        :func:`~repro.execution.replan.freeze`), and the remainder is
+        re-solved by the session's configured scheduler under the
+        session's power constraints.  Committed
         history never moves — the replay folds the stretches realized
         by *earlier* faults into its duration model, so a second fault
         can neither forget nor shrink the first one — and the
@@ -398,25 +382,11 @@ class MissionSession:
                 seen = spans.get(name)
                 spans[name] = (start, end if seen is None
                                else max(end, seen[1]))
-            snapshot = replace(snapshot, spans=spans)
-            # Hand replan a problem whose graph already represents the
-            # stretched reality (realized durations + pushed
-            # end-anchored separations); replan adds the start locks
-            # and ``sigma(v) >= now`` releases on top.
-            work = SchedulingProblem(
-                graph=self._stretched_copy(spans, when),
-                p_max=self.config.p_max, p_min=self.config.p_min,
-                baseline=self.config.baseline,
-                name=self.config.name)
-            result = replan(work, snapshot, now=when,
-                            options=self.options,
+            result = replan(problem, replace(snapshot, spans=spans),
+                            now=when, options=self.options,
                             scheduler=self._scheduler())
             self._solves += 1
-        for name, (start, _end) in spans.items():
-            if result.schedule.start(name) != start:
-                raise SchedulingFailure(
-                    f"fault replan moved committed task {name!r} from "
-                    f"{start} to {result.schedule.start(name)}")
+        _check_frozen(result, spans, "fault replan")
         # Reconciled spans (with realized ends) are the new committed
         # history; everything else follows the new plan.
         self.spans = spans
@@ -443,8 +413,8 @@ class MissionSession:
         if not self.admitted:
             self._emit("quiesce", tasks=0, makespan=0)
             return None
-        result = self._resolve_suffix()
-        self._adopt(result)
+        result = self._resolve_suffix(self._graph)
+        self._result = result
         self._emit("quiesce", tasks=len(self.admitted),
                    makespan=result.schedule.makespan,
                    energy_cost=result.energy_cost,
@@ -513,109 +483,33 @@ class MissionSession:
             return MaxPowerScheduler(self.options)
         return MinPowerScheduler(self.options)
 
-    def _resolve_suffix(self) -> ScheduleResult:
-        """Re-solve the mission with history frozen and the suffix
+    def _resolve_suffix(self, graph: ConstraintGraph) -> ScheduleResult:
+        """Solve the mission on ``graph`` (the session graph or an
+        arrival's candidate) with history frozen and the suffix
         released at ``now``.
 
         The pristine-state fast path (clock at 0, nothing committed)
-        hands the scheduler the session graph itself — no extra edges —
-        so the solve is bit-identical to the offline one; the general
-        path works on a copy decorated with lock/release edges (the
-        copy carries the session graph's longest-path cache, so the
-        solve starts from solved distances).
+        hands the scheduler ``graph`` itself — no extra edges — so the
+        solve is bit-identical to the offline one; the general path
+        solves a copy that :func:`~repro.execution.replan.freeze`
+        decorated with lock/release edges.
         """
-        problem = self.problem()
-        if not self.spans and self.now == 0:
-            work = problem
-        else:
-            graph = self._frozen_graph()
-            work = SchedulingProblem(
-                graph=graph, p_max=self.config.p_max,
-                p_min=self.config.p_min,
-                baseline=self.config.baseline,
-                name=f"{self.config.name}@t={self.now}")
+        name = self.config.name
+        if self.spans or self.now:
+            graph = graph.copy()
+            freeze(graph, self.spans, self.now)
+            name = f"{name}@t={self.now}"
+        work = SchedulingProblem(graph=graph, p_max=self.config.p_max,
+                                 p_min=self.config.p_min,
+                                 baseline=self.config.baseline,
+                                 name=name)
         with OBS.span("online.resolve", session=self.config.name,
-                      tasks=len(self._graph), now=self.now,
+                      tasks=len(graph), now=self.now,
                       committed=len(self.spans)):
             result = self._scheduler().solve(work)
         self._solves += 1
-        for name, (start, _end) in self.spans.items():
-            if result.schedule.start(name) != start:
-                raise SchedulingFailure(
-                    f"re-solve moved committed task {name!r} from "
-                    f"{start} to {result.schedule.start(name)}")
+        _check_frozen(result, self.spans, "re-solve")
         return result
-
-    def _frozen_graph(self) -> ConstraintGraph:
-        """A working copy: locks for history, releases for the suffix.
-
-        Mirrors :func:`repro.execution.replan.replan`'s freeze rules so
-        overrun-stretched separations recorded in ``spans`` survive
-        later arrivals' re-solves too.
-        """
-        graph = self._stretched_copy()
-        for name, (start, _end) in self.spans.items():
-            graph.lock_start(name, start, tag="frozen")
-        for name in self._graph.task_names():
-            if name not in self.spans:
-                graph.add_release(name, self.now, tag="replan")
-        return graph
-
-    def _stretched_copy(self, spans: "Mapping[str, tuple[int, int]]"
-                        " | None" = None,
-                        now: "int | None" = None) -> ConstraintGraph:
-        """A working copy where still-running overruns are *real*.
-
-        A committed task whose realized span outlives its nominal
-        duration is still occupying its resource and drawing its power
-        right now; representing it at nominal length would let the
-        scheduler overlap new work with the tail of its execution.  The
-        copy (a) pushes its end-anchored separations (edges at least
-        one nominal duration long — the paper's precedence encoding)
-        out by the overrun, toward not-yet-started tasks only, and (b)
-        replaces its duration with the realized one, so resource
-        exclusion and the power profile see the stretch too.
-        """
-        spans = self.spans if spans is None else spans
-        now = self.now if now is None else now
-        graph = self._graph.copy()
-        for name, (start, end) in spans.items():
-            nominal = graph.task(name).duration
-            overrun = (end - start) - nominal
-            if end > now and overrun > 0:
-                for edge in graph.out_edges(name):
-                    if edge.weight >= nominal \
-                            and edge.dst != ANCHOR_NAME \
-                            and edge.dst not in spans:
-                        graph.add_edge(name, edge.dst,
-                                       edge.weight + overrun,
-                                       tag="replan")
-                graph.set_duration(name, end - start)
-        return graph
-
-    def _rebuild_without(self, doomed: str) -> ConstraintGraph:
-        """The session graph minus one (edge-free) speculative vertex.
-
-        Only called on the rejection path, right after a rollback
-        removed every edge the arrival added, so dropping the vertex
-        cannot orphan constraints.
-        """
-        clone = ConstraintGraph(name=self._graph.name)
-        for task in self._graph.tasks():
-            if task.name != doomed:
-                clone.add_task(task)
-        for res in self._graph.resources:
-            if res.name not in clone.resources:
-                clone.resources.add(res)
-            else:
-                clone.resources._by_name[res.name] = res
-        for edge in self._graph.edges():
-            clone.add_edge(edge.src, edge.dst, edge.weight,
-                           tag=edge.tag)
-        return clone
-
-    def _adopt(self, result: ScheduleResult) -> None:
-        self._result = result
 
     # ------------------------------------------------------------------
     # validation helpers (the property suite leans on these)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from ..core.metrics import ScheduleMetrics, evaluate
+from ..core.metrics import ScheduleMetrics, profile_metrics
 from ..core.problem import SchedulingProblem
 from ..core.profile import PowerProfile
 from ..core.schedule import Schedule
@@ -209,8 +209,8 @@ def make_result(problem: SchedulingProblem, schedule: Schedule,
                 extra: "Mapping[str, Any] | None" = None) -> ScheduleResult:
     """Assemble a :class:`ScheduleResult` (profile + metrics computed)."""
     profile = problem.profile(schedule)
-    metrics = evaluate(schedule, problem.p_max, problem.p_min,
-                       baseline=problem.baseline)
+    metrics = profile_metrics(profile, schedule.makespan, problem.p_max,
+                              problem.p_min)
     return ScheduleResult(problem=problem, schedule=schedule,
                           profile=profile, metrics=metrics,
                           stats=stats or SchedulerStats(), stage=stage,

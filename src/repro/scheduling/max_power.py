@@ -193,7 +193,7 @@ class MaxPowerScheduler:
         """
         result = serial_fallback_schedule(problem, self.options,
                                           finish_by=finish_by)
-        profile = problem.profile(result.schedule)
+        profile = result.profile
         if not profile.is_power_valid(problem.p_max):  # pragma: no cover
             # Defensive: one task at a time peaks at the largest task
             # power plus baseline, which feasible_power_check bounds.

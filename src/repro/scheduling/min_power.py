@@ -33,6 +33,7 @@ import itertools
 import random
 
 from ..core.graph import ConstraintGraph
+from ..core.metrics import min_power_utilization
 from ..core.problem import SchedulingProblem
 from ..core.profile import PowerProfile
 from ..core.schedule import Schedule
@@ -145,7 +146,7 @@ class MinPowerScheduler:
         rng = random.Random(config.seed)
         schedule = asap_schedule(graph)
         profile = problem.profile(schedule)
-        rho = _utilization(profile, problem.p_min)
+        rho = min_power_utilization(profile, problem.p_min)
         for _ in range(self.MAX_SCANS_PER_CONFIG):
             self.stats.scans += 1
             moved = False
@@ -195,7 +196,8 @@ class MinPowerScheduler:
             if trial is not None and trial.makespan <= makespan:
                 trial_profile = problem.profile(trial, horizon=makespan)
                 if trial_profile.is_power_valid(problem.p_max):
-                    rho_new = _utilization(trial_profile, problem.p_min)
+                    rho_new = min_power_utilization(trial_profile,
+                                                    problem.p_min)
                     if rho_new > rho_now + _RHO_EPS:
                         accepted = (trial, trial_profile, rho_new)
             if accepted is not None:
@@ -248,12 +250,6 @@ class MinPowerScheduler:
         else:
             choice = rng.randint(lo, hi)
         return min(max(choice, lo), hi)
-
-
-def _utilization(profile: PowerProfile, p_min: float) -> float:
-    if p_min <= 0 or profile.horizon == 0:
-        return 1.0
-    return profile.energy_capped(p_min) / (p_min * profile.horizon)
 
 
 def min_power_schedule(problem: SchedulingProblem,

@@ -1,6 +1,6 @@
 """Property-based invariants of the online session engine.
 
-Three families, each stated over workload classes where the property
+Four families, each stated over workload classes where the property
 is a *theorem*, not a heuristic tendency:
 
 * **arrival-order invariance** — for a set of independent tasks (no
@@ -14,7 +14,11 @@ is a *theorem*, not a heuristic tendency:
   power validators;
 * **rejection monotone in ``P_max``** — raising the power budget can
   only grow the admitted set (again over deadline-free workloads,
-  where serialization guarantees feasibility is per-task).
+  where serialization guarantees feasibility is per-task);
+* **a fault replan is** :func:`~repro.execution.replan.replan` — a
+  session fed every task up front and then faulted plans exactly what
+  ``replan`` gives for its problem and the executor's snapshot, with
+  the session's own scheduler (one freeze rule for both).
 
 Heuristic caveat, documented as a boundary: with *deadlines* or max
 separations in play the schedulers are heuristic and admission can
@@ -30,8 +34,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.validation import check_time_valid
+from repro.execution import FixedOverruns, ScheduleExecutor, replan
 from repro.online import MissionSession, SessionConfig
 from repro.scheduling.base import SchedulerOptions
+from repro.scheduling.max_power import MaxPowerScheduler
+from repro.scheduling.min_power import MinPowerScheduler
 
 OPTIONS = SchedulerOptions(seed=7, max_power_restarts=1,
                            min_power_scans=2)
@@ -194,3 +201,53 @@ class TestSchedulerChoiceSharesAdmission:
         via_max = feed(session(p_max, "max_power"), tasks,
                        range(len(tasks)))
         assert via_min == via_max
+
+
+class TestFaultReplanIsReplan:
+    """``inject_fault`` hands :func:`replan` the session's nominal
+    problem, so the two must agree on every stream fed up front."""
+
+    SOLVERS = {"min_power": MinPowerScheduler,
+               "max_power": MaxPowerScheduler}
+
+    @given(tasks=st.lists(task_st, min_size=2, max_size=6),
+           chain=st.booleans(),
+           shared=st.booleans(),
+           scheduler=st.sampled_from(sorted(SOLVERS)),
+           overrun=st.integers(min_value=1, max_value=4),
+           data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_fault_plan_equals_replan(self, tasks, chain, shared,
+                                      scheduler, overrun, data):
+        sess = session(p_max=14.0, scheduler=scheduler)
+        for index, (duration, power) in enumerate(tasks):
+            constraints = [{"kind": "precedence",
+                            "src": sess.admitted[-1]}] \
+                if chain and sess.admitted else []
+            sess.offer(f"t{index}", duration=duration, power=power,
+                       resource="bus" if shared else None,
+                       constraints=constraints)
+        if not sess.admitted:
+            return
+        victim = data.draw(st.sampled_from(sess.admitted),
+                           label="victim")
+        overruns = {victim: overrun}
+        problem = sess.problem()
+        # Mostly a tick inside the victim's realized span, so its
+        # overrun is still running at the fault and freeze() stretches
+        # it; otherwise any tick of the plan.
+        start = sess.schedule.start(victim)
+        end = start + problem.graph.task(victim).duration + overrun
+        at = data.draw(st.one_of(
+            st.integers(min_value=start + 1, max_value=end - 1),
+            st.integers(min_value=0, max_value=sess.schedule.makespan)),
+            label="at")
+        snapshot = ScheduleExecutor(
+            problem, sess.schedule, durations=FixedOverruns(overruns),
+            policy="self_timed").run(until=at)
+        expected = replan(problem, snapshot, at,
+                          scheduler=self.SOLVERS[scheduler](OPTIONS))
+        sess.inject_fault(overruns, at=at)
+        assert sess.schedule.as_dict() == expected.schedule.as_dict()
+        assert sess.result.energy_cost == expected.energy_cost
+        assert sess.spans == snapshot.spans

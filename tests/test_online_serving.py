@@ -33,7 +33,7 @@ from repro.io.requests import (SESSION_COMMANDS_FORMAT,
                                SESSION_REQUEST_VERSION,
                                SESSION_SCRIPT_FORMAT,
                                SESSION_SCRIPT_VERSION)
-from repro.online import replay_script, script_from_problem
+from repro.online import SessionScript, replay_script, script_from_problem
 from repro.serving import ServingConfig, ServingError
 from tests.test_serving import (LiveServer, _assert_like_doc,
                                 _parse_doc_examples)
@@ -89,6 +89,49 @@ def test_served_session_is_bit_identical_to_local_replay():
     [quiesced] = [e for e in served if e["event"] == "quiesce"]
     assert quiesced["energy_cost"] == local.result.energy_cost
     assert quiesced["peak_power"] == local.result.metrics.peak_power
+
+
+#: A fault on a task still running at the fault tick: ``drill`` runs
+#: [0, 4) as planned, overruns by 3 and is still running at tick 3, so
+#: the replan holds it (and ``arm``) until 7 and pushes ``sample``.
+FAULT_SCRIPT = {
+    "format": SESSION_SCRIPT_FORMAT, "version": SESSION_SCRIPT_VERSION,
+    "session": {"p_max": 10.0, "seed": 7, "name": "fault-probe"},
+    "commands": [
+        {"event": "arrival", "task": {"name": "drill", "duration": 4,
+                                      "power": 6.0, "resource": "arm"}},
+        {"event": "arrival", "task": {"name": "heat", "duration": 3,
+                                      "power": 3.0}},
+        {"event": "arrival", "task": {"name": "sample", "duration": 2,
+                                      "power": 5.0, "resource": "arm"},
+         "constraints": [{"kind": "precedence", "src": "drill"}]},
+        {"event": "advance", "to": 2},
+        {"event": "fault", "overruns": {"drill": 3}, "at": 3},
+        {"event": "arrival", "task": {"name": "radio", "duration": 2,
+                                      "power": 4.0},
+         "constraints": [{"kind": "precedence", "src": "sample"}]},
+        {"event": "quiesce"},
+    ],
+}
+
+
+def test_served_fault_stream_matches_local_replay():
+    script = SessionScript.from_dict(FAULT_SCRIPT)
+    local, local_events = replay_script(script)
+    assert local.spans["drill"] == (0, 7)        # stretched, not (0, 4)
+    assert local.schedule.start("sample") == 7
+    with LiveServer() as live:
+        session_id = open_fig1_session(live.client, script)
+        stream = live.client.session_apply(session_id,
+                                           script.commands)
+    header, *events, end = stream
+    assert header["format"] == SESSION_EVENT_FORMAT
+    assert end["event"] == "end" and end["ok"] is True
+    served = [{key: value for key, value in record.items()
+               if key != "session"} for record in events]
+    assert [e["event"] for e in served].count("replan") == 1
+    assert served == [e for e in local_events
+                      if e["event"] != "open"]
 
 
 def test_mission_rejection_is_a_normal_stream_event():

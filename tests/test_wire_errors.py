@@ -8,6 +8,9 @@ one member and a router in front of it:
 * the power-value probes: negative, non-finite and inverted
   ``(p_max, p_min)`` values are ``bad_request`` at parse time, not a
   ``500`` from the problem container or a silent ``NaN`` answer;
+* the dropped-field probes: an arrival-task field a session would
+  silently drop (a ``powr`` typo, an ``operating_points`` ladder) and
+  ``freq_levels`` on a session are ``bad_request`` naming the field;
 * a Hypothesis fuzz of malformed heads, wrong methods and unknown
   paths, and wrong-shaped JSON bodies for every POST route.  Each
   generated request is invalid by construction, so it must be answered
@@ -30,9 +33,13 @@ from hypothesis import strategies as st
 from repro.examples_data import fig1_problem
 from repro.io import problem_to_dict
 from repro.io.requests import (ERROR_CODES, REQUEST_FORMAT,
+                               RequestError, session_command_from_dict,
                                session_commands_to_dict,
+                               session_request_from_dict,
                                session_request_to_dict,
+                               session_script_from_dict,
                                store_request_to_dict)
+from repro.online import script_from_problem
 from repro.serving import ServingClient
 from repro.serving.protocol import DEFAULT_MAX_BODY
 
@@ -125,6 +132,41 @@ def test_session_nan_p_max_is_bad_request(stack):
                                 session_request_to_dict(math.nan))
     assert (status, answer["error"]["code"]) == (400, "bad_request"), \
         answer
+
+
+# ---------------------------------------------------------------------
+# session fields the engine would silently drop are refused by name
+# ---------------------------------------------------------------------
+
+LADDER = [{"freq": 1.0}, {"freq": 0.5}]
+SCRIPT = script_from_problem(fig1_problem()).to_dict()
+DROPPED_FIELD_PROBES = {
+    # a typo: the arrival used to become a 0 W task
+    "arrival-powr": (session_command_from_dict, "powr", {
+        "event": "arrival",
+        "task": {"name": "a", "duration": 4, "powr": 2.0}}),
+    # a DVFS ladder: sessions have none, it used to be dropped
+    "arrival-operating-points": (session_command_from_dict,
+                                 "operating_points", {
+        "event": "arrival",
+        "task": {"name": "a", "duration": 4, "power": 2.0,
+                 "operating_points": LADDER}}),
+    "session-freq-levels": (session_request_from_dict, "freq_levels", {
+        **session_request_to_dict(12.0), "freq_levels": [1.0, 0.5]}),
+    "script-freq-levels": (session_script_from_dict, "freq_levels", {
+        **SCRIPT, "session": {**SCRIPT["session"],
+                              "freq_levels": [1.0, 0.5]}}),
+}
+
+
+@pytest.mark.parametrize("probe", DROPPED_FIELD_PROBES.values(),
+                         ids=DROPPED_FIELD_PROBES)
+def test_session_codec_names_a_field_it_would_drop(probe):
+    parse, key, doc = probe
+    with pytest.raises(RequestError) as excinfo:
+        parse(doc)
+    assert excinfo.value.code == "bad_request"
+    assert key in excinfo.value.message
 
 
 # ---------------------------------------------------------------------
@@ -292,6 +334,7 @@ SESSION_TABLE = {
     ("seed",): BAD_SEED,
     ("name",): st.sampled_from(["", 5, None]),
     ("tags",): BAD_TAGS,
+    ("freq_levels",): st.sampled_from([[1.0, 0.5], [1.0]]),
 }
 
 ARRIVAL = {"event": "arrival",
@@ -323,6 +366,8 @@ BAD_COMMAND = st.one_of(
                                         st.sampled_from([0, None])),
         ("task", "power"): st.one_of(BAD_POWER, st.just(None)),
         ("task", "resource"): st.sampled_from(["", 5]),
+        ("task", "powr"): st.just(2.0),
+        ("task", "operating_points"): st.just(LADDER),
         ("constraints",): BAD_CONSTRAINTS,
         ("at",): BAD_COUNT,
     }),
