@@ -669,9 +669,13 @@ def _cmd_shard_run(args) -> int:
     artifact = run_manifest(manifest)
     save_artifact(artifact, args.artifact)
     failed = sum(1 for result in artifact.results if not result.ok)
+    new_entries = sum(
+        len(((result.stats or {}).get("reuse") or {})
+            .get("new_entries") or [])
+        for result in artifact.results)
     print(f"shard {manifest.index + 1}/{manifest.of}: "
           f"{len(artifact.results)} jobs, {failed} failed, "
-          f"{len(artifact.store_delta)} new store entries")
+          f"{new_entries} new store entries")
     print(f"wrote {args.artifact}")
     return 0
 
@@ -694,7 +698,7 @@ def _cmd_shard_merge(args) -> int:
             rows, title=f"== merged results "
                         f"({len(artifacts)} shards) =="))
     run = merged.trace.run
-    print(f"merged: {run['jobs']} jobs from {run['shards']} shards, "
+    print(f"merged: {run['jobs']} jobs from {len(artifacts)} shards, "
           f"{run['unique_solved']} solved, "
           f"{len(failures)} failed, {run['elapsed_s']:.2f}s slowest "
           f"shard")

@@ -36,8 +36,8 @@ the in-process :class:`~repro.engine.backends.LocalBackend` (default),
 the :class:`~repro.engine.backends.SubprocessShardBackend`, and the
 HTTP-driving :class:`~repro.engine.backends.RemoteBackend`; and
 :mod:`~repro.engine.merge` folds per-shard artifacts back into one
-run — results interleaved by position, traces re-rooted, store and
-cache deltas deduped.
+run — results interleaved by position, then settled by the same
+:meth:`~repro.engine.runner.BatchRunner.fold` every run goes through.
 
 Determinism contract: for the same jobs and the same seeds, a parallel
 run returns results identical to a serial run — parallelism and caching
@@ -55,7 +55,7 @@ from .hashing import (options_fingerprint, problem_base_key,
 from .jobs import (JobResult, SolveJob, derive_seed, register_kind,
                    run_job, solve_problems)
 from .merge import (MergedRun, canonical_store_doc, merge_artifacts,
-                    merge_results, merge_store_deltas, merge_traces)
+                    merge_results)
 from .planner import (PARTITION_STRATEGIES, ShardManifest, ShardPlan,
                       SweepSpec, plan_shards)
 from .runner import BatchRunner, RunnerConfig
@@ -90,8 +90,6 @@ __all__ = [
     "load_trace",
     "merge_artifacts",
     "merge_results",
-    "merge_store_deltas",
-    "merge_traces",
     "options_fingerprint",
     "plan_shards",
     "problem_base_key",

@@ -3,14 +3,13 @@
 The batch's deduplicated jobs are partitioned by the planner
 (:func:`~repro.engine.planner.plan_shards`), each shard's manifest is
 written to disk, and one ``repro shard run <manifest>`` worker process
-executes it, writing a self-contained ``repro-shard-artifact``
-(results + the shard's own trace v2 + schedule-store delta + cache
-contents + metrics).  The backend waits for all workers, loads the
-artifacts, and feeds the results straight back into the owning
-:class:`~repro.engine.runner.BatchRunner` — per-job reuse markers and
-``new_entries`` deltas ride in ``JobResult.stats`` exactly as they do
-for process-pool workers, so settlement and trace assembly are
-unchanged.
+executes it, writing a ``repro-shard-artifact`` (the per-job results
+plus the shard run's identity).  The backend waits for all workers,
+loads the artifacts, and feeds the results straight back into the
+owning :class:`~repro.engine.runner.BatchRunner` — per-job reuse
+markers, ``new_entries`` deltas and, for instrumented runs, span trees
+ride in ``JobResult.stats`` exactly as they do for process-pool
+workers, so the runner's one fold settles them unchanged.
 
 Failure containment mirrors the local pool: a shard whose worker exits
 non-zero, times out, or writes an unreadable artifact is retried up to
@@ -46,29 +45,25 @@ def run_manifest(manifest):
     Runs the manifest's jobs through a serial in-process
     :class:`~repro.engine.runner.BatchRunner` configured from the
     manifest's ``runner`` section (the parent's store document, when
-    shipped, seeds the shard store), then re-tags results and job
-    traces with their *global* positions and bundles everything into a
-    :class:`~repro.io.shards.ShardArtifact`.
+    shipped, seeds the shard store).  That runner dedups the clamped
+    duplicate points a plan keeps, so each shard solves a key once.
+    The artifact holds the results, re-tagged with their *global*
+    positions, and the run's identity; whoever folds the results
+    rebuilds the store delta, cache and trace from them.
     """
-    from ...io.shards import ShardArtifact
+    from ...io.shards import ARTIFACT_RUN_FIELDS, ShardArtifact
     from ..runner import BatchRunner, RunnerConfig
 
     knobs = manifest.runner or {}
     reuse_policy = knobs.get("reuse_policy", "identical")
-    store = None
-    if knobs.get("reuse_schedules") or manifest.store is not None:
-        if manifest.store is not None:
-            store = ScheduleStore.from_dict(manifest.store,
-                                            policy=reuse_policy)
-        else:
-            store = ScheduleStore(policy=reuse_policy)
     config = RunnerConfig(
-        workers=0,
-        retries=int(knobs.get("retries", 1)),
-        reuse_schedules=store is not None,
+        retries=knobs.get("retries", 1),
+        reuse_schedules=bool(knobs.get("reuse_schedules")),
         reuse_policy=reuse_policy,
         instrument=bool(knobs.get("instrument")))
-    runner = BatchRunner(config, store=store)
+    runner = BatchRunner(config, store=None if manifest.store is None
+                         else ScheduleStore.from_dict(
+                             manifest.store, policy=reuse_policy))
     trace_ctx = knobs.get("trace") or {}
     if trace_ctx.get("trace_id"):
         # The parent runner's trace context rode the manifest; adopt it
@@ -76,30 +71,16 @@ def run_manifest(manifest):
         runner.trace_context = (trace_ctx["trace_id"],
                                 trace_ctx.get("parent_span_id"))
     results = runner.run([job for _position, job in manifest.jobs])
-    # Results and job traces come back in shard-local order; re-tag
-    # them with the manifest's global positions so the merged run
-    # interleaves correctly.
+    # Results come back in shard-local order; re-tag them with the
+    # manifest's global positions so the merged run interleaves
+    # correctly.
     for (position, _job), result in zip(manifest.jobs, results):
         result.position = position
-    trace = runner.last_trace
-    if trace is not None:
-        for (position, _job), job_trace in zip(manifest.jobs,
-                                               trace.jobs):
-            job_trace.position = position
-    store_delta = []
-    for result in results:
-        store_delta.extend(
-            ((result.stats or {}).get("reuse") or {})
-            .get("new_entries") or [])
+    run = runner.last_trace.run
     return ShardArtifact(
-        index=manifest.index,
-        of=manifest.of,
-        results=results,
-        trace=trace,
-        store_delta=store_delta,
-        cache_stats=runner.cache.stats(),
-        cache_entries=runner.cache.entries(),
-        metrics=dict(trace.metrics) if trace is not None else {})
+        index=manifest.index, of=manifest.of, results=results,
+        run={name: run[name] for name in ARTIFACT_RUN_FIELDS
+             if name in run})
 
 
 class SubprocessShardBackend(ExecutionBackend):

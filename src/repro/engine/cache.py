@@ -69,16 +69,6 @@ class ResultCache:
                 self._entries.popitem(last=False)
                 self.evictions += 1
 
-    def entries(self) -> "list[tuple[str, Any]]":
-        """``(key, value)`` pairs in LRU order (oldest first).
-
-        The export half of shard artifacts: a worker ships its cache
-        contents so the merged run's cache serves everything any shard
-        solved.  Iteration order is the insertion/recency order, so
-        replaying the pairs through :meth:`put` reproduces the cache.
-        """
-        return list(self._entries.items())
-
     def clear(self) -> None:
         self._entries.clear()
 

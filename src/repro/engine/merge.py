@@ -3,32 +3,18 @@
 The third engine layer (plan → execute → merge): given the
 :class:`~repro.io.shards.ShardArtifact` each ``repro shard run``
 produced, rebuild what a single unsharded
-:class:`~repro.engine.runner.BatchRunner` run would have reported —
-
-* one position-ordered :class:`~repro.engine.jobs.JobResult` list
-  (strict: a position claimed by two shards is a planner/merge bug and
-  raises),
-* one re-rooted ``repro-trace`` v2 document: a fresh ``engine.run``
-  root with one ``engine.shard`` child per shard wrapping that shard's
-  own span forest, job records interleaved back into submission order,
-  cache counters and metric counters summed,
-* one merged :class:`~repro.engine.schedule_store.ScheduleStore` built
-  by folding every shard's journal delta through the store's existing
-  :meth:`~repro.engine.schedule_store.ScheduleStore.merge_delta`
-  dedupe path, and one merged :class:`~repro.engine.cache.ResultCache`
-  from the shard caches (dedup ran before sharding, so shard key sets
-  are disjoint and insertion order cannot conflict).
-
-Metric merging note: shard artifacts carry the *snapshot* form of the
-metrics registry, so counters merge exactly (summed — the
-"reconciled" totals the run trace reports) and gauges take the last
-shard's value, but histogram quantiles cannot be recombined from
-summaries; merged histograms keep exact ``count``/``sum``/``min``/
-``max`` and report each quantile as the maximum across shards (a
-conservative upper bound).  The ``sweep --backend shards`` path does
-not pay this approximation: there the parent runner rebuilds its
-metrics from the per-job observations the artifacts ship, exactly as
-it does for process-pool workers.
+:class:`~repro.engine.runner.BatchRunner` run would have reported.
+There is no second merge: the shard results are interleaved back into
+submission order (:func:`merge_results`; a position claimed by two
+shards is a planner/merge bug and raises) and then settled by the
+runner's own :meth:`~repro.engine.runner.BatchRunner.fold` — the same
+code that settles a serial, pool, ``--backend shards`` or remote run.
+So the merged store is every result's journal delta folded through
+:meth:`~repro.engine.schedule_store.ScheduleStore.merge_delta`, the
+merged cache holds every solved payload, and the merged trace is
+``engine.run`` → ``engine.job`` → each job's shipped span tree, with
+metrics (histogram quantiles included) computed over every job's own
+observations.
 
 Store equality across shard counts is checked with
 :func:`canonical_store_doc`: shards discover entries in
@@ -39,18 +25,20 @@ compare equal regardless of how the sweep was partitioned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from ..errors import ReproError
-from ..obs import Span
+from ..obs import new_span_id, new_trace_id
 from .cache import ResultCache
 from .jobs import JobResult
+from .runner import BatchRunner
 from .schedule_store import ScheduleStore
 from .trace import RunTrace
 
 __all__ = ["MergedRun", "merge_artifacts", "merge_results",
-           "merge_traces", "merge_store_deltas", "canonical_store_doc"]
+           "canonical_store_doc"]
 
 
 @dataclass
@@ -59,9 +47,13 @@ class MergedRun:
 
     results: "list[JobResult]"
     trace: RunTrace
-    store: "ScheduleStore | None" = None
-    cache: "ResultCache | None" = None
-    metrics: "dict[str, Any]" = field(default_factory=dict)
+    store: ScheduleStore
+    cache: ResultCache
+
+    @property
+    def metrics(self) -> "dict[str, Any]":
+        """The merged trace's metric snapshot."""
+        return self.trace.metrics
 
 
 def merge_results(artifacts: "Sequence[Any]") -> "list[JobResult]":
@@ -84,132 +76,63 @@ def merge_results(artifacts: "Sequence[Any]") -> "list[JobResult]":
             for position in sorted(by_position)]
 
 
-def merge_traces(artifacts: "Sequence[Any]",
-                 strategy: "str | None" = None) -> RunTrace:
-    """One re-rooted trace v2 document covering every shard.
-
-    The merged span forest is a single ``engine.run`` root (mode
-    ``"shards"``) with one ``engine.shard`` child per shard; each
-    shard's own span forest (its ``engine.run`` and everything below)
-    hangs unmodified beneath its shard span, so per-stage flamegraphs
-    still work — they are simply grouped by shard.  Wall-clock spans of
-    different shards overlap (they ran concurrently); the merged run's
-    ``elapsed_s`` is therefore the *maximum* shard elapsed, while cache
-    counters and job totals are sums.
-    """
-    jobs_total = 0
-    unique_total = 0
-    elapsed = 0.0
-    cache_totals: "dict[str, int]" = {}
-    reuse_totals: "dict[str, Any] | None" = None
-    shard_spans: "list[Span]" = []
-    job_traces = []
-    instrumented = False
-    trace_ids: "set[str]" = set()
-    parent_ids: "set[str]" = set()
-    for artifact in artifacts:
-        trace = artifact.trace
-        if trace is None:
-            continue
-        run = trace.run
-        if run.get("trace_id"):
-            trace_ids.add(run["trace_id"])
-        if run.get("parent_span_id"):
-            parent_ids.add(run["parent_span_id"])
-        jobs_total += run.get("jobs", 0)
-        unique_total += run.get("unique_solved", 0)
-        elapsed = max(elapsed, run.get("elapsed_s", 0.0))
-        instrumented = instrumented or bool(run.get("instrumented"))
-        for key, count in trace.cache.items():
-            cache_totals[key] = cache_totals.get(key, 0) + count
-        if trace.reuse is not None:
-            if reuse_totals is None:
-                reuse_totals = {"policy": trace.reuse.get("policy")}
-            for key, value in trace.reuse.items():
-                if key == "policy":
-                    continue
-                reuse_totals[key] = reuse_totals.get(key, 0) + value
-        job_traces.extend(trace.jobs)
-        shard_span = Span("engine.shard", 0.0,
-                          run.get("elapsed_s", 0.0),
-                          attrs={"shard": artifact.index,
-                                 "of": artifact.of,
-                                 "jobs": run.get("jobs", 0)})
-        shard_span.children = [Span.from_dict(span_doc)
-                               for span_doc in trace.spans]
-        shard_spans.append(shard_span)
-    run_span = Span("engine.run", 0.0, elapsed,
-                    attrs={"jobs": jobs_total, "mode": "shards",
-                           "shards": len(list(artifacts))})
-    run_span.children = shard_spans
-    # When every shard ran under the same distributed trace (the
-    # parent runner's context rode the manifests), the merged run IS
-    # that trace: stitch the shared ids onto the root instead of
-    # leaving a synthetic, id-less root.
-    stitched_trace_id = trace_ids.pop() if len(trace_ids) == 1 \
-        else None
-    stitched_parent_id = parent_ids.pop() \
-        if stitched_trace_id is not None and len(parent_ids) == 1 \
-        else None
-    if stitched_trace_id is not None:
-        run_span.attrs["trace_id"] = stitched_trace_id
-        if stitched_parent_id is not None:
-            run_span.attrs["parent_span_id"] = stitched_parent_id
-    merged = RunTrace(
-        run={"jobs": jobs_total,
-             "unique_solved": unique_total,
-             "workers": len(list(artifacts)),
-             "mode": "shards",
-             "shards": len(list(artifacts)),
-             **({"strategy": strategy} if strategy else {}),
-             **({"trace_id": stitched_trace_id}
-                if stitched_trace_id is not None else {}),
-             **({"parent_span_id": stitched_parent_id}
-                if stitched_parent_id is not None else {}),
-             "instrumented": instrumented,
-             "elapsed_s": round(elapsed, 6)},
-        cache=cache_totals,
-        spans=[run_span.to_dict()] if instrumented or shard_spans
-        else [],
-        metrics=_merge_metric_snapshots(
-            [artifact.metrics for artifact in artifacts]),
-        reuse=reuse_totals)
-    for job in sorted(job_traces, key=lambda job: job.position):
-        merged.add_job(job)
-    return merged
-
-
-def merge_store_deltas(artifacts: "Sequence[Any]",
-                       policy: str = "identical",
-                       base: "ScheduleStore | None" = None) \
-        -> ScheduleStore:
-    """Fold every shard's journal delta into one store.
-
-    Reuses :meth:`ScheduleStore.merge_delta`, so duplicate schedules
-    (the certified timing entry every shard re-primes, identical
-    solves at shared tile borders) are suppressed exactly as pool
-    worker deltas always were.
-    """
-    store = base if base is not None else ScheduleStore(policy=policy)
-    for artifact in artifacts:
-        store.merge_delta(artifact.store_delta)
-    return store
-
-
 def merge_artifacts(artifacts: "Iterable[Any]",
-                    policy: str = "identical",
-                    strategy: "str | None" = None) -> MergedRun:
-    """The full merge: results + trace + store + cache in one pass."""
+                    policy: str = "identical") -> MergedRun:
+    """Fold one plan's shard artifacts into a single run.
+
+    The artifacts must come from one plan (one ``of``) and cover shard
+    indexes ``0..of-1`` exactly once — a missing shard would silently
+    drop its points.  The results settle into an unbounded
+    :class:`ResultCache` and, when they carry reuse markers (the shards
+    ran with a schedule store), into a fresh ``ScheduleStore(policy)``.
+    The run is instrumented when the results carry span trees, and it
+    adopts the shards' trace identity when they all share one.
+    """
     artifacts = list(artifacts)
+    _check_complete(artifacts)
     results = merge_results(artifacts)
-    trace = merge_traces(artifacts, strategy=strategy)
-    store = merge_store_deltas(artifacts, policy=policy)
-    cache = ResultCache(max_entries=None)
-    for artifact in artifacts:
-        for key, value in artifact.cache_entries:
-            cache.put(key, value)
-    return MergedRun(results=results, trace=trace, store=store,
-                     cache=cache, metrics=trace.metrics)
+    store = ScheduleStore(policy=policy)
+    reused = any("reuse" in (result.stats or {}) for result in results)
+    runner = BatchRunner(store=store if reused else None)
+    runner.cache = ResultCache(max_entries=None)
+    wall0s = [result.stats["obs"]["wall0"] for result in results
+              if "obs" in (result.stats or {})]
+    identities = {(artifact.run.get("trace_id"),
+                   artifact.run.get("parent_span_id"))
+                  for artifact in artifacts}
+    trace_id, parent_span_id = identities.pop() \
+        if len(identities) == 1 else (None, None)
+    slowest = max(artifact.run.get("elapsed_s", 0.0)
+                  for artifact in artifacts)
+    # The shards ran concurrently (or at least independently): the
+    # merged run took as long as the slowest one, plus this fold.
+    runner.fold(results, "shards",
+                started=time.perf_counter() - slowest,
+                wall0=min(wall0s, default=time.time()),
+                instrument=bool(wall0s),
+                ids={"trace_id": trace_id or new_trace_id(),
+                     "span_id": new_span_id(),
+                     "parent_span_id": parent_span_id})
+    return MergedRun(results=results, trace=runner.last_trace,
+                     store=store, cache=runner.cache)
+
+
+def _check_complete(artifacts: "Sequence[Any]") -> None:
+    plans = sorted({artifact.of for artifact in artifacts})
+    if len(plans) != 1:
+        raise ReproError(
+            f"shard artifacts mix plans of {plans} shards"
+            if plans else "no shard artifacts to merge")
+    of = plans[0]
+    indexes = sorted(artifact.index for artifact in artifacts)
+    if indexes != list(range(of)):
+        missing = sorted(set(range(of)) - set(indexes))
+        repeated = sorted({index for index in indexes
+                           if indexes.count(index) > 1})
+        raise ReproError(
+            f"a {of}-shard plan needs each shard index 0..{of - 1} "
+            f"exactly once; got {indexes} (missing {missing}, "
+            f"repeated {repeated})")
 
 
 def canonical_store_doc(store: ScheduleStore) -> "dict[str, Any]":
@@ -228,41 +151,3 @@ def canonical_store_doc(store: ScheduleStore) -> "dict[str, Any]":
             key=lambda entry: (entry["stage"], entry["label"],
                                sorted(entry["starts"].items())))
     return doc
-
-
-def _merge_metric_snapshots(snapshots: "Sequence[dict[str, Any]]") \
-        -> "dict[str, Any]":
-    """Combine metric *snapshot* documents (see module docstring)."""
-    merged: "dict[str, dict[str, Any]]" = {}
-    for snapshot in snapshots:
-        for name, summary in (snapshot or {}).items():
-            current = merged.get(name)
-            if current is None:
-                merged[name] = dict(summary)
-                continue
-            kind = summary.get("type")
-            if kind == "counter":
-                current["value"] = current.get("value", 0) \
-                    + summary.get("value", 0)
-            elif kind == "gauge":
-                current["value"] = summary.get("value", 0.0)
-            elif kind == "histogram":
-                current["count"] = current.get("count", 0) \
-                    + summary.get("count", 0)
-                current["sum"] = round(current.get("sum", 0.0)
-                                       + summary.get("sum", 0.0), 6)
-                current["min"] = min(current.get("min", 0.0),
-                                     summary.get("min", 0.0))
-                current["max"] = max(current.get("max", 0.0),
-                                     summary.get("max", 0.0))
-                for quantile_key in ("p50", "p95", "p99"):
-                    current[quantile_key] = max(
-                        current.get(quantile_key, 0.0),
-                        summary.get(quantile_key, 0.0))
-                incoming = summary.get("exemplar")
-                if incoming is not None and (
-                        current.get("exemplar") is None
-                        or incoming.get("value", 0)
-                        >= current["exemplar"].get("value", 0)):
-                    current["exemplar"] = dict(incoming)
-    return dict(sorted(merged.items()))

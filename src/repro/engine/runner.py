@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 from ..obs import (LOG, OBS, MetricsRegistry, Span, absorb_cache_stats,
                    absorb_scheduler_stats, absorb_store_stats,
@@ -167,10 +167,7 @@ class BatchRunner:
         ordered = list(jobs)
         keyed = [(position, job.key(), job)
                  for position, job in enumerate(ordered)]
-
         results: "dict[int, JobResult]" = {}
-        cache_hits = 0
-        dedup_hits = 0
         # primaries: first job per distinct key that must be solved
         primaries: "dict[str, tuple[int, SolveJob]]" = {}
         duplicates: "list[tuple[int, str]]" = []
@@ -182,7 +179,6 @@ class BatchRunner:
             hit, value = self.cache.peek(key)
             if hit:
                 self.cache.lookup(key)  # record hit, refresh LRU
-                cache_hits += 1
                 results[position] = JobResult(
                     position=position, key=key, value=value, cached=True)
                 if on_result is not None:
@@ -190,7 +186,6 @@ class BatchRunner:
                 continue
             if key in primaries:
                 duplicates.append((position, key))
-                dedup_hits += 1
                 continue
             primaries[key] = (position, job)
 
@@ -212,13 +207,14 @@ class BatchRunner:
         # across their process/machine boundary (wire header, manifest).
         token = set_trace_context((trace_id, run_span_id))
         try:
-            mode = self._execute(entries, results, instrument,
-                                 on_result=on_result)
+            # The backend is the seam between batch policy (this class)
+            # and dispatch mechanism (serial/pool/shards/remote).
+            mode = self.backend.run(
+                entries, results, config=self.config, store=self.store,
+                instrument=instrument, on_result=on_result) \
+                if entries else self.backend.empty_mode(self.config)
         finally:
             reset_trace_context(token)
-
-        range_hits = self._settle_reuse(entries, results, mode,
-                                        trace_id=trace_id)
 
         for position, key in duplicates:
             primary = results[primaries[key][0]]
@@ -227,57 +223,80 @@ class BatchRunner:
                 ok=primary.ok, error=primary.error, cached=True)
             if on_result is not None:
                 on_result(results[position])
-        for key, (position, _job) in primaries.items():
-            primary = results[position]
-            if primary.ok:
-                reuse = (primary.stats or {}).get("reuse") or {}
+        return self.fold(
+            [results[position] for position in range(len(ordered))],
+            mode, started=t_start, wall0=run_wall0,
+            instrument=instrument,
+            ids={"trace_id": trace_id, "span_id": run_span_id,
+                 "parent_span_id": parent_span_id},
+            cache_before=cache_before, store_before=store_before)
+
+    def fold(self, final: "list[JobResult]", mode: str, *,
+             started: float, wall0: float, instrument: bool,
+             ids: "dict[str, str | None]",
+             cache_before: "dict[str, int] | None" = None,
+             store_before: "dict[str, int] | None" = None) \
+            -> "list[JobResult]":
+        """Settle position-ordered results into this runner's state.
+
+        The one place results become a run, whether :meth:`run` just
+        produced them or :func:`~repro.engine.merge.merge_artifacts`
+        read them from shard artifacts.  The *solved* results (those
+        not ``cached``: cache hits and dedup copies carry no work of
+        their own) settle their reuse markers and, in snapshot modes,
+        their store deltas; their payloads go into the cache; their
+        shipped span trees and metrics are assembled under one
+        ``engine.run`` root; and the run's :class:`RunTrace` becomes
+        :attr:`last_trace`.  ``started`` is the ``perf_counter`` reading
+        the run's elapsed time counts from, ``wall0`` the wall clock its
+        span timeline starts at, and ``ids`` its ``trace_id``,
+        ``span_id`` and ``parent_span_id``.  Returns ``final``.
+        """
+        solved = [result for result in final if not result.cached]
+        range_hits = self._settle_reuse(solved, mode,
+                                        trace_id=ids.get("trace_id"))
+        for result in solved:
+            if result.ok:
+                reuse = (result.stats or {}).get("reuse") or {}
                 if not reuse.get("hit"):
                     # The solve is committed: record the miss the
                     # classification peek deferred.
-                    self.cache.lookup(key)
-                self.cache.put(key, primary.value)
-
-        final = [results[position] for position in range(len(ordered))]
-        elapsed_s = time.perf_counter() - t_start
+                    self.cache.lookup(result.key)
+                self.cache.put(result.key, result.value)
+        elapsed_s = time.perf_counter() - started
+        ids = {name: value for name, value in ids.items()
+               if value is not None}
         spans: "list[dict]" = []
         metrics: "dict[str, dict]" = {}
         if instrument:
             spans, metrics = self._assemble_obs(
-                final, entries, mode, run_wall0, elapsed_s,
-                cache_hits=cache_hits + dedup_hits,
-                cache_before=cache_before, store_before=store_before,
-                trace_id=trace_id, span_id=run_span_id,
-                parent_span_id=parent_span_id)
+                final, mode, wall0, elapsed_s, ids,
+                cache_before=cache_before or {},
+                store_before=store_before or {})
         self.last_mode = mode
         self.last_trace = self._build_trace(
-            final, mode, unique_solved=len(entries),
-            cache_hits=cache_hits + dedup_hits,
-            range_hits=range_hits,
-            elapsed_s=elapsed_s, spans=spans, metrics=metrics,
-            trace_id=trace_id, span_id=run_span_id,
-            parent_span_id=parent_span_id)
+            final, mode, unique_solved=len(solved),
+            range_hits=range_hits, elapsed_s=elapsed_s, spans=spans,
+            metrics=metrics, ids=ids)
         if self.config.trace_path:
             self.last_trace.write(self.config.trace_path)
         return final
 
-    def _settle_reuse(self, entries, results: "dict[int, JobResult]",
-                      mode: str, trace_id: "str | None" = None) -> int:
+    def _settle_reuse(self, solved: "list[JobResult]", mode: str,
+                      trace_id: "str | None" = None) -> int:
         """Post-execution schedule-store bookkeeping.
 
-        Credits the parent store's hit/miss counters from the per-job
+        Credits the store's hit/miss counters from the solved results'
         reuse markers (:meth:`ScheduleStore.probe` is side-effect-free,
         so serial and parallel runs account identically here), and —
         when the jobs ran in worker processes against snapshots — merges
-        the shipped new entries back into the parent store.  Returns the
+        the shipped new entries back into the store.  Returns the
         number of range-served jobs for the run trace.
         """
         if self.store is None:
             return 0
         range_hits = 0
-        for position, _key, _job in entries:
-            result = results.get(position)
-            if result is None:
-                continue
+        for result in solved:
             reuse = (result.stats or {}).get("reuse")
             if not reuse:
                 continue
@@ -294,7 +313,7 @@ class BatchRunner:
                 self.store.merge_delta(reuse["new_entries"])
                 if LOG.enabled:
                     LOG.emit("store.merge", trace_id=trace_id,
-                             position=position, mode=mode,
+                             position=result.position, mode=mode,
                              entries=len(reuse["new_entries"]))
         return range_hits
 
@@ -322,33 +341,13 @@ class BatchRunner:
                                        on_result=on_result)
 
     # ------------------------------------------------------------------
-
-    def _execute(self, entries: "Sequence[tuple[int, str, SolveJob]]",
-                 results: "dict[int, JobResult]",
-                 instrument: bool = False,
-                 on_result=None) -> str:
-        """Solve the unique jobs; fills ``results`` keyed by position.
-
-        Delegates to the configured :class:`ExecutionBackend` — the
-        seam between batch policy (this class) and dispatch mechanism
-        (serial/pool/shards/remote).
-        """
-        if not entries:
-            return self.backend.empty_mode(self.config)
-        return self.backend.run(entries, results, config=self.config,
-                                store=self.store, instrument=instrument,
-                                on_result=on_result)
-
-    # ------------------------------------------------------------------
     # observability assembly
     # ------------------------------------------------------------------
 
-    def _assemble_obs(self, final: "list[JobResult]", entries,
-                      mode: str, run_wall0: float, elapsed_s: float,
-                      cache_hits: int, cache_before,
-                      store_before=None, trace_id: "str | None" = None,
-                      span_id: "str | None" = None,
-                      parent_span_id: "str | None" = None) \
+    def _assemble_obs(self, final: "list[JobResult]", mode: str,
+                      run_wall0: float, elapsed_s: float,
+                      ids: "dict[str, str]", cache_before,
+                      store_before) \
             -> "tuple[list[dict], dict[str, dict]]":
         """Build the run's span tree and metric snapshot.
 
@@ -357,27 +356,22 @@ class BatchRunner:
         the job start) plus its metric increments.  Here each subtree
         is re-based onto the run timeline via the shared wall clock and
         re-parented under a per-job ``engine.job`` span beneath the
-        single ``engine.run`` root — so serial and parallel runs yield
-        the same tree shape and identical metric totals, parallel runs
-        merely overlap their job spans in time.
+        single ``engine.run`` root — so serial, pool and sharded runs
+        yield the same tree shape and identical metric totals; parallel
+        runs merely overlap their job spans in time.  The payload stays
+        in ``stats["obs"]``: a result that crossed a process boundary
+        keeps its span tree for whichever runner folds it next.
         """
         registry = MetricsRegistry()
         run_span = Span("engine.run", 0.0, elapsed_s, attrs={
             "jobs": len(final), "mode": mode,
-            "workers": self.config.workers})
-        if trace_id is not None:
-            run_span.attrs["trace_id"] = trace_id
-        if span_id is not None:
-            run_span.attrs["span_id"] = span_id
-        if parent_span_id is not None:
-            run_span.attrs["parent_span_id"] = parent_span_id
-        solved_by_position = {position: True
-                              for position, _key, _job in entries}
+            "workers": self.config.workers, **ids})
         for result in final:
-            absorb_scheduler_stats(registry, result.stats or {})
-            if result.position not in solved_by_position:
+            if result.cached:
                 continue
-            obs_payload = (result.stats or {}).pop("obs", None)
+            stats = result.stats or {}
+            absorb_scheduler_stats(registry, stats)
+            obs_payload = stats.get("obs")
             start = 0.0
             if obs_payload is not None:
                 start = max(0.0, obs_payload["wall0"] - run_wall0)
@@ -405,9 +399,10 @@ class BatchRunner:
         registry.counter("engine.run.jobs").inc(len(final))
         registry.counter("engine.run.unique_solved").inc(
             len(run_span.children))
-        registry.counter("engine.run.cache_hits").inc(cache_hits)
+        registry.counter("engine.run.cache_hits").inc(
+            len(final) - len(run_span.children))
         absorb_cache_stats(registry, cache_before, self.cache.stats())
-        if self.store is not None and store_before is not None:
+        if self.store is not None:
             absorb_store_stats(registry, store_before,
                                self.store.counters())
         spans_doc = [run_span.to_dict()]
@@ -422,15 +417,10 @@ class BatchRunner:
     # ------------------------------------------------------------------
 
     def _build_trace(self, final: "list[JobResult]", mode: str,
-                     unique_solved: int, cache_hits: int,
-                     elapsed_s: float,
-                     range_hits: int = 0,
-                     spans: "list[dict] | None" = None,
-                     metrics: "dict[str, dict] | None" = None,
-                     trace_id: "str | None" = None,
-                     span_id: "str | None" = None,
-                     parent_span_id: "str | None" = None) \
-            -> RunTrace:
+                     unique_solved: int, range_hits: int,
+                     elapsed_s: float, spans: "list[dict]",
+                     metrics: "dict[str, dict]",
+                     ids: "dict[str, str]") -> RunTrace:
         cfg = self.config
         reuse_doc = None
         if self.store is not None:
@@ -438,30 +428,21 @@ class BatchRunner:
                          "range_hits": range_hits,
                          "solved": unique_solved - range_hits,
                          **self.store.counters()}
-        run_doc = {
-            "jobs": len(final),
-            "unique_solved": unique_solved,
-            "workers": cfg.workers,
-            "mode": mode,
-            "timeout_s": cfg.timeout_s,
-            "retries": cfg.retries,
-            "instrumented": bool(spans),
-            "elapsed_s": round(elapsed_s, 6),
-        }
-        if trace_id is not None:
-            run_doc["trace_id"] = trace_id
-        if span_id is not None:
-            run_doc["span_id"] = span_id
-        if parent_span_id is not None:
-            run_doc["parent_span_id"] = parent_span_id
         trace = RunTrace(
-            run=run_doc,
-            cache={"hits": cache_hits, "misses": unique_solved,
+            run={"jobs": len(final),
+                 "unique_solved": unique_solved,
+                 "workers": cfg.workers,
+                 "mode": mode,
+                 "timeout_s": cfg.timeout_s,
+                 "retries": cfg.retries,
+                 "instrumented": bool(spans),
+                 "elapsed_s": round(elapsed_s, 6),
+                 **ids},
+            cache={"hits": len(final) - unique_solved,
+                   "misses": unique_solved,
                    "evictions": self.cache.evictions,
                    "entries": len(self.cache)},
-            spans=list(spans or []),
-            metrics=dict(metrics or {}),
-            reuse=reuse_doc)
+            spans=spans, metrics=metrics, reuse=reuse_doc)
         for result in final:
             stats = result.stats or {}
             reuse = stats.get("reuse") or {}

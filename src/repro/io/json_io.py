@@ -95,27 +95,60 @@ def problem_to_dict(problem: SchedulingProblem,
     }
 
 
+#: The keys :func:`problem_to_dict` writes, per object; a reader that
+#: met any other key would silently drop it (a typo such as ``"powr"``
+#: would make a 0 W task), so :func:`problem_from_dict` refuses them.
+_PROBLEM_KEYS = {
+    "problem": {"format", "version", "name", "p_max", "p_min",
+                "baseline", "meta", "resources", "tasks", "edges"},
+    "resource": {"name", "idle_power", "kind"},
+    "task": {"name", "duration", "power", "resource", "meta",
+             "operating_points"},
+    "operating point": {"freq", "cores"},
+    "edge": {"src", "dst", "weight", "tag"},
+}
+
+
+def _known_keys(doc: "dict[str, Any]", what: str) -> None:
+    unknown = sorted(set(doc) - _PROBLEM_KEYS[what], key=str)
+    if unknown:
+        raise SerializationError(
+            f"{what} object has unknown key(s) {unknown}; expected "
+            f"some of {sorted(_PROBLEM_KEYS[what])}")
+
+
 def problem_from_dict(data: "dict[str, Any]") -> SchedulingProblem:
-    """Rebuild a problem from its dict form."""
+    """Rebuild a problem from its dict form.
+
+    Every object may hold only the keys :func:`problem_to_dict`
+    writes; any other key is a :class:`SerializationError` naming it.
+    """
     _expect_format(data, _PROBLEM_FORMAT)
+    _known_keys(data, "problem")
     graph = ConstraintGraph(data.get("name", "problem"))
     try:
         for res in data.get("resources", []):
+            _known_keys(res, "resource")
             graph.declare_resource(Resource(
                 name=res["name"],
                 idle_power=res.get("idle_power", 0.0),
                 kind=res.get("kind", "generic")))
         for task in data["tasks"]:
+            _known_keys(task, "task")
+            ladder = task.get("operating_points") or ()
+            for point in ladder:
+                _known_keys(point, "operating point")
             points = tuple(
                 OperatingPoint(freq=point["freq"],
                                cores=point.get("cores", 1))
-                for point in task.get("operating_points") or ())
+                for point in ladder)
             graph.new_task(task["name"], duration=task["duration"],
                            power=task.get("power", 0.0),
                            resource=task.get("resource"),
                            meta=task.get("meta") or {},
                            operating_points=points)
         for edge in data.get("edges", []):
+            _known_keys(edge, "edge")
             src = edge.get("src", ANCHOR_NAME)
             dst = edge["dst"]
             graph.add_edge(src, dst, edge["weight"],

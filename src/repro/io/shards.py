@@ -37,35 +37,33 @@ process (and machine) boundaries:
   also carried since-removed solver switches, still load and run
   (docs/formats.md lists them).
 
-``repro-shard-artifact`` v1 — *what one shard produced*::
+``repro-shard-artifact`` v2 — *what one shard produced*::
 
     {
-      "format": "repro-shard-artifact", "version": 1,
+      "format": "repro-shard-artifact", "version": 2,
       "shard": {"index": 1, "of": 4},
+      "run": {"elapsed_s": 0.93, "trace_id": "...",
+              "parent_span_id": "..."},
       "results": [{"position": 7, "key": "ab12...", "ok": true,
                    "error": null, "attempts": 1, "elapsed_s": 0.11,
                    "cached": false,
                    "value": {"__type__": "sweep_point", "p_max": 20.0,
                              ...},
-                   "stats": {...}}, ...],
-      "trace": {... repro-trace v2 doc of the shard's own run ...},
-      "store_delta": [{"base_key": "...", "name": "...",
-                       "entry": {...}}, ...],
-      "cache": {"stats": {"hits": 0, "misses": 5, ...},
-                "entries": [{"key": "...", "value": {...}}, ...]},
-      "metrics": {... MetricsRegistry snapshot ...}
+                   "stats": {...}}, ...]
     }
 
-  Self-contained: results (payloads re-hydrated to
-  :class:`~repro.analysis.sweep.SweepPoint` on load), the shard's own
-  trace-v2 document, the schedule-store journal delta, the shard
-  cache's contents, and the metric snapshot — everything
-  :func:`repro.engine.merge.merge_artifacts` needs, with no side
-  channels.  ``stats`` rides along verbatim (it is already plain JSON:
-  scheduler counters, reuse markers with ``new_entries``, shipped obs
-  spans), which is what lets a sharded run feed the ordinary
-  :class:`~repro.engine.runner.BatchRunner` settlement and trace
-  assembly unchanged.
+  The per-job results (payloads re-hydrated to
+  :class:`~repro.analysis.sweep.SweepPoint` on load) and the shard
+  run's identity — nothing else, because the results already hold it:
+  ``stats`` rides along verbatim (plain JSON: scheduler counters,
+  reuse markers with ``new_entries``, and for instrumented runs the
+  job's ``obs`` span tree and metrics), so the one
+  :meth:`~repro.engine.runner.BatchRunner.fold` that settles every run
+  rebuilds the store delta, the cache and the trace from them.  Version
+  1 artifacts also carried the shard's trace, store delta, cache and
+  metric snapshot; they still load, those sections are ignored, and
+  their results fold the same way — without spans, which v1 shards
+  stripped from ``stats``.
 """
 
 from __future__ import annotations
@@ -81,7 +79,8 @@ from ..scheduling.base import SchedulerOptions
 from .json_io import problem_from_dict, problem_to_dict
 
 __all__ = ["MANIFEST_FORMAT", "MANIFEST_VERSION", "ARTIFACT_FORMAT",
-           "ARTIFACT_VERSION", "ShardArtifact", "options_to_dict",
+           "ARTIFACT_VERSION", "ARTIFACT_RUN_FIELDS", "ShardArtifact",
+           "options_to_dict",
            "options_from_dict", "manifest_to_dict",
            "manifest_from_dict", "save_manifest", "load_manifest",
            "artifact_to_dict", "artifact_from_dict", "save_artifact",
@@ -90,10 +89,19 @@ __all__ = ["MANIFEST_FORMAT", "MANIFEST_VERSION", "ARTIFACT_FORMAT",
 MANIFEST_FORMAT = "repro-shard-manifest"
 MANIFEST_VERSION = 1
 ARTIFACT_FORMAT = "repro-shard-artifact"
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
+#: What an artifact's ``run`` section keeps of the shard run's trace,
+#: with each field's JSON types.
+ARTIFACT_RUN_FIELDS = {"elapsed_s": (int, float), "trace_id": str,
+                       "parent_span_id": str}
 
 _SWEEP_POINT_FIELDS = ("p_max", "p_min", "feasible", "finish_time",
                        "energy_cost", "utilization", "peak_power")
+#: ``JobResult`` fields of an artifact result: name, JSON types, default.
+_RESULT_FIELDS = (("position", int, None), ("key", str, None),
+                  ("ok", bool, True), ("error", (str, type(None)), None),
+                  ("attempts", int, 0), ("elapsed_s", (int, float), 0.0),
+                  ("cached", bool, False), ("stats", dict, {}))
 
 
 # ----------------------------------------------------------------------
@@ -113,8 +121,8 @@ def options_from_dict(doc: "Mapping[str, Any] | None") \
     """Rebuild options; tuple-typed fields are restored from lists."""
     if doc is None:
         return None
-    data = dict(doc)
     try:
+        data = dict(doc)
         for name in ("scan_orders", "slot_heuristics"):
             if name in data:
                 data[name] = tuple(data[name])
@@ -179,20 +187,39 @@ def manifest_from_dict(doc: "Mapping[str, Any]"):
     Each workload's problem is rebuilt once and every job shares its
     graph through
     :meth:`~repro.core.problem.SchedulingProblem.with_power_constraints`
-    — the same structure the planner produced.
+    — the same structure the planner produced.  Anything a shard run
+    would trip over later (a mistyped section, an unknown reuse policy,
+    a store document that does not load) is a
+    :class:`SerializationError` here.
     """
     from ..engine.jobs import SolveJob
     from ..engine.planner import ShardManifest
+    from ..engine.schedule_store import REUSE_POLICIES, ScheduleStore
 
     _expect(doc, MANIFEST_FORMAT, MANIFEST_VERSION)
-    kind = doc.get("kind", "sweep_point")
+    index, of = _shard_slot(doc)
+    sweep = _typed(doc.get("sweep", {}), dict, "sweep")
+    kind = _typed(doc.get("kind", "sweep_point"), str, "kind")
+    runner = _typed(doc.get("runner", {}), dict, "runner")
+    trace = _typed(runner.get("trace") or {}, dict, "runner.trace")
+    for name in ("trace_id", "parent_span_id"):
+        _typed(trace.get(name), (str, type(None)), f"runner.trace.{name}")
+    if _typed(runner.get("retries", 1), int, "runner.retries") < 0 \
+            or runner.get("reuse_policy", "identical") \
+            not in REUSE_POLICIES:
+        raise SerializationError(
+            "shard manifest runner needs retries >= 0 and a reuse "
+            f"policy from {REUSE_POLICIES}")
+    store = doc.get("store")
+    if store is not None:
+        ScheduleStore.from_dict(_typed(store, dict, "store"))
     default_options = options_from_dict(doc.get("options"))
     jobs_doc = doc.get("jobs", [])
     base_problems: "list[Any]" = []
     try:
-        for index, base_doc in enumerate(doc.get("problems", [])):
+        for base_index, base_doc in enumerate(doc.get("problems", [])):
             first = next(job for job in jobs_doc
-                         if job["problem"] == index)
+                         if job["problem"] == base_index)
             base_problems.append(problem_from_dict(
                 {**base_doc, "p_max": first["p_max"],
                  "p_min": first["p_min"]}))
@@ -203,22 +230,19 @@ def manifest_from_dict(doc: "Mapping[str, Any]"):
                                                   job_doc["p_min"])
             options = options_from_dict(job_doc["options"]) \
                 if "options" in job_doc else default_options
-            jobs.append((int(job_doc["position"]),
+            jobs.append((_typed(job_doc["position"], int, "position"),
                          SolveJob(problem=problem, kind=kind,
                                   options=options)))
     except (KeyError, IndexError, StopIteration, TypeError) as exc:
         raise SerializationError(
             f"malformed shard manifest jobs: {exc!r}") from exc
-    shard = doc.get("shard", {})
-    sweep = doc.get("sweep", {})
     return ShardManifest(
-        index=int(shard.get("index", 0)),
-        of=int(shard.get("of", 1)),
+        index=index, of=of,
         strategy=sweep.get("strategy", "tile"),
         jobs=jobs,
         sweep=sweep.get("name", "sweep"),
-        runner=dict(doc.get("runner", {})),
-        store=doc.get("store"))
+        runner=dict(runner),
+        store=store)
 
 
 def save_manifest(manifest, path: str) -> str:
@@ -237,23 +261,17 @@ def load_manifest(path: str):
 
 @dataclass
 class ShardArtifact:
-    """Everything one shard run produced, ready to merge.
+    """What one shard run produced, ready to merge.
 
-    ``results`` carry *global* positions; ``trace`` is the shard's own
-    ``repro-trace`` v2 run trace; ``store_delta`` the schedule-store
-    journal entries the shard inserted; ``cache_stats`` /
-    ``cache_entries`` the shard's exact-key result cache;
-    ``metrics`` the shard trace's metric snapshot.
+    ``results`` carry *global* positions, and in their ``stats``
+    everything a fold rebuilds the shard's store delta, cache and trace
+    from; ``run`` holds the shard run's :data:`ARTIFACT_RUN_FIELDS`.
     """
 
     index: int
     of: int
     results: "list[Any]" = field(default_factory=list)
-    trace: "Any | None" = None
-    store_delta: "list[dict[str, Any]]" = field(default_factory=list)
-    cache_stats: "dict[str, int]" = field(default_factory=dict)
-    cache_entries: "list[tuple[str, Any]]" = field(default_factory=list)
-    metrics: "dict[str, Any]" = field(default_factory=dict)
+    run: "dict[str, Any]" = field(default_factory=dict)
 
 
 def _encode_value(value: Any) -> Any:
@@ -274,6 +292,11 @@ def _encode_value(value: Any) -> Any:
 def _decode_value(doc: Any) -> Any:
     if isinstance(doc, dict) and doc.get("__type__") == "sweep_point":
         from ..analysis.sweep import SweepPoint
+        missing = [name for name in _SWEEP_POINT_FIELDS
+                   if name not in doc]
+        if missing:
+            raise SerializationError(
+                f"sweep point payload is missing {missing}")
         return SweepPoint(**{name: doc[name]
                              for name in _SWEEP_POINT_FIELDS})
     return doc
@@ -283,68 +306,48 @@ def artifact_to_dict(artifact: ShardArtifact) -> "dict[str, Any]":
     """Serialize a :class:`ShardArtifact`."""
     results_doc = []
     for result in artifact.results:
-        results_doc.append({
-            "position": result.position,
-            "key": result.key,
-            "ok": result.ok,
-            "error": result.error,
-            "attempts": result.attempts,
-            "elapsed_s": round(result.elapsed_s, 6),
-            "cached": result.cached,
-            "value": _encode_value(result.value),
-            "stats": result.stats or {},
-        })
+        doc = {name: getattr(result, name)
+               for name, _types, _default in _RESULT_FIELDS}
+        doc.update(elapsed_s=round(result.elapsed_s, 6),
+                   stats=result.stats or {},
+                   value=_encode_value(result.value))
+        results_doc.append(doc)
     return {
         "format": ARTIFACT_FORMAT,
         "version": ARTIFACT_VERSION,
         "shard": {"index": artifact.index, "of": artifact.of},
+        "run": dict(artifact.run),
         "results": results_doc,
-        "trace": artifact.trace.to_dict()
-        if artifact.trace is not None else None,
-        "store_delta": list(artifact.store_delta),
-        "cache": {"stats": dict(artifact.cache_stats),
-                  "entries": [{"key": key,
-                               "value": _encode_value(value)}
-                              for key, value in
-                              artifact.cache_entries]},
-        "metrics": dict(artifact.metrics),
     }
 
 
 def artifact_from_dict(doc: "Mapping[str, Any]") -> ShardArtifact:
-    """Rebuild a :class:`ShardArtifact` (payloads re-hydrated)."""
+    """Rebuild a :class:`ShardArtifact` (payloads re-hydrated).
+
+    Reads versions 1 and 2; see the module docstring for what a
+    version 1 artifact leaves behind.
+    """
     from ..engine.jobs import JobResult
-    from ..engine.trace import RunTrace
 
     _expect(doc, ARTIFACT_FORMAT, ARTIFACT_VERSION)
-    shard = doc.get("shard", {})
-    try:
-        results = [JobResult(position=int(item["position"]),
-                             key=item["key"],
-                             value=_decode_value(item.get("value")),
-                             ok=item.get("ok", True),
-                             error=item.get("error"),
-                             attempts=item.get("attempts", 0),
-                             elapsed_s=item.get("elapsed_s", 0.0),
-                             cached=item.get("cached", False),
-                             stats=dict(item.get("stats") or {}))
-                   for item in doc.get("results", [])]
-    except (KeyError, TypeError) as exc:
-        raise SerializationError(
-            f"malformed shard artifact results: {exc!r}") from exc
-    trace_doc = doc.get("trace")
-    cache_doc = doc.get("cache", {})
-    return ShardArtifact(
-        index=int(shard.get("index", 0)),
-        of=int(shard.get("of", 1)),
-        results=results,
-        trace=RunTrace.from_dict(trace_doc)
-        if trace_doc is not None else None,
-        store_delta=list(doc.get("store_delta", [])),
-        cache_stats=dict(cache_doc.get("stats", {})),
-        cache_entries=[(item["key"], _decode_value(item.get("value")))
-                       for item in cache_doc.get("entries", [])],
-        metrics=dict(doc.get("metrics", {})))
+    index, of = _shard_slot(doc)
+    run = _typed(doc.get("run", {}), dict, "run")
+    for name, types in ARTIFACT_RUN_FIELDS.items():
+        if name in run:
+            _typed(run[name], types, f"run.{name}")
+    results = []
+    for item in _typed(doc.get("results", []), list, "results"):
+        item = _typed(item, dict, "result")
+        fields = {name: _typed(item.get(name, default), types,
+                               f"result {name}")
+                  for name, types, default in _RESULT_FIELDS}
+        fields["stats"] = dict(fields["stats"])
+        results.append(JobResult(value=_decode_value(item.get("value")),
+                                 **fields))
+    return ShardArtifact(index=index, of=of, results=results,
+                         run={name: run[name]
+                              for name in ARTIFACT_RUN_FIELDS
+                              if name in run})
 
 
 def save_artifact(artifact: ShardArtifact, path: str) -> str:
@@ -362,14 +365,38 @@ def load_artifact(path: str) -> ShardArtifact:
 # ----------------------------------------------------------------------
 
 def _expect(doc: "Mapping[str, Any]", fmt: str, version: int) -> None:
-    if doc.get("format") != fmt:
+    if not isinstance(doc, Mapping) or doc.get("format") != fmt:
+        found = doc.get("format") if isinstance(doc, Mapping) \
+            else type(doc).__name__
         raise SerializationError(
-            f"expected a {fmt!r} document, found {doc.get('format')!r}")
+            f"expected a {fmt!r} document, found {found!r}")
     found = doc.get("version", 0)
-    if found > version:
+    if not isinstance(found, int) or found > version:
         raise SerializationError(
-            f"{fmt} version {found} is newer than supported "
-            f"({version})")
+            f"{fmt} version {found!r} is not supported "
+            f"(this reader reads up to {version})")
+
+
+def _typed(value: Any, types, what: str) -> Any:
+    """``value`` when it has one of the JSON ``types``, else a
+    :class:`SerializationError` (``true`` is not a number here)."""
+    types = types if isinstance(types, tuple) else (types,)
+    if isinstance(value, types) \
+            and (bool in types or not isinstance(value, bool)):
+        return value
+    names = " or ".join(kind.__name__ for kind in types)
+    raise SerializationError(
+        f"{what} must be {names}, found {value!r:.60}")
+
+
+def _shard_slot(doc: "Mapping[str, Any]") -> "tuple[int, int]":
+    shard = _typed(doc.get("shard", {}), dict, "shard")
+    index = _typed(shard.get("index", 0), int, "shard.index")
+    of = _typed(shard.get("of", 1), int, "shard.of")
+    if not 0 <= index < of:
+        raise SerializationError(
+            f"shard index {index} is outside a {of}-shard plan")
+    return index, of
 
 
 def _write_json(doc: "dict[str, Any]", path: str) -> str:

@@ -67,6 +67,28 @@ class TestJsonProblems:
         with pytest.raises(SerializationError):
             load_problem(str(path))
 
+    @pytest.mark.parametrize("where, key", [
+        ("problem", "p_mni"), ("task", "powr"), ("resource", "idle"),
+        ("edge", "wieght"), ("operating point", "core")])
+    def test_unknown_key_is_refused_by_name(self, where, key):
+        """A key the writer never writes used to be dropped: a task
+        ``{"powr": 7.0}`` became a 0 W task, ``"p_mni"`` gave
+        ``p_min = 0``."""
+        data = problem_to_dict(fig1_problem())
+        data["resources"] = [{"name": "R", "idle_power": 0.0,
+                              "kind": "generic"}]
+        data["tasks"][0]["operating_points"] = [{"freq": 1.0,
+                                                 "cores": 1}]
+        target = {"problem": data, "task": data["tasks"][0],
+                  "resource": data["resources"][0],
+                  "edge": data["edges"][0],
+                  "operating point":
+                      data["tasks"][0]["operating_points"][0]}[where]
+        problem_from_dict(data)  # valid before the typo
+        target[key] = 7.0
+        with pytest.raises(SerializationError, match=key):
+            problem_from_dict(data)
+
 
 class TestJsonSchedules:
     def test_schedule_round_trip(self, tmp_path):

@@ -4,17 +4,32 @@ Contracts: (1) problem -> dict -> problem is a fixpoint (the second
 dict equals the first); (2) the DSL parser never crashes with anything
 but :class:`SerializationError` on malformed text; (3) a problem
 rendered *to* DSL and parsed back round-trips (we generate the DSL from
-the problem, so this also pins the documented syntax).
+the problem, so this also pins the documented syntax); (4) shard
+manifests round-trip over random plans, and a manifest or artifact
+with any one field replaced by arbitrary JSON either loads or raises a
+:class:`ReproError` (a typed :class:`SerializationError`, or the
+problem model's own error for a value such as a NaN ``p_max``).
 """
 
 from __future__ import annotations
+
+import functools
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import SchedulingProblem, SerializationError
+from repro.engine import (PARTITION_STRATEGIES, ScheduleStore,
+                          SweepSpec, plan_shards)
+from repro.engine.backends.shards import run_manifest
+from repro.errors import ReproError
+from repro.examples_data import fig1_problem
 from repro.io import parse_problem, problem_from_dict, problem_to_dict
+from repro.io.shards import (artifact_from_dict, artifact_to_dict,
+                             manifest_from_dict, manifest_to_dict)
+from repro.scheduling import SchedulerOptions
 from tests.test_properties import precedence_problems
 
 # ----------------------------------------------------------------------
@@ -106,3 +121,133 @@ class TestDslRobustness:
             parse_problem(text)
         except SerializationError:
             pass
+
+
+# ----------------------------------------------------------------------
+# shard manifests and artifacts
+# ----------------------------------------------------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12)
+
+
+@functools.lru_cache(maxsize=None)
+def _valid_manifest_json() -> str:
+    """A manifest using every section: a primed store, default and
+    per-job options, runner knobs with a trace context."""
+    store = ScheduleStore()
+    jobs = SweepSpec.grid(fig1_problem(), [10, 14], [2, 4],
+                          options=SchedulerOptions(seed=2001)).jobs()
+    store.ensure_primed(jobs[0].problem, jobs[0].options)
+    jobs[-1] = type(jobs[-1])(problem=jobs[-1].problem,
+                              options=SchedulerOptions(seed=7))
+    runner = {"retries": 1, "reuse_schedules": True,
+              "reuse_policy": "identical", "instrument": True,
+              "trace": {"trace_id": "ab" * 16,
+                        "parent_span_id": "cd" * 8}}
+    [manifest] = plan_shards(jobs, 1, runner=runner,
+                             store=store.to_dict())
+    return json.dumps(manifest_to_dict(manifest))
+
+
+@functools.lru_cache(maxsize=None)
+def _valid_artifact_json() -> str:
+    manifest = manifest_from_dict(json.loads(_valid_manifest_json()))
+    manifest.jobs = manifest.jobs[:2]
+    return json.dumps(artifact_to_dict(run_manifest(manifest)))
+
+
+def _loads_or_raises_typed(load, doc) -> None:
+    try:
+        load(doc)
+    except ReproError:
+        pass
+
+
+class TestShardFormats:
+    @given(problem=precedence_problems(),
+           budgets=st.lists(st.integers(1, 40), min_size=1, max_size=3),
+           levels=st.lists(st.integers(0, 20), min_size=1, max_size=3),
+           shards=st.integers(1, 4),
+           strategy=st.sampled_from(PARTITION_STRATEGIES),
+           reseed=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_manifests_round_trip_over_random_plans(
+            self, problem, budgets, levels, shards, strategy, reseed):
+        jobs = SweepSpec.grid(problem, budgets, levels,
+                              options=SchedulerOptions(seed=1)).jobs()
+        if reseed:
+            jobs[0] = type(jobs[0])(problem=jobs[0].problem,
+                                    options=SchedulerOptions(seed=2))
+        plan = plan_shards(jobs, shards, strategy,
+                           runner={"retries": 0, "instrument": True})
+        for manifest in plan:
+            doc = manifest_to_dict(manifest)
+            loaded = manifest_from_dict(json.loads(json.dumps(doc)))
+            assert manifest_to_dict(loaded) == doc
+            assert [(position, job.key())
+                    for position, job in loaded.jobs] == \
+                [(position, job.key())
+                 for position, job in manifest.jobs]
+
+    @given(data=st.data(), value=json_values)
+    @settings(max_examples=150, deadline=None)
+    def test_manifest_field_replaced_by_any_json(self, data, value):
+        doc = json.loads(_valid_manifest_json())
+        doc[data.draw(st.sampled_from(sorted(doc)))] = value
+        _loads_or_raises_typed(manifest_from_dict, doc)
+
+    @given(data=st.data(), value=json_values)
+    @settings(max_examples=100, deadline=None)
+    def test_artifact_field_replaced_by_any_json(self, data, value):
+        doc = json.loads(_valid_artifact_json())
+        doc[data.draw(st.sampled_from(sorted(doc)))] = value
+        _loads_or_raises_typed(artifact_from_dict, doc)
+
+    @pytest.mark.parametrize("field, value", [
+        ("shard", []), ("sweep", []), ("shard", {"index": "x"}),
+        ("runner", [1]), ("runner", {"retries": "x"}),
+        ("runner", {"reuse_policy": "nearest"}),
+        ("runner", {"trace": "x"}), ("store", "x"),
+        ("store", {"format": "other"}), ("kind", ["sweep_point"]),
+        ("options", "ab"), ("job-position", "x")])
+    def test_malformed_manifest_is_a_serialization_error(self, field,
+                                                         value):
+        doc = json.loads(_valid_manifest_json())
+        if field == "job-position":
+            doc["jobs"][0]["position"] = value
+        else:
+            doc[field] = value
+        with pytest.raises(SerializationError):
+            manifest_from_dict(doc)
+
+    @pytest.mark.parametrize("field, value", [
+        ("shard", []), ("shard", {"index": 2, "of": 2}), ("run", [1]),
+        ("run", {"elapsed_s": "x"}), ("results", {}),
+        ("result-position", "x"), ("result-ok", "yes")])
+    def test_malformed_artifact_is_a_serialization_error(self, field,
+                                                         value):
+        doc = json.loads(_valid_artifact_json())
+        if field.startswith("result-"):
+            doc["results"][0][field.split("-")[1]] = value
+        else:
+            doc[field] = value
+        with pytest.raises(SerializationError):
+            artifact_from_dict(doc)
+
+    def test_shard_run_reports_a_malformed_manifest(self, tmp_path,
+                                                    capsys):
+        from repro.cli import main
+
+        doc = json.loads(_valid_manifest_json())
+        doc["store"] = "x"
+        path = tmp_path / "shard_0.json"
+        path.write_text(json.dumps(doc))
+        assert main(["shard", "run", str(path), "--artifact",
+                     str(tmp_path / "a0.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err

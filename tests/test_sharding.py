@@ -9,6 +9,9 @@ order, and (canonically compared) the same schedule store.
 
 from __future__ import annotations
 
+import json
+from collections import Counter
+
 import pytest
 
 from repro.engine import (BatchRunner, BackendError, RunnerConfig,
@@ -190,34 +193,61 @@ def test_merge_rejects_overlapping_positions(fig1_grid_jobs):
         merge_results([artifacts[0], artifacts[0]])
 
 
-def test_merge_traces_reroots_under_shard_spans(fig1_grid_jobs):
-    artifacts = _make_artifacts(fig1_grid_jobs[:6], 2,
-                                instrument=True)
-    merged = merge_artifacts(artifacts, strategy="tile")
-    trace = merged.trace
-    assert trace.run["mode"] == "shards"
-    assert trace.run["shards"] == 2
-    assert trace.run["strategy"] == "tile"
-    assert trace.run["jobs"] == 6
-    # jobs interleaved back into submission order
-    assert [job.position for job in trace.jobs] == list(range(6))
-    # one engine.run root, one engine.shard child per shard, each
-    # wrapping that shard's own engine.run span forest
-    assert len(trace.spans) == 1
-    root = trace.spans[0]
-    assert root["name"] == "engine.run"
-    shard_spans = root["children"]
-    assert [span["name"] for span in shard_spans] == \
-        ["engine.shard", "engine.shard"]
-    assert {span["attrs"]["shard"] for span in shard_spans} == {0, 1}
-    for span in shard_spans:
-        assert span["children"][0]["name"] == "engine.run"
-    # cache counters summed across shards
-    total_hits = sum(a.trace.cache.get("hits", 0) for a in artifacts)
-    assert trace.cache["hits"] == total_hits
-    # metric counters reconciled by summation
-    jobs_metric = trace.metrics.get("engine.run.jobs")
-    assert jobs_metric is not None and jobs_metric["value"] == 6
+def _span_names(spans):
+    names = Counter()
+    stack = list(spans)
+    while stack:
+        span = stack.pop()
+        names[span["name"]] += 1
+        stack.extend(span.get("children", []))
+    return names
+
+
+def _trace_shape(trace):
+    """What must not depend on the execution path: every span name
+    (with multiplicity), every counter, every histogram's count."""
+    metrics = trace.metrics
+    return (_span_names(trace.spans),
+            {name: summary["value"] for name, summary in metrics.items()
+             if summary["type"] == "counter"},
+            {name: summary["count"] for name, summary in metrics.items()
+             if summary["type"] == "histogram"})
+
+
+def test_serial_sharded_and_merged_traces_agree():
+    """One fold, one trace shape: the instrumented 6x6 Fig. 1 grid run
+    serially, through ``SubprocessShardBackend`` and through
+    ``run_manifest`` + ``merge_artifacts`` keeps every scheduler span
+    and the same metrics on all three paths."""
+    jobs = SweepSpec.grid(fig1_problem(), [8, 10, 12, 14, 16, 20],
+                          [1, 2, 4, 6, 8, 10],
+                          options=SchedulerOptions(seed=2001)).jobs()
+    serial = BatchRunner(RunnerConfig(instrument=True))
+    serial.run(jobs)
+    sharded = BatchRunner(RunnerConfig(instrument=True),
+                          backend=SubprocessShardBackend(shards=2))
+    sharded.run(jobs)
+    runner_doc = {"retries": 1, "reuse_schedules": False,
+                  "reuse_policy": "identical", "instrument": True}
+    plan = plan_shards(jobs, 2, "tile", runner=runner_doc)
+    # Each shard dedups only its own points, so the paths agree only
+    # when no duplicate key spans two shards -- true of this grid.
+    shard_keys = [{job.key() for _position, job in manifest.jobs}
+                  for manifest in plan]
+    assert not shard_keys[0] & shard_keys[1]
+    merged = merge_artifacts(run_manifest(manifest)
+                             for manifest in plan)
+
+    expected = _trace_shape(serial.last_trace)
+    names = expected[0]
+    assert names["engine.run"] == 1
+    assert names["engine.job"] == len(set().union(*shard_keys)) == 35
+    assert names["sched.pipeline"] == 35
+    assert _trace_shape(sharded.last_trace) == expected
+    assert _trace_shape(merged.trace) == expected
+    assert [job.position for job in merged.trace.jobs] == \
+        list(range(len(jobs)))
+    assert merged.trace.run["mode"] == "shards"
 
 
 def test_merge_store_matches_unsharded_store(fig1_grid_jobs):
@@ -239,6 +269,91 @@ def test_merged_cache_serves_all_solved_points(fig1_grid_jobs):
             assert hit and value == result.value
 
 
+def test_merge_refuses_incomplete_or_mixed_artifact_sets(
+        fig1_grid_jobs):
+    """Only one plan's complete artifact set merges: a missing shard
+    would drop its points, a repeated or foreign one double-count.
+    ``shard plan`` writes every manifest and ``shard run`` of an empty
+    one writes an empty artifact, so a plan with more shards than jobs
+    still completes its set."""
+    two = _make_artifacts(fig1_grid_jobs[:8], 2)
+    three = _make_artifacts(fig1_grid_jobs[:8], 3)
+    with pytest.raises(ReproError, match=r"missing \[1\]"):
+        merge_artifacts(two[:1])
+    with pytest.raises(ReproError, match=r"repeated \[0\]"):
+        merge_artifacts([two[0], two[0], two[1]])
+    with pytest.raises(ReproError, match="mix plans"):
+        merge_artifacts([two[0], three[1], three[2]])
+    with pytest.raises(ReproError, match="no shard artifacts"):
+        merge_artifacts([])
+    plan = plan_shards(fig1_grid_jobs[:2], 4, "round_robin")
+    sparse = [run_manifest(manifest) for manifest in plan]
+    assert [len(artifact.results) for artifact in sparse] == \
+        [1, 1, 0, 0]
+    assert [r.position for r in merge_artifacts(sparse).results] == \
+        [0, 1]
+
+
+def test_cli_shard_merge_refuses_a_missing_shard(tmp_path, capsys):
+    from repro.cli import main
+    from repro.io import save_problem
+
+    problem_path = tmp_path / "fig1.json"
+    save_problem(fig1_problem(), str(problem_path))
+    assert main(["shard", "plan", str(problem_path),
+                 "--budgets", "8,10", "--levels", "2,4",
+                 "--shards", "2", "--out-dir",
+                 str(tmp_path / "plan")]) == 0
+    assert main(["shard", "run", str(tmp_path / "plan" / "shard_0.json"),
+                 "--artifact", str(tmp_path / "a0.json")]) == 0
+    trace_path = tmp_path / "merged.json"
+    assert main(["shard", "merge", str(tmp_path / "a0.json"),
+                 "--trace", str(trace_path)]) == 1
+    assert "missing [1]" in capsys.readouterr().err
+    assert not trace_path.exists()
+
+
+def _as_v1(artifact) -> dict:
+    """The artifact as the previous format wrote it: the shard run's
+    trace, store delta, cache and metrics beside results whose span
+    trees the shard had already stripped."""
+    from repro.engine import RunTrace
+
+    doc = artifact_to_dict(artifact)
+    for item in doc["results"]:
+        item["stats"].pop("obs", None)
+    solved = [item for item in doc["results"] if not item["cached"]]
+    doc.update(
+        version=1,
+        trace=RunTrace(run=doc.pop("run")).to_dict(),
+        store_delta=[entry for item in solved
+                     for entry in (item["stats"].get("reuse") or {})
+                     .get("new_entries", [])],
+        cache={"stats": {"hits": 0, "misses": len(solved)},
+               "entries": [{"key": item["key"], "value": item["value"]}
+                           for item in solved]},
+        metrics={})
+    return doc
+
+
+def test_v1_artifacts_still_merge(fig1_grid_jobs, serial_baseline):
+    """An artifact in the previous (v1) shape loads; its results fold
+    to the same values and the same canonical store -- only the job
+    span trees, which v1 shards stripped, are gone."""
+    base_results, base_runner = serial_baseline
+    artifacts = _make_artifacts(fig1_grid_jobs, 2, instrument=True)
+    legacy = [artifact_from_dict(json.loads(json.dumps(_as_v1(a))))
+              for a in artifacts]
+    merged = merge_artifacts(legacy)
+    assert [r.value for r in merged.results] == \
+        [r.value for r in base_results]
+    assert canonical_store_doc(merged.store) == \
+        canonical_store_doc(base_runner.store)
+    assert canonical_store_doc(merged.store) == \
+        canonical_store_doc(merge_artifacts(artifacts).store)
+    assert merged.trace.spans == []
+
+
 # ----------------------------------------------------------------------
 # artifact round trip
 # ----------------------------------------------------------------------
@@ -256,11 +371,13 @@ def test_artifact_round_trip(tmp_path, fig1_grid_jobs):
             [r.position for r in artifact.results]
         assert [r.value for r in loaded.results] == \
             [r.value for r in artifact.results]
-        assert loaded.store_delta == artifact.store_delta
-        assert loaded.cache_stats == artifact.cache_stats
-        assert dict(loaded.cache_entries) == \
-            dict(artifact.cache_entries)
-        assert loaded.trace.run == artifact.trace.run
+        assert loaded.run == artifact.run
+        assert set(loaded.run) == {"elapsed_s", "trace_id"}
+        # the per-job span trees ride in the results
+        assert [r.stats for r in loaded.results] == \
+            [r.stats for r in artifact.results]
+        assert all("obs" in r.stats for r in loaded.results
+                   if not r.cached)
         # dict-level identity too
         assert artifact_to_dict(
             artifact_from_dict(artifact_to_dict(artifact))) == \
@@ -352,10 +469,13 @@ def test_metrics_merge_matches_serial_registry(fig1_grid_jobs):
     No solver state crosses jobs (each solve works on its own graph
     copies), so every counter is per-job deterministic and must sum
     exactly; histogram *counts* are exact too, while
-    sums are wall-clock (compare the merge against the fold of its
-    own parts, not against the serial timings).  Jobs are key-distinct
-    so dedup/cache accounting cannot depend on the partition either.
+    sums are wall-clock (compare the merge against the fold of the
+    per-job observations it was built from, not against the serial
+    timings).  Jobs are key-distinct so dedup/cache accounting cannot
+    depend on the partition either.
     """
+    from repro.obs import MetricsRegistry, absorb_scheduler_stats
+
     jobs, seen = [], set()
     for job in fig1_grid_jobs:
         key = job.key()
@@ -372,8 +492,7 @@ def test_metrics_merge_matches_serial_registry(fig1_grid_jobs):
                   "reuse_policy": "identical", "instrument": True}
     plan = plan_shards(list(enumerate(jobs)), 3, "tile",
                        runner=runner_doc)
-    artifacts = [run_manifest(manifest) for manifest in plan
-                 if manifest.jobs]
+    artifacts = [run_manifest(manifest) for manifest in plan]
     merged = merge_artifacts(artifacts).metrics
 
     def of_type(snapshot, kind):
@@ -392,24 +511,11 @@ def test_metrics_merge_matches_serial_registry(fig1_grid_jobs):
     assert set(serial_hists) == set(merged_hists)
     for name, summary in serial_hists.items():
         assert merged_hists[name]["count"] == summary["count"], name
-    # Merge exactness: the merged sum/count is the exact fold of the
-    # per-shard snapshots it was built from.
-    for name, summary in merged_hists.items():
-        shard_sum = sum(artifact.metrics[name]["sum"]
-                        for artifact in artifacts
-                        if name in artifact.metrics)
-        shard_count = sum(artifact.metrics[name]["count"]
-                          for artifact in artifacts
-                          if name in artifact.metrics)
-        assert summary["count"] == shard_count, name
-        assert summary["sum"] == pytest.approx(shard_sum, abs=1e-5), \
-            name
-        # and each quantile stays inside the observed value range
-        low = min(artifact.metrics[name]["min"]
-                  for artifact in artifacts
-                  if name in artifact.metrics)
-        high = max(artifact.metrics[name]["max"]
-                   for artifact in artifacts
-                   if name in artifact.metrics)
-        for q in ("p50", "p95", "p99"):
-            assert low - 1e-9 <= summary[q] <= high + 1e-9, (name, q)
+    # Merge exactness: every merged histogram -- quantiles included --
+    # is the fold of the per-job observations the shards shipped.
+    folded = MetricsRegistry()
+    for result in merge_results(artifacts):
+        absorb_scheduler_stats(folded, result.stats)
+        folded.merge_data(result.stats["obs"]["metrics"])
+        folded.histogram("engine.job.seconds").observe(result.elapsed_s)
+    assert merged_hists == of_type(folded.snapshot(), "histogram")

@@ -17,6 +17,7 @@ import pytest
 from repro.engine import (BatchRunner, RemoteBackend, RunnerConfig,
                           SweepSpec, merge_artifacts, plan_shards)
 from repro.engine.backends.shards import run_manifest
+from repro.errors import ReproError
 from repro.examples_data import fig1_problem
 from repro.obs import (LOG, EventLog, format_traceparent, new_span_id,
                        new_trace_id, parse_traceparent)
@@ -102,8 +103,8 @@ def test_shard_manifest_carries_trace_and_merge_stitches():
                  if manifest.jobs]
     assert len(artifacts) == 2
     for artifact in artifacts:
-        assert artifact.trace.run["trace_id"] == trace_id
-        assert artifact.trace.run["parent_span_id"] == parent
+        assert artifact.run["trace_id"] == trace_id
+        assert artifact.run["parent_span_id"] == parent
     merged = merge_artifacts(artifacts)
     assert merged.trace.run["trace_id"] == trace_id
     assert merged.trace.run["parent_span_id"] == parent
@@ -111,7 +112,10 @@ def test_shard_manifest_carries_trace_and_merge_stitches():
     assert root["attrs"]["trace_id"] == trace_id
 
 
-def test_merge_of_mixed_traces_stays_unstitched():
+def test_merge_of_two_plans_is_refused():
+    """Two 1-shard plans both claim shard 0 of 1: not one plan's
+    complete artifact set, so the merge refuses instead of stitching
+    or silently combining them."""
     docs = []
     for trace_id in (new_trace_id(), new_trace_id()):
         docs.append({"retries": 1, "reuse_schedules": False,
@@ -126,8 +130,8 @@ def test_merge_of_mixed_traces_stays_unstitched():
                            1, "tile", runner=doc)
         artifacts.extend(run_manifest(manifest) for manifest in plan
                          if manifest.jobs)
-    merged = merge_artifacts(artifacts)
-    assert "trace_id" not in merged.trace.run
+    with pytest.raises(ReproError, match=r"repeated \[0\]"):
+        merge_artifacts(artifacts)
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,8 @@ one member and a router in front of it:
 * the power-value probes: negative, non-finite and inverted
   ``(p_max, p_min)`` values are ``bad_request`` at parse time, not a
   ``500`` from the problem container or a silent ``NaN`` answer;
+* the unknown-key probe: an embedded problem carrying a key its
+  writer never writes (a ``powr`` typo) is ``bad_request`` naming it;
 * the dropped-field probes: an arrival-task field a session would
   silently drop (a ``powr`` typo, an ``operating_points`` ladder) and
   ``freq_levels`` on a session are ``bad_request`` naming the field;
@@ -125,6 +127,25 @@ def test_solve_power_value_is_bad_request(stack, fields):
                                 doc)
     assert (status, answer["error"]["code"]) == (400, "bad_request"), \
         answer
+
+
+@pytest.mark.parametrize("where", ["task", "top-level"])
+def test_solve_problem_with_unknown_key_is_bad_request(stack, where):
+    """A key the problem writer never writes was silently dropped (a
+    ``powr`` typo solved a 0 W task); now the embedded problem is
+    refused by name."""
+    problem = copy.deepcopy(FIG1)
+    if where == "task":
+        problem["tasks"][0]["powr"] = problem["tasks"][0].pop("power")
+    else:
+        problem["p_mni"] = problem.pop("p_min")
+    doc = {"format": REQUEST_FORMAT, "version": 1, "problem": problem}
+    status, answer = _post_json(_port(stack, "member"), "/v1/solve",
+                                doc)
+    assert (status, answer["error"]["code"]) == (400, "bad_request"), \
+        answer
+    assert ("powr" if where == "task" else "p_mni") \
+        in answer["error"]["message"]
 
 
 def test_session_nan_p_max_is_bad_request(stack):
