@@ -53,11 +53,11 @@ def test_parallel_grid_speedup_and_identity(artifact_dir):
     serial_s = time.perf_counter() - t0
 
     trace_path = os.path.join(artifact_dir, "engine_grid_trace.json")
-    runner = BatchRunner(RunnerConfig(workers=WORKERS,
-                                      trace_path=trace_path))
+    runner = BatchRunner(RunnerConfig(workers=WORKERS))
     t0 = time.perf_counter()
     parallel = sweep_grid(problem, budgets, levels, runner=runner)
     parallel_s = time.perf_counter() - t0
+    runner.last_trace.write(trace_path)
 
     assert parallel == serial, \
         "parallel grid must be bit-identical to the serial loop"
@@ -87,8 +87,9 @@ def test_trace_carries_timings_and_cache_counters(artifact_dir):
     problem = _grid_problem()
     budgets, levels = _grid(problem)
     trace_path = os.path.join(artifact_dir, "engine_grid_trace.json")
-    runner = BatchRunner(RunnerConfig(workers=0, trace_path=trace_path))
+    runner = BatchRunner(RunnerConfig(workers=0))
     sweep_grid(problem, budgets, levels, runner=runner)
+    runner.last_trace.write(trace_path)
 
     with open(trace_path, encoding="utf-8") as handle:
         doc = json.load(handle)

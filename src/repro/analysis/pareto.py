@@ -22,6 +22,7 @@ from typing import Callable, Mapping
 
 from ..core.problem import SchedulingProblem
 from ..errors import ReproError, SchedulingFailure
+from ..files import write_text
 from ..scheduling.base import ScheduleResult
 
 __all__ = ["DesignPoint", "explore", "pareto_front",
@@ -155,6 +156,4 @@ def render_pareto_svg(points: "list[DesignPoint]",
 def write_pareto_svg(points: "list[DesignPoint]", path: str,
                      title: str = "Design space") -> str:
     """Render and write the scatter; returns the path."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(render_pareto_svg(points, title=title))
-    return path
+    return write_text(path, render_pareto_svg(points, title=title))

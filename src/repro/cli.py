@@ -65,6 +65,7 @@ import sys
 from . import __version__
 from .analysis.report import format_table
 from .errors import ReproError
+from .files import write_json, write_text
 from .gantt import chart_result, render_chart, write_svg
 from .io import load_problem, load_problem_dsl, save_schedule
 from .scheduling import PowerAwareScheduler, SchedulerOptions
@@ -519,16 +520,15 @@ def _load(path: str):
     return load_problem_dsl(path)
 
 
-def _parse_freq_levels(raw: str) -> "tuple[float, ...]":
-    """Parse a ``--freq-levels`` comma list (empty string -> ())."""
+def _numbers(raw: str, flag: str) -> "tuple[float, ...]":
+    """Parse a comma-separated number flag (empty string -> ())."""
     if not raw:
         return ()
     try:
         return tuple(float(token) for token in raw.split(","))
     except ValueError as exc:
         raise ReproError(
-            f"--freq-levels must be comma-separated numbers: "
-            f"{exc}") from exc
+            f"{flag} must be comma-separated numbers: {exc}") from exc
 
 
 def _cmd_diagnose(args) -> int:
@@ -549,7 +549,7 @@ def _cmd_sweep(args) -> int:
     from .analysis import knee_point, sweep_grid, sweep_p_max
     from .engine import BatchRunner, RunnerConfig, ScheduleStore
     problem = _load(args.file)
-    freq_levels = _parse_freq_levels(args.freq_levels)
+    freq_levels = _numbers(args.freq_levels, "--freq-levels")
     if freq_levels:
         from .core.dvfs import attach_ladder
         problem = attach_ladder(problem, freq_levels)
@@ -557,9 +557,9 @@ def _cmd_sweep(args) -> int:
         raise ReproError(
             f"trace file {args.trace!r} already exists; "
             "pass --force to overwrite it")
-    if args.budgets:
-        budgets = [float(token) for token in args.budgets.split(",")]
-    else:
+    budgets = _numbers(args.budgets, "--budgets")
+    levels = _numbers(args.levels, "--levels")
+    if not budgets:
         base = problem.p_max
         budgets = [round(base * factor, 2)
                    for factor in (0.6, 0.75, 0.9, 1.0, 1.2, 1.5, 2.0,
@@ -585,13 +585,11 @@ def _cmd_sweep(args) -> int:
         backend = RemoteBackend(servers, shards=args.shards,
                                 strategy=args.shard_strategy)
     runner = BatchRunner(RunnerConfig(workers=max(0, args.parallel),
-                                      trace_path=args.trace,
                                       instrument=args.instrument,
                                       reuse_schedules=reuse,
                                       reuse_policy=args.reuse_policy),
                          store=store, backend=backend)
-    if args.levels:
-        levels = [float(token) for token in args.levels.split(",")]
+    if levels:
         points = sweep_grid(problem, budgets, levels, runner=runner)
         title = f"== {problem.name}: (P_max, P_min) grid sweep =="
     else:
@@ -615,6 +613,7 @@ def _cmd_sweep(args) -> int:
                   f"hits, {r['solved']} solved, "
                   f"{r['entries']} stored schedules")
     if args.trace:
+        trace.write(args.trace)
         print(f"wrote {args.trace}")
     if args.store and runner.store is not None:
         runner.store.write(args.store)
@@ -633,24 +632,28 @@ def _cmd_shard(args) -> int:
 def _cmd_shard_plan(args) -> int:
     from .engine.planner import SweepSpec, plan_shards
     from .io.shards import save_manifest
+    from .obs import new_trace_id
     problem = _load(args.file)
-    budgets = [float(token) for token in args.budgets.split(",")]
-    levels = ([float(token) for token in args.levels.split(",")]
-              if args.levels else [problem.p_min])
+    budgets = _numbers(args.budgets, "--budgets")
+    if not budgets:
+        raise ReproError("--budgets needs at least one number")
+    levels = _numbers(args.levels, "--levels") or (problem.p_min,)
     options = (SchedulerOptions(seed=args.seed)
                if args.seed is not None else None)
     spec = SweepSpec.grid(problem, budgets, levels, options=options,
                           name=problem.name,
-                          freq_levels=_parse_freq_levels(
-                              args.freq_levels))
+                          freq_levels=_numbers(args.freq_levels,
+                                               "--freq-levels"))
     jobs = spec.jobs()
+    # One trace id for the whole plan: every shard run adopts it, and
+    # so does the merge, so worker logs and the merged trace join.
     runner_doc = {"retries": 1,
                   "reuse_schedules": args.reuse_schedules,
                   "reuse_policy": args.reuse_policy,
-                  "instrument": args.instrument}
+                  "instrument": args.instrument,
+                  "trace": {"trace_id": new_trace_id()}}
     plan = plan_shards(jobs, max(1, args.shards), args.strategy,
                        sweep=problem.name, runner=runner_doc)
-    os.makedirs(args.out_dir, exist_ok=True)
     for manifest in plan:
         path = os.path.join(args.out_dir,
                             f"shard_{manifest.index}.json")
@@ -729,7 +732,6 @@ def _cmd_table(args) -> int:
         return 0
     # export
     if args.format == "json":
-        import json
         text = json.dumps(store.to_dict(), indent=2, sort_keys=False)
     else:  # csv — one flat row per stored schedule
         import csv
@@ -747,11 +749,7 @@ def _cmd_table(args) -> int:
                     entry.solved_p_max, entry.solved_p_min])
         text = buffer.getvalue().rstrip("\n")
     if args.out:
-        parent = os.path.dirname(args.out)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        write_text(args.out, text + "\n")
         print(f"wrote {args.out}")
     else:
         print(text)
@@ -769,7 +767,6 @@ def _cmd_trace(args) -> int:
         return 0
     # export
     if args.format == "chrome":
-        import json
         payload = chrome_trace(spans_from_doc(doc),
                                metrics_from_doc(doc))
         text = json.dumps(payload, indent=1, sort_keys=True)
@@ -779,11 +776,7 @@ def _cmd_trace(args) -> int:
         text = "\n".join(jsonl_lines(spans_from_doc(doc),
                                      metrics_from_doc(doc)))
     if args.out:
-        parent = os.path.dirname(args.out)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        write_text(args.out, text + "\n")
         print(f"wrote {args.out}")
     else:
         print(text)
@@ -793,13 +786,11 @@ def _cmd_trace(args) -> int:
 # ----------------------------------------------------------------------
 
 def _cmd_solve(args) -> int:
-    if args.file.endswith(".json"):
-        problem = load_problem(args.file)
-    else:
-        problem = load_problem_dsl(args.file)
+    problem = _load(args.file)
     if getattr(args, "dvfs", False) and not problem.has_operating_points:
         from .core.dvfs import DEFAULT_LADDER, attach_ladder
-        freqs = _parse_freq_levels(args.freq_levels) or DEFAULT_LADDER
+        freqs = _numbers(args.freq_levels, "--freq-levels") \
+            or DEFAULT_LADDER
         problem = attach_ladder(problem, freqs)
     options = SchedulerOptions(seed=args.seed)
     from .core.diagnose import explain_infeasibility
@@ -1010,11 +1001,10 @@ def _cmd_submit(args) -> int:
     from .serving import ServingClient
     problem = _load(args.file)
     client = ServingClient(args.server)
-    budgets = ([float(token) for token in args.budgets.split(",")]
-               if args.budgets else None)
-    levels = ([float(token) for token in args.levels.split(",")]
-              if args.levels else None)
-    freq_levels = list(_parse_freq_levels(args.freq_levels)) or None
+    budgets = list(_numbers(args.budgets, "--budgets")) or None
+    levels = list(_numbers(args.levels, "--levels")) or None
+    freq_levels = list(_numbers(args.freq_levels, "--freq-levels")) \
+        or None
     if budgets or levels:
         ack = client.sweep(problem, budgets=budgets, levels=levels,
                            seed=args.seed,
@@ -1138,11 +1128,9 @@ def _cmd_session(args) -> int:
           + (f", makespan {makespan}" if makespan is not None
              else ""))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump({"format": "repro-session-event",
-                       "version": 1, "script": args.file,
-                       "events": journal}, handle, indent=1)
-            handle.write("\n")
+        write_json(args.out, {"format": "repro-session-event",
+                              "version": 1, "script": args.file,
+                              "events": journal})
         print(f"wrote event journal to {args.out}")
     if args.check:
         missing = [name for name in admitted if name not in starts]

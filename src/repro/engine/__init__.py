@@ -61,7 +61,7 @@ from .planner import (PARTITION_STRATEGIES, ShardManifest, ShardPlan,
 from .runner import BatchRunner, RunnerConfig
 from .schedule_store import (REUSE_POLICIES, ScheduleStore,
                              StoredSchedule)
-from .trace import JobTrace, RunTrace, load_trace, read_trace
+from .trace import JobTrace, RunTrace, read_trace
 
 __all__ = [
     "BackendError",
@@ -87,7 +87,6 @@ __all__ = [
     "SweepSpec",
     "canonical_store_doc",
     "derive_seed",
-    "load_trace",
     "merge_artifacts",
     "merge_results",
     "options_fingerprint",

@@ -12,9 +12,13 @@ CLI).
 
 Partition strategies
 --------------------
+Both strategies deal *points* — jobs of one workload (their
+:func:`~repro.engine.hashing.problem_base_key`) at one ``(p_max,
+p_min)`` — not positions: every copy of a point (a clamped duplicate
+corner) goes to its point's shard, so no two shards solve one point.
+
 ``"tile"`` (default)
-    Locality-aware: jobs are grouped by workload (their
-    :func:`~repro.engine.hashing.problem_base_key`), each workload's
+    Locality-aware: points are grouped by workload, each workload's
     points are ordered along the power plane ``(p_max, p_min)``, and
     every workload is cut into N *contiguous* runs — one tile per
     shard.  Contiguity is what makes the per-shard
@@ -25,8 +29,8 @@ Partition strategies
     shard maximizes in-shard range hits.  Tiles rotate across shards
     per workload so multi-workload sweeps still balance.
 ``"round_robin"``
-    Position ``i`` goes to shard ``i % N`` — the locality-blind
-    fallback (and the benchmark's control arm).
+    The ``i``-th distinct point goes to shard ``i % N`` — the
+    locality-blind fallback (and the benchmark's control arm).
 
 Both strategies produce a true partition: every job lands on exactly
 one shard, shards keep their jobs in ascending global-position order,
@@ -200,51 +204,50 @@ def plan_shards(jobs: "Sequence[SolveJob] | Sequence[tuple[int, SolveJob]]",
         else:
             position, job = item
             pairs.append((int(position), job))
-    if strategy == "round_robin":
-        buckets = _round_robin_partition(pairs, shards)
-    else:
-        buckets = _tile_partition(pairs, shards)
+    points: "dict[tuple[str, float, float], list]" = {}
+    for pair in pairs:
+        job = pair[1]
+        base = problem_base_key(job.problem, job.options, kind=job.kind)
+        points.setdefault((base, job.problem.p_max, job.problem.p_min),
+                          []).append(pair)
+    partition = _round_robin_partition if strategy == "round_robin" \
+        else _tile_partition
     manifests = [ShardManifest(index=index, of=shards,
                                strategy=strategy,
-                               jobs=sorted(bucket),
+                               jobs=sorted(pair for _point, copies
+                                           in bucket for pair in copies),
                                sweep=sweep,
                                runner=dict(runner or {}),
                                store=store)
-                 for index, bucket in enumerate(buckets)]
+                 for index, bucket in enumerate(
+                     partition(list(points.items()), shards))]
     return ShardPlan(strategy=strategy, manifests=manifests)
 
 
-def _round_robin_partition(pairs, shards):
-    """Submission-order dealing: pair ``i`` goes to shard ``i % N``."""
-    buckets: "list[list[tuple[int, SolveJob]]]" = \
-        [[] for _ in range(shards)]
-    for index, pair in enumerate(pairs):
-        buckets[index % shards].append(pair)
+def _round_robin_partition(points, shards):
+    """First-seen-order dealing: point ``i`` goes to shard ``i % N``."""
+    buckets: "list[list]" = [[] for _ in range(shards)]
+    for index, point in enumerate(points):
+        buckets[index % shards].append(point)
     return buckets
 
 
-def _tile_partition(pairs, shards):
+def _tile_partition(points, shards):
     """Contiguous power-plane tiles per workload, rotated across shards.
 
-    Jobs are grouped by workload base key (first-seen order kept for
-    determinism), each group is ordered along ``(p_max, p_min,
-    position)``, and split into ``shards`` balanced contiguous runs;
-    group ``g``'s run ``r`` lands on shard ``(r + g) % shards`` so a
-    multi-workload sweep spreads every workload's tiles over all
-    shards instead of piling workload 0's cheap corner onto shard 0.
+    Points are grouped by workload base key (first-seen order kept for
+    determinism), each group is ordered along ``(p_max, p_min)``, and
+    split into ``shards`` balanced contiguous runs; group ``g``'s run
+    ``r`` lands on shard ``(r + g) % shards`` so a multi-workload
+    sweep spreads every workload's tiles over all shards instead of
+    piling workload 0's cheap corner onto shard 0.
     """
-    groups: "dict[str, list[tuple[int, SolveJob]]]" = {}
-    for pair in pairs:
-        _position, job = pair
-        base = problem_base_key(job.problem, job.options, kind=job.kind)
-        groups.setdefault(base, []).append(pair)
-    buckets: "list[list[tuple[int, SolveJob]]]" = \
-        [[] for _ in range(shards)]
+    groups: "dict[str, list]" = {}
+    for point in points:
+        groups.setdefault(point[0][0], []).append(point)
+    buckets: "list[list]" = [[] for _ in range(shards)]
     for group_index, members in enumerate(groups.values()):
-        ordered = sorted(
-            members,
-            key=lambda pair: (pair[1].problem.p_max,
-                              pair[1].problem.p_min, pair[0]))
+        ordered = sorted(members, key=lambda point: point[0])
         for run_index, run in enumerate(_balanced_runs(ordered, shards)):
             buckets[(run_index + group_index) % shards].extend(run)
     return buckets

@@ -71,8 +71,6 @@ class RunnerConfig:
         provably reproduce a fresh solve bit-for-bit;``"valid"`` serves
         any covering entry (power-valid, full utilization — the paper's
         Fig. 7 semantics) even when a fresh solve might beat it.
-    trace_path:
-        When set, every run writes its JSON :class:`RunTrace` here.
     instrument:
         Record the run through :mod:`repro.obs`: hierarchical spans
         (the run, each job, the pipeline stages and longest-path
@@ -90,7 +88,6 @@ class RunnerConfig:
     retries: int = 1
     reuse_schedules: bool = False
     reuse_policy: str = "identical"
-    trace_path: "str | None" = None
     instrument: bool = False
 
     def __post_init__(self) -> None:
@@ -132,8 +129,7 @@ class BatchRunner:
             self.store = ScheduleStore(policy=self.config.reuse_policy)
         else:
             self.store = None
-        #: Trace of the most recent :meth:`run` (also written to
-        #: ``config.trace_path`` when that is set).
+        #: Trace of the most recent :meth:`run`.
         self.last_trace: "RunTrace | None" = None
         #: Execution mode of the most recent run:
         #: ``"serial"`` | ``"process"`` | ``"serial-fallback"``.
@@ -278,8 +274,6 @@ class BatchRunner:
             final, mode, unique_solved=len(solved),
             range_hits=range_hits, elapsed_s=elapsed_s, spans=spans,
             metrics=metrics, ids=ids)
-        if self.config.trace_path:
-            self.last_trace.write(self.config.trace_path)
         return final
 
     def _settle_reuse(self, solved: "list[JobResult]", mode: str,

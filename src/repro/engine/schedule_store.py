@@ -56,8 +56,6 @@ into the parent trace.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
@@ -65,6 +63,7 @@ from ..core.problem import SchedulingProblem
 from ..core.profile import PowerProfile
 from ..core.schedule import Schedule
 from ..errors import SerializationError
+from ..files import check_envelope, read_json, typed, write_json
 from ..scheduling.runtime import in_validity_range
 from .hashing import problem_base_key
 
@@ -253,8 +252,14 @@ class ScheduleStore:
                problem_name: str = "") -> bool:
         """Add an entry; duplicates (same start times) are suppressed.
 
-        Returns True when the entry was actually inserted.
+        A base key whose bucket holds the certified timing entry is
+        primed, however the entry arrived (a priming solve, a loaded
+        document, a merged delta or a remote store), so
+        :meth:`ensure_primed` never repeats that work.  Returns True
+        when the entry was actually inserted.
         """
+        if entry.stage == CERTIFIED_STAGE:
+            self._primed.add(base_key)
         bucket = self._problems.setdefault(
             base_key, _ProblemEntry(name=problem_name))
         if not bucket.name and problem_name:
@@ -453,20 +458,19 @@ class ScheduleStore:
         one policy is freely reusable under the other).  Counters are
         *not* restored — they describe past runs, not the store.
         """
-        if doc.get("format") != STORE_FORMAT:
-            raise SerializationError(
-                f"expected a {STORE_FORMAT!r} document, found "
-                f"{doc.get('format')!r}")
-        version = doc.get("version", 0)
-        if version > STORE_VERSION:
-            raise SerializationError(
-                f"schedule-store version {version} is newer than "
-                f"supported ({STORE_VERSION})")
-        store = cls(policy=policy or doc.get("policy", "identical"))
-        for base_key, bucket in doc.get("problems", {}).items():
-            for entry_doc in bucket.get("entries", []):
+        check_envelope(doc, STORE_FORMAT, STORE_VERSION)
+        try:
+            store = cls(policy=policy or doc.get("policy", "identical"))
+        except ValueError as exc:
+            raise SerializationError(str(exc)) from exc
+        for base_key, bucket in typed(doc.get("problems", {}), dict,
+                                      "problems").items():
+            bucket = typed(bucket, dict, "problem bucket")
+            for entry_doc in typed(bucket.get("entries", []), list,
+                                   "entries"):
                 store.insert(base_key, StoredSchedule.from_dict(entry_doc),
-                             problem_name=bucket.get("name", ""))
+                             problem_name=typed(bucket.get("name", ""),
+                                                str, "name"))
         # Loaded entries are history, not this process's delta, and
         # insertion counters restart at zero for the same reason.
         store._journal.clear()
@@ -476,26 +480,11 @@ class ScheduleStore:
 
     def write(self, path: str) -> str:
         """Write the store as pretty-printed JSON; returns ``path``."""
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=False)
-            handle.write("\n")
-        return path
+        return write_json(path, self.to_dict())
 
     @classmethod
     def read(cls, path: str,
              policy: "str | None" = None) -> "ScheduleStore":
         """Read a store JSON file."""
-        try:
-            with open(path, encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except OSError as exc:
-            raise SerializationError(
-                f"cannot read schedule store {path!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise SerializationError(
-                f"schedule store {path!r} is not valid JSON: "
-                f"{exc}") from exc
-        return cls.from_dict(doc, policy=policy)
+        return read_json(path, lambda doc: cls.from_dict(doc,
+                                                         policy=policy))

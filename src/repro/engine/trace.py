@@ -45,20 +45,16 @@ an empty span forest and metric snapshot.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from ..errors import ReproError
+from ..errors import SerializationError
+from ..files import check_envelope, read_json, typed, write_json
 
-__all__ = ["JobTrace", "RunTrace", "read_trace", "load_trace"]
+__all__ = ["JobTrace", "RunTrace", "read_trace"]
 
 TRACE_FORMAT = "repro-trace"
 TRACE_VERSION = 2
-
-#: Versions :func:`read_trace` accepts.
-READABLE_VERSIONS = (1, 2)
 
 
 @dataclass
@@ -162,22 +158,21 @@ class RunTrace:
     @classmethod
     def from_dict(cls, doc: "Mapping[str, Any]") -> "RunTrace":
         """Rebuild a trace from its JSON document (v1 or v2)."""
-        if doc.get("format") != TRACE_FORMAT:
-            raise ReproError(
-                f"not a {TRACE_FORMAT} document "
-                f"(format={doc.get('format')!r})")
-        version = doc.get("version")
-        if version not in READABLE_VERSIONS:
-            raise ReproError(
-                f"unsupported {TRACE_FORMAT} version {version!r}; "
-                f"this reader accepts {READABLE_VERSIONS}")
-        reuse = doc.get("reuse")
-        return cls(run=dict(doc.get("run", {})),
-                   cache=dict(doc.get("cache", {})),
-                   jobs=[JobTrace.from_dict(job)
-                         for job in doc.get("jobs", [])],
-                   spans=list(doc.get("spans", [])),
-                   metrics=dict(doc.get("metrics", {})),
+        check_envelope(doc, TRACE_FORMAT, TRACE_VERSION)
+        sections = {name: typed(doc.get(name, kind()), kind, name)
+                    for name, kind in (("run", dict), ("cache", dict),
+                                       ("jobs", list), ("spans", list),
+                                       ("metrics", dict))}
+        reuse = typed(doc.get("reuse"), (dict, type(None)), "reuse")
+        try:
+            jobs = [JobTrace.from_dict(job) for job in sections["jobs"]]
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise SerializationError(
+                f"malformed {TRACE_FORMAT} job: {exc!r}") from exc
+        return cls(run=dict(sections["run"]),
+                   cache=dict(sections["cache"]), jobs=jobs,
+                   spans=list(sections["spans"]),
+                   metrics=dict(sections["metrics"]),
                    reuse=dict(reuse) if reuse is not None else None)
 
     def write(self, path: str) -> str:
@@ -185,28 +180,9 @@ class RunTrace:
 
         Missing parent directories are created.
         """
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=False)
-            handle.write("\n")
-        return path
-
-
-def load_trace(doc: "Mapping[str, Any]") -> RunTrace:
-    """Alias of :meth:`RunTrace.from_dict` for symmetry with readers."""
-    return RunTrace.from_dict(doc)
+        return write_json(path, self.to_dict())
 
 
 def read_trace(path: str) -> RunTrace:
     """Read a trace JSON file (schema v1 or v2)."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        raise ReproError(f"cannot read trace {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ReproError(f"trace {path!r} is not valid JSON: "
-                         f"{exc}") from exc
-    return RunTrace.from_dict(doc)
+    return read_json(path, RunTrace.from_dict)

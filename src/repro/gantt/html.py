@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from xml.sax.saxutils import escape
 
+from ..files import write_text
 from .model import GanttChart
 from .svg import render_svg
 
@@ -54,6 +55,4 @@ def render_html_report(charts: "list[GanttChart]",
 def write_html_report(charts: "list[GanttChart]", path: str,
                       title: str = "Power-aware schedules") -> str:
     """Render and write the report; returns the path."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(render_html_report(charts, title=title))
-    return path
+    return write_text(path, render_html_report(charts, title=title))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from xml.sax.saxutils import escape
 
+from ..files import write_text
 from ..power.solar import SolarModel
 
 __all__ = ["MissionTrack", "render_mission_svg", "write_mission_svg"]
@@ -154,6 +155,4 @@ def render_mission_svg(track: MissionTrack, solar: SolarModel,
 def write_mission_svg(track: MissionTrack, solar: SolarModel,
                       path: str, title: str = "") -> str:
     """Render and write the mission chart; returns the path."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(render_mission_svg(track, solar, title=title))
-    return path
+    return write_text(path, render_mission_svg(track, solar, title=title))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from xml.sax.saxutils import escape
 
+from ..files import write_text
 from .model import GanttChart
 
 __all__ = ["render_svg", "write_svg"]
@@ -68,10 +69,7 @@ def render_svg(chart: GanttChart) -> str:
 
 def write_svg(chart: GanttChart, path: str) -> str:
     """Render and write to ``path``; returns the path."""
-    document = render_svg(chart)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(document)
-    return path
+    return write_text(path, render_svg(chart))
 
 
 # ----------------------------------------------------------------------

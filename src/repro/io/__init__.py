@@ -2,10 +2,9 @@
 
 from .chart_json import chart_to_dict, save_chart
 from .dsl import load_problem_dsl, parse_problem
-from .json_io import (load_problem, load_schedule, load_store,
-                      problem_from_dict, problem_to_dict, save_problem,
-                      save_schedule, save_store, schedule_from_dict,
-                      schedule_to_dict)
+from .json_io import (load_problem, load_schedule, problem_from_dict,
+                      problem_to_dict, save_problem, save_schedule,
+                      schedule_from_dict, schedule_to_dict)
 from .requests import (ERROR_CODES, RequestError, SolvedPoint,
                        SolveRequest, error_envelope, response_envelope,
                        solve_request_from_dict, solve_request_to_dict)
@@ -35,7 +34,6 @@ __all__ = [
     "load_problem",
     "load_problem_dsl",
     "load_schedule",
-    "load_store",
     "manifest_from_dict",
     "manifest_to_dict",
     "options_from_dict",
@@ -49,7 +47,6 @@ __all__ = [
     "save_manifest",
     "save_problem",
     "save_schedule",
-    "save_store",
     "schedule_from_dict",
     "schedule_to_dict",
     "solve_request_from_dict",

@@ -25,10 +25,9 @@ the per-bin ``slack`` to bound the handles).
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
-from ..errors import SerializationError
+from ..files import write_json
 from ..gantt.model import GanttChart
 
 __all__ = ["chart_to_dict", "save_chart"]
@@ -64,11 +63,4 @@ def chart_to_dict(chart: GanttChart) -> "dict[str, Any]":
 
 def save_chart(chart: GanttChart, path: str) -> str:
     """Write the chart document; returns the path."""
-    try:
-        document = chart_to_dict(chart)
-    except Exception as exc:  # pragma: no cover - defensive
-        raise SerializationError(
-            f"could not serialize chart: {exc}") from exc
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-    return path
+    return write_json(path, chart_to_dict(chart))

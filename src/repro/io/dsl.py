@@ -43,6 +43,7 @@ from ..core.graph import ConstraintGraph
 from ..core.problem import SchedulingProblem
 from ..core.resource import Resource
 from ..errors import SerializationError
+from ..files import read_text
 
 __all__ = ["parse_problem", "load_problem_dsl"]
 
@@ -113,8 +114,7 @@ def parse_problem(text: str) -> SchedulingProblem:
 
 def load_problem_dsl(path: str) -> SchedulingProblem:
     """Parse a DSL file into a scheduling problem."""
-    with open(path, encoding="utf-8") as handle:
-        return parse_problem(handle.read())
+    return read_text(path, parse_problem)
 
 
 def _parse_header(tokens: "list[str]") -> "tuple[str, dict[str, float]]":

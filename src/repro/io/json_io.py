@@ -21,7 +21,6 @@ are derived state); schedule documents carry plain start-time maps.
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from ..core.graph import ConstraintGraph
@@ -30,11 +29,11 @@ from ..core.resource import Resource
 from ..core.schedule import Schedule
 from ..core.task import ANCHOR_NAME, OperatingPoint
 from ..errors import SerializationError
+from ..files import check_envelope, read_json, typed, write_json
 
 __all__ = ["problem_to_dict", "problem_from_dict", "save_problem",
            "load_problem", "schedule_to_dict", "schedule_from_dict",
-           "save_schedule", "load_schedule", "save_store",
-           "load_store"]
+           "save_schedule", "load_schedule"]
 
 _PROBLEM_FORMAT = "repro-problem"
 _SCHEDULE_FORMAT = "repro-schedule"
@@ -46,7 +45,6 @@ _SCHEDULE_FORMAT = "repro-schedule"
 # reject those cleanly instead of silently dropping the ladder.
 _PROBLEM_VERSION = 2
 _SCHEDULE_VERSION = 1
-_VERSION = 1  # legacy alias (pre-v2 readers imported this)
 
 
 def problem_to_dict(problem: SchedulingProblem,
@@ -121,18 +119,20 @@ def problem_from_dict(data: "dict[str, Any]") -> SchedulingProblem:
     """Rebuild a problem from its dict form.
 
     Every object may hold only the keys :func:`problem_to_dict`
-    writes; any other key is a :class:`SerializationError` naming it.
+    writes; any other key is a :class:`SerializationError` naming it,
+    and so is a field of the wrong JSON type.
     """
-    _expect_format(data, _PROBLEM_FORMAT)
+    check_envelope(data, _PROBLEM_FORMAT, _PROBLEM_VERSION)
     _known_keys(data, "problem")
-    graph = ConstraintGraph(data.get("name", "problem"))
     try:
+        graph = ConstraintGraph(typed(data.get("name", "problem"), str,
+                                      "name"))
         for res in data.get("resources", []):
             _known_keys(res, "resource")
             graph.declare_resource(Resource(
-                name=res["name"],
+                name=typed(res["name"], str, "resource name"),
                 idle_power=res.get("idle_power", 0.0),
-                kind=res.get("kind", "generic")))
+                kind=typed(res.get("kind", "generic"), str, "kind")))
         for task in data["tasks"]:
             _known_keys(task, "task")
             ladder = task.get("operating_points") or ()
@@ -144,8 +144,10 @@ def problem_from_dict(data: "dict[str, Any]") -> SchedulingProblem:
                 for point in ladder)
             graph.new_task(task["name"], duration=task["duration"],
                            power=task.get("power", 0.0),
-                           resource=task.get("resource"),
-                           meta=task.get("meta") or {},
+                           resource=typed(task.get("resource"),
+                                          (str, type(None)), "resource"),
+                           meta=typed(task.get("meta") or {}, dict,
+                                      "task meta"),
                            operating_points=points)
         for edge in data.get("edges", []):
             _known_keys(edge, "edge")
@@ -159,10 +161,13 @@ def problem_from_dict(data: "dict[str, Any]") -> SchedulingProblem:
             p_min=data.get("p_min", 0.0),
             baseline=data.get("baseline", 0.0),
             name=data.get("name", graph.name),
-            meta=data.get("meta") or {})
+            meta=typed(data.get("meta") or {}, dict, "meta"))
     except KeyError as exc:
         raise SerializationError(
             f"problem document is missing field {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise SerializationError(
+            f"malformed problem document: {exc}") from exc
 
 
 def schedule_to_dict(schedule: Schedule,
@@ -180,84 +185,33 @@ def schedule_to_dict(schedule: Schedule,
 def schedule_from_dict(data: "dict[str, Any]",
                        graph: ConstraintGraph) -> Schedule:
     """Rebuild a schedule against a compatible graph."""
-    _expect_format(data, _SCHEDULE_FORMAT)
+    check_envelope(data, _SCHEDULE_FORMAT, _SCHEDULE_VERSION)
     try:
         return Schedule(graph, data["starts"])
     except KeyError as exc:
         raise SerializationError(
             f"schedule document is missing field {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise SerializationError(
+            f"malformed schedule document: {exc}") from exc
 
 
 def save_problem(problem: SchedulingProblem, path: str) -> str:
     """Write a problem JSON file; returns the path."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(problem_to_dict(problem), handle, indent=2,
-                  sort_keys=True)
-    return path
+    return write_json(path, problem_to_dict(problem))
 
 
 def load_problem(path: str) -> SchedulingProblem:
     """Read a problem JSON file."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SerializationError(
-                f"{path} is not valid JSON: {exc}") from exc
-    return problem_from_dict(data)
+    return read_json(path, problem_from_dict)
 
 
 def save_schedule(schedule: Schedule, path: str,
                   problem_name: str = "") -> str:
     """Write a schedule JSON file; returns the path."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(schedule_to_dict(schedule, problem_name), handle,
-                  indent=2, sort_keys=True)
-    return path
+    return write_json(path, schedule_to_dict(schedule, problem_name))
 
 
 def load_schedule(path: str, graph: ConstraintGraph) -> Schedule:
     """Read a schedule JSON file against a compatible graph."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SerializationError(
-                f"{path} is not valid JSON: {exc}") from exc
-    return schedule_from_dict(data, graph)
-
-
-def _expect_format(data: "dict[str, Any]", expected: str) -> None:
-    found = data.get("format")
-    if found != expected:
-        raise SerializationError(
-            f"expected a {expected!r} document, found {found!r}")
-    supported = _PROBLEM_VERSION if expected == _PROBLEM_FORMAT \
-        else _SCHEDULE_VERSION
-    version = data.get("version", 0)
-    if version > supported:
-        raise SerializationError(
-            f"document version {version} is newer than supported "
-            f"({supported})")
-
-
-def save_store(store, path: str) -> str:
-    """Write a schedule store (``repro-schedule-store`` v1 JSON).
-
-    Thin persistence front-end over
-    :meth:`repro.engine.schedule_store.ScheduleStore.write`, here so
-    the :mod:`repro.io` package is the one place that knows every
-    on-disk document the tool reads and writes.
-    """
-    return store.write(path)
-
-
-def load_store(path: str, policy: "str | None" = None):
-    """Read a schedule store JSON file.
-
-    ``policy`` optionally overrides the document's recorded reuse
-    policy; see
-    :meth:`repro.engine.schedule_store.ScheduleStore.from_dict`.
-    """
-    from ..engine.schedule_store import ScheduleStore
-    return ScheduleStore.read(path, policy=policy)
+    return read_json(path, lambda data: schedule_from_dict(data, graph))

@@ -326,23 +326,7 @@ def solve_request_from_dict(data: Any) -> SolveRequest:
     if not isinstance(data, Mapping):
         raise RequestError("bad_request",
                            "request body must be a JSON object")
-    if data.get("format") != REQUEST_FORMAT:
-        raise RequestError(
-            "bad_request",
-            f"format must be {REQUEST_FORMAT!r}, "
-            f"got {data.get('format')!r}")
-    version = data.get("version")
-    if not isinstance(version, int) or isinstance(version, bool) \
-            or version < 1:
-        raise RequestError("bad_request",
-                           f"version must be a positive integer, "
-                           f"got {version!r}")
-    if version > REQUEST_VERSION:
-        raise RequestError(
-            "unsupported_version",
-            f"request version {version} is newer than this server's "
-            f"{REQUEST_VERSION}; re-send as version "
-            f"{REQUEST_VERSION}")
+    _check_version(data, REQUEST_FORMAT, REQUEST_VERSION)
     if "problem" not in data:
         raise RequestError("bad_request",
                            "request is missing 'problem'")
@@ -351,10 +335,6 @@ def solve_request_from_dict(data: Any) -> SolveRequest:
     except ReproError as exc:
         raise RequestError("bad_request",
                            f"invalid problem document: {exc}") from exc
-    except (TypeError, KeyError, AttributeError) as exc:
-        raise RequestError(
-            "bad_request",
-            f"invalid problem document: {exc!r}") from exc
     freq_levels: "tuple[float, ...]" = ()
     if "freq_levels" in data and data["freq_levels"] is not None:
         raw = data["freq_levels"]
@@ -440,7 +420,9 @@ class SessionRequest:
 
 def _check_version(data: "Mapping[str, Any]", expected_format: str,
                    max_version: int) -> None:
-    """Shared format/version gate for every session document."""
+    """The wire's format/version gate, shared by every request
+    document; its refusals carry the error codes the HTTP statuses
+    come from."""
     if data.get("format") != expected_format:
         raise RequestError(
             "bad_request",

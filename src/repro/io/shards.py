@@ -70,11 +70,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from ..errors import SerializationError
+from ..files import check_envelope, read_json, typed, write_json
 from ..scheduling.base import SchedulerOptions
 from .json_io import problem_from_dict, problem_to_dict
 
@@ -196,15 +196,15 @@ def manifest_from_dict(doc: "Mapping[str, Any]"):
     from ..engine.planner import ShardManifest
     from ..engine.schedule_store import REUSE_POLICIES, ScheduleStore
 
-    _expect(doc, MANIFEST_FORMAT, MANIFEST_VERSION)
+    check_envelope(doc, MANIFEST_FORMAT, MANIFEST_VERSION)
     index, of = _shard_slot(doc)
-    sweep = _typed(doc.get("sweep", {}), dict, "sweep")
-    kind = _typed(doc.get("kind", "sweep_point"), str, "kind")
-    runner = _typed(doc.get("runner", {}), dict, "runner")
-    trace = _typed(runner.get("trace") or {}, dict, "runner.trace")
+    sweep = typed(doc.get("sweep", {}), dict, "sweep")
+    kind = typed(doc.get("kind", "sweep_point"), str, "kind")
+    runner = typed(doc.get("runner", {}), dict, "runner")
+    trace = typed(runner.get("trace") or {}, dict, "runner.trace")
     for name in ("trace_id", "parent_span_id"):
-        _typed(trace.get(name), (str, type(None)), f"runner.trace.{name}")
-    if _typed(runner.get("retries", 1), int, "runner.retries") < 0 \
+        typed(trace.get(name), (str, type(None)), f"runner.trace.{name}")
+    if typed(runner.get("retries", 1), int, "runner.retries") < 0 \
             or runner.get("reuse_policy", "identical") \
             not in REUSE_POLICIES:
         raise SerializationError(
@@ -212,7 +212,7 @@ def manifest_from_dict(doc: "Mapping[str, Any]"):
             f"policy from {REUSE_POLICIES}")
     store = doc.get("store")
     if store is not None:
-        ScheduleStore.from_dict(_typed(store, dict, "store"))
+        ScheduleStore.from_dict(typed(store, dict, "store"))
     default_options = options_from_dict(doc.get("options"))
     jobs_doc = doc.get("jobs", [])
     base_problems: "list[Any]" = []
@@ -230,7 +230,7 @@ def manifest_from_dict(doc: "Mapping[str, Any]"):
                                                   job_doc["p_min"])
             options = options_from_dict(job_doc["options"]) \
                 if "options" in job_doc else default_options
-            jobs.append((_typed(job_doc["position"], int, "position"),
+            jobs.append((typed(job_doc["position"], int, "position"),
                          SolveJob(problem=problem, kind=kind,
                                   options=options)))
     except (KeyError, IndexError, StopIteration, TypeError) as exc:
@@ -247,12 +247,12 @@ def manifest_from_dict(doc: "Mapping[str, Any]"):
 
 def save_manifest(manifest, path: str) -> str:
     """Write a shard manifest JSON file; returns the path."""
-    return _write_json(manifest_to_dict(manifest), path)
+    return write_json(path, manifest_to_dict(manifest))
 
 
 def load_manifest(path: str):
     """Read a shard manifest JSON file."""
-    return manifest_from_dict(_read_json(path, MANIFEST_FORMAT))
+    return read_json(path, manifest_from_dict)
 
 
 # ----------------------------------------------------------------------
@@ -329,16 +329,16 @@ def artifact_from_dict(doc: "Mapping[str, Any]") -> ShardArtifact:
     """
     from ..engine.jobs import JobResult
 
-    _expect(doc, ARTIFACT_FORMAT, ARTIFACT_VERSION)
+    check_envelope(doc, ARTIFACT_FORMAT, ARTIFACT_VERSION)
     index, of = _shard_slot(doc)
-    run = _typed(doc.get("run", {}), dict, "run")
+    run = typed(doc.get("run", {}), dict, "run")
     for name, types in ARTIFACT_RUN_FIELDS.items():
         if name in run:
-            _typed(run[name], types, f"run.{name}")
+            typed(run[name], types, f"run.{name}")
     results = []
-    for item in _typed(doc.get("results", []), list, "results"):
-        item = _typed(item, dict, "result")
-        fields = {name: _typed(item.get(name, default), types,
+    for item in typed(doc.get("results", []), list, "results"):
+        item = typed(item, dict, "result")
+        fields = {name: typed(item.get(name, default), types,
                                f"result {name}")
                   for name, types, default in _RESULT_FIELDS}
         fields["stats"] = dict(fields["stats"])
@@ -352,70 +352,23 @@ def artifact_from_dict(doc: "Mapping[str, Any]") -> ShardArtifact:
 
 def save_artifact(artifact: ShardArtifact, path: str) -> str:
     """Write a shard artifact JSON file; returns the path."""
-    return _write_json(artifact_to_dict(artifact), path)
+    return write_json(path, artifact_to_dict(artifact))
 
 
 def load_artifact(path: str) -> ShardArtifact:
     """Read a shard artifact JSON file."""
-    return artifact_from_dict(_read_json(path, ARTIFACT_FORMAT))
+    return read_json(path, artifact_from_dict)
 
 
 # ----------------------------------------------------------------------
 # shared plumbing
 # ----------------------------------------------------------------------
 
-def _expect(doc: "Mapping[str, Any]", fmt: str, version: int) -> None:
-    if not isinstance(doc, Mapping) or doc.get("format") != fmt:
-        found = doc.get("format") if isinstance(doc, Mapping) \
-            else type(doc).__name__
-        raise SerializationError(
-            f"expected a {fmt!r} document, found {found!r}")
-    found = doc.get("version", 0)
-    if not isinstance(found, int) or found > version:
-        raise SerializationError(
-            f"{fmt} version {found!r} is not supported "
-            f"(this reader reads up to {version})")
-
-
-def _typed(value: Any, types, what: str) -> Any:
-    """``value`` when it has one of the JSON ``types``, else a
-    :class:`SerializationError` (``true`` is not a number here)."""
-    types = types if isinstance(types, tuple) else (types,)
-    if isinstance(value, types) \
-            and (bool in types or not isinstance(value, bool)):
-        return value
-    names = " or ".join(kind.__name__ for kind in types)
-    raise SerializationError(
-        f"{what} must be {names}, found {value!r:.60}")
-
-
 def _shard_slot(doc: "Mapping[str, Any]") -> "tuple[int, int]":
-    shard = _typed(doc.get("shard", {}), dict, "shard")
-    index = _typed(shard.get("index", 0), int, "shard.index")
-    of = _typed(shard.get("of", 1), int, "shard.of")
+    shard = typed(doc.get("shard", {}), dict, "shard")
+    index = typed(shard.get("index", 0), int, "shard.index")
+    of = typed(shard.get("of", 1), int, "shard.of")
     if not 0 <= index < of:
         raise SerializationError(
             f"shard index {index} is outside a {of}-shard plan")
     return index, of
-
-
-def _write_json(doc: "dict[str, Any]", path: str) -> str:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-    return path
-
-
-def _read_json(path: str, fmt: str) -> "dict[str, Any]":
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise SerializationError(
-            f"cannot read {fmt} file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SerializationError(
-            f"{fmt} file {path!r} is not valid JSON: {exc}") from exc

@@ -14,15 +14,14 @@ so the CLI, server, and tests agree on one parser.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Mapping
 
 from ..core.graph import ConstraintGraph
 from ..core.problem import SchedulingProblem
 from ..core.task import ANCHOR_NAME
-from ..errors import ReproError
+from ..errors import ReproError, SerializationError
+from ..files import read_json
 from ..scheduling.base import SchedulerOptions
 from .session import (SESSION_SCHEDULERS, MissionSession, SessionConfig,
                       apply_constraint)
@@ -81,18 +80,13 @@ class SessionScript:
         try:
             return session_script_from_dict(doc)
         except RequestError as exc:
-            raise ReproError(f"bad session script: {exc.message}") \
-                from exc
+            raise SerializationError(
+                f"bad session script: {exc.message}") from exc
 
 
-def load_script(path: "str | Path") -> SessionScript:
+def load_script(path: str) -> SessionScript:
     """Read a ``repro-session-script`` v1 JSON file."""
-    raw = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ReproError(f"{path}: not valid JSON: {exc}") from exc
-    return SessionScript.from_dict(doc)
+    return read_json(path, SessionScript.from_dict)
 
 
 def replay_script(script: SessionScript) \

@@ -56,13 +56,13 @@ document, and only then closes the socket.
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
 
 from ..engine import BatchRunner, RunnerConfig, ScheduleStore
+from .. import files
 from ..errors import ReproError
 from ..io.requests import (RequestError, error_envelope,
                            response_envelope, solve_request_from_dict)
@@ -368,12 +368,7 @@ class SolveServer(HttpService):
                  "elapsed_ms": submission.elapsed_ms()}
                 for submission in self.jobs.values()],
         }
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(doc, indent=1, sort_keys=False)
-                         + "\n")
+        files.write_json(path, doc)
 
     # -- submission plumbing -------------------------------------------
 

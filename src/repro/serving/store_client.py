@@ -25,8 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-from ..engine.schedule_store import (CERTIFIED_STAGE, ScheduleStore,
-                                     StoredSchedule)
+from ..engine.schedule_store import ScheduleStore, StoredSchedule
 from ..errors import SerializationError
 from ..io.requests import store_request_to_dict
 from .client import ServingClient, ServingError
@@ -126,8 +125,6 @@ class RemoteScheduleStore(ScheduleStore):
             self.inserted -= 1
         else:
             self.deduped -= 1
-        if entry.stage == CERTIFIED_STAGE:
-            self._primed.add(base_key)
 
     def _remote_lookup(self, base_key: str,
                        p_max: "float | None" = None,
@@ -174,7 +171,7 @@ class RemoteScheduleStore(ScheduleStore):
         if base_key in self._primed:
             return base_key
         if self._remote_lookup(base_key) is not None:
-            # Absorbed the certified entry; _absorb marked us primed.
+            # Absorbed the certified entry, which marks us primed.
             self.primes += 1
             return base_key
         result = super().ensure_primed(problem, options, kind=kind)

@@ -62,8 +62,75 @@ class TestSolve:
         assert data["format"] == "repro-schedule"
 
     def test_missing_file_is_clean_error(self, capsys):
-        with pytest.raises((SystemExit, OSError)):
-            main(["solve", "/nonexistent/file.json"])
+        assert main(["solve", "/nonexistent/file.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "/nonexistent/file.json" in err
+
+    def test_artifacts_go_into_new_directories(self, problem_dsl,
+                                               tmp_path):
+        svg = tmp_path / "charts" / "out.svg"
+        sched = tmp_path / "schedules" / "out.json"
+        assert main(["solve", problem_dsl, "--no-chart", "--svg",
+                     str(svg), "--out", str(sched)]) == 0
+        assert svg.exists() and sched.exists()
+
+
+#: Each verb, the document format it reads, and its arguments around
+#: that file (``problem`` is a valid problem file).
+READERS = {
+    "solve": ("repro-problem", lambda path, problem: ["solve", path]),
+    "diagnose": ("repro-problem",
+                 lambda path, problem: ["diagnose", path]),
+    "sweep --store": ("repro-schedule-store",
+                      lambda path, problem: ["sweep", problem,
+                                             "--budgets", "8",
+                                             "--store", path]),
+    "table show": ("repro-schedule-store",
+                   lambda path, problem: ["table", "show", path]),
+    "trace summarize": ("repro-trace",
+                        lambda path, problem: ["trace", "summarize",
+                                               path]),
+    "session": ("repro-session-script",
+                lambda path, problem: ["session", path]),
+    "shard run": ("repro-shard-manifest",
+                  lambda path, problem: ["shard", "run", path,
+                                         "--artifact", path + ".out"]),
+    "shard merge": ("repro-shard-artifact",
+                    lambda path, problem: ["shard", "merge", path]),
+}
+
+
+class TestMalformedInput:
+    """A bad input file is an ``error:`` line and exit 1, never a
+    traceback."""
+
+    @pytest.mark.parametrize("verb, content", [
+        (verb, content) for verb in sorted(READERS)
+        for content in ("missing", "{not json", "[1, 2]",
+                        "string-version")
+        # A missing --store path is where sweep starts a new store.
+        if (verb, content) != ("sweep --store", "missing")])
+    def test_bad_file_is_an_error_line(self, verb, content,
+                                       problem_json, tmp_path, capsys):
+        fmt, argv = READERS[verb]
+        path = tmp_path / "input.json"
+        if content == "string-version":
+            content = json.dumps({"format": fmt, "version": "1"})
+        if content != "missing":
+            path.write_text(content)
+        assert main(argv(str(path), problem_json)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+
+    def test_bad_number_flag_is_an_error_line(self, problem_json,
+                                              tmp_path, capsys):
+        assert main(["sweep", problem_json, "--budgets", "8,x"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: --budgets must be comma-separated numbers")
+        assert main(["shard", "plan", problem_json, "--budgets", "",
+                     "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: --budgets needs at least one number")
 
 
 class TestExample:

@@ -263,9 +263,10 @@ class TestRunnerConfig:
 class TestRunTrace:
     def test_trace_document_schema(self, tmp_path):
         path = str(tmp_path / "trace.json")
-        runner = BatchRunner(RunnerConfig(trace_path=path))
+        runner = BatchRunner(RunnerConfig())
         problem = tiny_problem()
         sweep_grid(problem, [10.0, 12.0], [11.0, 13.0], runner=runner)
+        runner.last_trace.write(path)
 
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)

@@ -8,27 +8,37 @@ the problem, so this also pins the documented syntax); (4) shard
 manifests round-trip over random plans, and a manifest or artifact
 with any one field replaced by arbitrary JSON either loads or raises a
 :class:`ReproError` (a typed :class:`SerializationError`, or the
-problem model's own error for a value such as a NaN ``p_max``).
+problem model's own error for a value such as a NaN ``p_max``); (5) so
+does every other document the tool reads, and a file that cannot be
+read or decoded is a :class:`SerializationError` naming its path.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import SchedulingProblem, SerializationError
-from repro.engine import (PARTITION_STRATEGIES, ScheduleStore,
-                          SweepSpec, plan_shards)
+from repro import SchedulingProblem, SerializationError, schedule
+from repro.engine import (PARTITION_STRATEGIES, BatchRunner,
+                          RunnerConfig, ScheduleStore, SweepSpec,
+                          plan_shards, read_trace)
 from repro.engine.backends.shards import run_manifest
+from repro.engine.trace import RunTrace
 from repro.errors import ReproError
 from repro.examples_data import fig1_problem
-from repro.io import parse_problem, problem_from_dict, problem_to_dict
+from repro.io import (load_problem, load_problem_dsl, load_schedule,
+                      parse_problem, problem_from_dict, problem_to_dict,
+                      schedule_from_dict, schedule_to_dict)
 from repro.io.shards import (artifact_from_dict, artifact_to_dict,
+                             load_artifact, load_manifest,
                              manifest_from_dict, manifest_to_dict)
+from repro.online import load_script, script_from_problem
+from repro.online.script import SessionScript
 from repro.scheduling import SchedulerOptions
 from tests.test_properties import precedence_problems
 
@@ -251,3 +261,79 @@ class TestShardFormats:
                      str(tmp_path / "a0.json")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+
+# ----------------------------------------------------------------------
+# every other document, and the files they live in
+# ----------------------------------------------------------------------
+
+FIG1 = fig1_problem()
+
+
+@functools.lru_cache(maxsize=None)
+def _valid_document_json(kind: str) -> str:
+    """A valid document of each kind, using its optional sections."""
+    if kind == "problem":
+        doc = problem_to_dict(FIG1)
+        doc["resources"] = [{"name": "R", "idle_power": 0.5,
+                             "kind": "generic"}]
+    elif kind == "schedule":
+        doc = schedule_to_dict(schedule(FIG1).schedule)
+    elif kind == "store":
+        store = ScheduleStore()
+        store.ensure_primed(FIG1, SchedulerOptions(seed=2001))
+        doc = store.to_dict()
+    elif kind == "trace":
+        runner = BatchRunner(RunnerConfig(instrument=True,
+                                          reuse_schedules=True))
+        runner.run(SweepSpec.grid(FIG1, [10, 20], [2]).jobs())
+        doc = runner.last_trace.to_dict()
+    else:
+        doc = script_from_problem(FIG1).to_dict()
+    return json.dumps(doc)
+
+
+#: How each document kind is rebuilt from its parsed JSON.
+DOCUMENT_LOADERS = {
+    "problem": problem_from_dict,
+    "schedule": lambda doc: schedule_from_dict(doc, FIG1.graph),
+    "store": ScheduleStore.from_dict,
+    "trace": RunTrace.from_dict,
+    "script": SessionScript.from_dict,
+}
+
+
+class TestDocumentFormats:
+    @pytest.mark.parametrize("kind", sorted(DOCUMENT_LOADERS))
+    def test_valid_document_loads(self, kind):
+        DOCUMENT_LOADERS[kind](json.loads(_valid_document_json(kind)))
+
+    @pytest.mark.parametrize("kind", sorted(DOCUMENT_LOADERS))
+    @given(data=st.data(), value=json_values)
+    @settings(max_examples=80, deadline=None)
+    def test_field_replaced_by_any_json(self, kind, data, value):
+        doc = json.loads(_valid_document_json(kind))
+        doc[data.draw(st.sampled_from(sorted(doc)))] = value
+        _loads_or_raises_typed(DOCUMENT_LOADERS[kind], doc)
+
+    @pytest.mark.parametrize("reader", [
+        load_problem, load_problem_dsl, ScheduleStore.read, read_trace,
+        load_script, load_manifest, load_artifact,
+        lambda path: load_schedule(path, FIG1.graph)],
+        ids=["problem", "dsl", "store", "trace", "script", "manifest",
+             "artifact", "schedule"])
+    @pytest.mark.parametrize("case", ["missing", "directory",
+                                      "not-utf8", "not-json"])
+    def test_unreadable_file_names_its_path(self, reader, case,
+                                            tmp_path):
+        path = tmp_path / "doc.json"
+        if case == "directory":
+            path.mkdir()
+        elif case == "not-utf8":
+            path.write_bytes(b"\xff\xfe{}")
+        elif case == "not-json":
+            path.write_text("{not json")
+        with pytest.raises(SerializationError,
+                           match=re.escape(str(path))):
+            reader(str(path))
+

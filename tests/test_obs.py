@@ -6,7 +6,7 @@ import pytest
 
 from repro import ConstraintGraph, SchedulingProblem
 from repro.engine import (BatchRunner, RunnerConfig, SolveJob,
-                          load_trace, read_trace)
+                          read_trace)
 from repro.engine.trace import RunTrace
 from repro.errors import ReproError
 from repro.obs import (HISTOGRAM_LIMIT, OBS, Capture, MetricsRegistry,
@@ -263,11 +263,11 @@ class TestTraceSchemaV2:
     def _run_instrumented(self, tmp_path, workers=0):
         path = str(tmp_path / f"trace_w{workers}.json")
         runner = BatchRunner(RunnerConfig(workers=workers,
-                                          trace_path=path,
                                           instrument=True))
         jobs = [SolveJob(problem=tiny_problem(p_max=p))
                 for p in (14.0, 15.0, 16.0)]
         runner.run(jobs)
+        runner.last_trace.write(path)
         return path
 
     def test_v2_round_trip_identical_span_tree(self, tmp_path):
@@ -306,7 +306,7 @@ class TestTraceSchemaV2:
         trace = read_trace(str(path))
         assert trace.run["jobs"] == 1
         assert trace.spans == [] and trace.metrics == {}
-        assert load_trace(v1).jobs[0].key == "abc"
+        assert RunTrace.from_dict(v1).jobs[0].key == "abc"
         # and the summarizer copes with the span-free document
         digest = summarize_trace(v1)
         assert "repro-trace v1" in digest
@@ -350,8 +350,9 @@ class TestTraceSchemaV2:
 
     def test_uninstrumented_trace_has_no_spans(self, tmp_path):
         path = str(tmp_path / "plain.json")
-        runner = BatchRunner(RunnerConfig(trace_path=path))
+        runner = BatchRunner(RunnerConfig())
         runner.run([SolveJob(problem=tiny_problem())])
+        runner.last_trace.write(path)
         doc = json.loads(open(path).read())
         assert doc["version"] == 2
         assert doc["run"]["instrumented"] is False

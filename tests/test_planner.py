@@ -131,6 +131,20 @@ def test_tile_strategy_keeps_workload_runs_contiguous(params):
                                          indices[0] + len(indices)))
 
 
+@given(_planned_grids())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_each_point_is_solved_by_one_shard(params):
+    """Copies of one clamped grid point share a shard, so no job key
+    appears in two manifests and no shard repeats another's solve."""
+    problems, budgets, levels, shards, strategy = params
+    jobs = SweepSpec.grid(problems, budgets, levels).jobs()
+    plan = plan_shards(jobs, shards, strategy)
+    keys = [{job.key() for _position, job in manifest.jobs}
+            for manifest in plan]
+    assert sum(map(len, keys)) == len(set().union(*keys))
+
+
 def test_round_robin_deals_by_index():
     jobs = SweepSpec.grid(FIG1, [8, 10, 12], [2, 4]).jobs()
     plan = plan_shards(jobs, 2, "round_robin")

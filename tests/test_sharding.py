@@ -15,7 +15,7 @@ from collections import Counter
 import pytest
 
 from repro.engine import (BatchRunner, BackendError, RunnerConfig,
-                          SubprocessShardBackend, SweepSpec,
+                          ScheduleStore, SubprocessShardBackend, SweepSpec,
                           canonical_store_doc, merge_artifacts,
                           merge_results, plan_shards)
 from repro.engine.backends.shards import run_manifest
@@ -357,6 +357,29 @@ def test_v1_artifacts_still_merge(fig1_grid_jobs, serial_baseline):
 # ----------------------------------------------------------------------
 # artifact round trip
 # ----------------------------------------------------------------------
+
+def test_primed_store_spares_shards_the_priming_solve(monkeypatch):
+    """A manifest's store ships the parent's priming: a shard whose
+    points all fall inside the certified rectangle runs no timing
+    solve at all."""
+    from repro.scheduling.timing import TimingScheduler
+
+    store = ScheduleStore()
+    store.ensure_primed(fig1_problem(), fig1_options())
+    [entry] = next(iter(store.problems.values())).entries
+    jobs = SweepSpec.grid(fig1_problem(), [entry.peak, entry.peak + 4],
+                          [0, entry.floor], options=fig1_options()).jobs()
+    [manifest] = plan_shards(jobs, 1, runner={"reuse_schedules": True},
+                             store=store.to_dict())
+    solves = []
+    solve = TimingScheduler.solve
+    monkeypatch.setattr(TimingScheduler, "solve",
+                        lambda self, problem: solves.append(problem)
+                        or solve(self, problem))
+    artifact = run_manifest(manifest_from_dict(manifest_to_dict(manifest)))
+    assert all(result.stats["reuse"]["hit"] for result in artifact.results)
+    assert solves == []
+
 
 def test_artifact_round_trip(tmp_path, fig1_grid_jobs):
     artifacts = _make_artifacts(fig1_grid_jobs[:6], 2,

@@ -112,6 +112,36 @@ def test_shard_manifest_carries_trace_and_merge_stitches():
     assert root["attrs"]["trace_id"] == trace_id
 
 
+def test_cli_shard_plan_stamps_one_trace_id(tmp_path):
+    """``shard plan`` mints one trace id; both shard runs and the
+    merge adopt it, so worker logs and the merged trace join."""
+    from repro.cli import main
+    from repro.io import save_problem
+
+    problem = str(tmp_path / "fig1.json")
+    save_problem(fig1_problem(), problem)
+    assert main(["shard", "plan", problem, "--budgets", "8,12",
+                 "--levels", "2,4", "--shards", "2",
+                 "--out-dir", str(tmp_path)]) == 0
+    manifest_ids = set()
+    artifacts = []
+    for index in range(2):
+        manifest = tmp_path / f"shard_{index}.json"
+        manifest_ids.add(json.loads(manifest.read_text())
+                         ["runner"]["trace"]["trace_id"])
+        artifacts.append(str(tmp_path / f"a{index}.json"))
+        assert main(["shard", "run", str(manifest),
+                     "--artifact", artifacts[-1]]) == 0
+    assert main(["shard", "merge", *artifacts,
+                 "--trace", str(tmp_path / "merged.json")]) == 0
+    [trace_id] = manifest_ids
+    for path in artifacts:
+        assert json.loads(open(path).read())["run"]["trace_id"] \
+            == trace_id
+    merged = json.loads((tmp_path / "merged.json").read_text())
+    assert merged["run"]["trace_id"] == trace_id
+
+
 def test_merge_of_two_plans_is_refused():
     """Two 1-shard plans both claim shard 0 of 1: not one plan's
     complete artifact set, so the merge refuses instead of stitching

@@ -43,6 +43,7 @@ PACKAGES = [
     "repro.serving",
     "repro.online",
     "repro.errors",
+    "repro.files",
 ]
 
 HEADER = """# API index
