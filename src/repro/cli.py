@@ -303,15 +303,24 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=0, metavar="N",
                        help="engine worker processes per batch "
                             "(0 = solve in the server process)")
-    serve.add_argument("--max-batch", type=int, default=16,
+    # The batching defaults live in BatchingConfig, which this parser
+    # does not import; a flag left unset is not passed on.
+    serve.add_argument("--max-batch", type=int, default=None,
                        help="most solve jobs per engine batch "
-                            "(default 16)")
-    serve.add_argument("--max-wait-ms", type=float, default=10.0,
-                       help="micro-batch coalescing window in ms "
-                            "(default 10)")
-    serve.add_argument("--queue-limit", type=int, default=256,
+                            "(default: BatchingConfig's, listed in "
+                            "docs/serving.md)")
+    serve.add_argument("--max-wait-ms", type=float, default=None,
+                       metavar="MS",
+                       help="hold a non-full batch up to MS ms for "
+                            "more requests; 0 holds nothing: a batch "
+                            "leaves as soon as the engine is free and "
+                            "requests that queue meanwhile share the "
+                            "next one (default: BatchingConfig's, "
+                            "listed in docs/serving.md)")
+    serve.add_argument("--queue-limit", type=int, default=None,
                        help="bound on queued jobs before 429 "
-                            "backpressure (default 256)")
+                            "backpressure (default: BatchingConfig's, "
+                            "listed in docs/serving.md)")
     serve.add_argument("--reuse-schedules", action="store_true",
                        help="serve covered points from the "
                             "validity-range schedule store "
@@ -925,10 +934,10 @@ def _run_http_server(make_server, banner, trailers=()) -> int:
 def _cmd_serve(args) -> int:
     from .serving import ServingConfig, SolveServer
 
-    config = ServingConfig(host=args.host, port=args.port,
-                           max_batch=args.max_batch,
-                           max_wait_ms=args.max_wait_ms,
-                           queue_limit=args.queue_limit,
+    batching = {name: getattr(args, name)
+                for name in ("max_batch", "max_wait_ms", "queue_limit")
+                if getattr(args, name) is not None}
+    config = ServingConfig(host=args.host, port=args.port, **batching,
                            workers=max(0, args.workers),
                            reuse_schedules=args.reuse_schedules,
                            reuse_policy=args.reuse_policy,

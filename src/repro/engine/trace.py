@@ -48,13 +48,31 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from ..errors import SerializationError
 from ..files import check_envelope, read_json, typed, write_json
 
 __all__ = ["JobTrace", "RunTrace", "read_trace"]
 
 TRACE_FORMAT = "repro-trace"
 TRACE_VERSION = 2
+
+_NUMBER = (int, float)
+#: JSON types of the ``run`` fields a reader formats or sums; any may
+#: be absent (version 1 documents lack some) and others pass through.
+_RUN_FIELDS = {"jobs": int, "unique_solved": int, "workers": int,
+               "mode": str, "timeout_s": (int, float, type(None)),
+               "retries": int, "instrumented": bool,
+               "elapsed_s": _NUMBER}
+#: JSON types of the ``cache`` counters, likewise.
+_CACHE_FIELDS = {"hits": int, "misses": int, "evictions": int,
+                 "entries": int}
+#: ``JobTrace`` fields of a job record: name, JSON types, default.  A
+#: default of the wrong type makes the field required.
+_JOB_FIELDS = (("position", int, None), ("key", str, None),
+               ("cached", bool, False), ("ok", bool, True),
+               ("attempts", int, 0), ("elapsed_s", _NUMBER, 0.0),
+               ("error", (str, type(None)), None),
+               ("stage_seconds", dict, {}), ("counters", dict, {}),
+               ("reused", bool, False))
 
 
 @dataclass
@@ -91,15 +109,15 @@ class JobTrace:
 
     @classmethod
     def from_dict(cls, doc: "Mapping[str, Any]") -> "JobTrace":
-        return cls(position=doc["position"], key=doc["key"],
-                   cached=doc.get("cached", False),
-                   ok=doc.get("ok", True),
-                   attempts=doc.get("attempts", 0),
-                   elapsed_s=doc.get("elapsed_s", 0.0),
-                   error=doc.get("error"),
-                   stage_seconds=dict(doc.get("stage_seconds", {})),
-                   counters=dict(doc.get("counters", {})),
-                   reused=doc.get("reused", False))
+        doc = typed(doc, dict, "job")
+        fields = {name: typed(doc.get(name, default), types,
+                              f"job {name}")
+                  for name, types, default in _JOB_FIELDS}
+        for name in ("stage_seconds", "counters"):
+            fields[name] = {key: typed(value, _NUMBER,
+                                       f"job {name}.{key}")
+                            for key, value in fields[name].items()}
+        return cls(**fields)
 
 
 @dataclass
@@ -164,11 +182,13 @@ class RunTrace:
                                        ("jobs", list), ("spans", list),
                                        ("metrics", dict))}
         reuse = typed(doc.get("reuse"), (dict, type(None)), "reuse")
-        try:
-            jobs = [JobTrace.from_dict(job) for job in sections["jobs"]]
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise SerializationError(
-                f"malformed {TRACE_FORMAT} job: {exc!r}") from exc
+        for section, fields in (("run", _RUN_FIELDS),
+                                ("cache", _CACHE_FIELDS)):
+            for name, types in fields.items():
+                if name in sections[section]:
+                    typed(sections[section][name], types,
+                          f"{section}.{name}")
+        jobs = [JobTrace.from_dict(job) for job in sections["jobs"]]
         return cls(run=dict(sections["run"]),
                    cache=dict(sections["cache"]), jobs=jobs,
                    spans=list(sections["spans"]),

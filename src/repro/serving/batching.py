@@ -2,10 +2,16 @@
 
 The serving front-end never hands a request to the engine one point at
 a time.  Accepted submissions queue up; a single dispatch loop pulls up
-to ``max_batch`` solve jobs off the queue head — waiting at most
-``max_wait_ms`` for stragglers to coalesce when the queue holds fewer —
-and executes them as *one* :meth:`BatchRunner.arun` batch.  That is
-what makes the shared :class:`~repro.engine.cache.ResultCache` and
+to ``max_batch`` solve jobs off the queue head as soon as the engine is
+free and executes them as *one* :meth:`BatchRunner.arun` batch.
+Requests that arrive while a batch runs queue behind it and leave
+together in the next batch, so batches form under load without a
+timer, and a lone request on an idle server is dispatched at once.
+``max_wait_ms`` is an explicit hold for callers that set it: a
+non-full batch then waits up to that long for stragglers first.
+
+Batching is what makes the shared
+:class:`~repro.engine.cache.ResultCache` and
 :class:`~repro.engine.schedule_store.ScheduleStore` effective across
 clients: identical points dedup inside the batch, repeat points hit the
 cache, and covered points are served from a stored schedule's validity
@@ -16,6 +22,14 @@ guarded for concurrent runs); large sweeps simply span several
 consecutive batches.  Per-point results stream back through the
 runner's ``on_result`` hook and fan out to each submission's NDJSON
 event feed as they land.
+
+A finished submission keeps its answer, not its problem:
+:meth:`Submission.finish` drops the solve jobs (each holding the parsed
+problem's constraint graph) and keeps the point pairs, solved rows,
+event feed, error and span forest that job status, event replay, the
+debug trace and the serve trace read.  The server retains up to
+``JOB_RETENTION`` finished submissions, so what each one keeps is what
+the registry costs.
 
 Backpressure and lifecycle are explicit:
 
@@ -60,16 +74,19 @@ class BatchingConfig:
     max_batch:
         Most solve jobs dispatched as one engine batch.
     max_wait_ms:
-        How long a non-full batch waits for more requests to coalesce
-        before dispatching what it has.  ``0`` dispatches immediately
-        (lowest latency, least batching).
+        An explicit hold: how long a non-full batch waits for more
+        requests before dispatching what it has.  The default ``0``
+        dispatches as soon as the engine is free; requests that arrive
+        while a batch runs still share the next one.
     queue_limit:
         Bound on undispatched queued jobs; admission beyond it is
         rejected with ``queue_full`` (HTTP 429).
+
+    These defaults are the server's and the CLI's too.
     """
 
     max_batch: int = 16
-    max_wait_ms: float = 10.0
+    max_wait_ms: float = 0.0
     queue_limit: int = 256
 
     def __post_init__(self) -> None:
@@ -85,12 +102,19 @@ class BatchingConfig:
 
 
 class Submission:
-    """One accepted request moving through the serving pipeline."""
+    """One accepted request moving through the serving pipeline.
+
+    Until it finishes, a submission holds one :class:`SolveJob` per
+    point; :meth:`finish` drops them, and with them the parsed problem,
+    so a finished job in the server's registry keeps only its answer.
+    """
 
     def __init__(self, job_id: str, request: SolveRequest,
                  loop: asyncio.AbstractEventLoop):
         self.id = job_id
-        self.request = request
+        #: The requested ``(p_max, p_min)`` pairs, in request order.
+        self.points = list(request.points)
+        self.deadline_ms = request.deadline_ms
         options = None
         if request.seed is not None:
             options = SchedulerOptions(seed=request.seed)
@@ -99,17 +123,17 @@ class Submission:
                 problem=request.problem.with_power_constraints(
                     p_max, p_min),
                 kind="sweep_point", options=options)
-            for p_max, p_min in request.points]
+            for p_max, p_min in self.points]
         self.results: "list[SolvedPoint | None]" = \
-            [None] * len(self.jobs)
+            [None] * len(self.points)
         self.status = "queued"
         self.error: "RequestError | None" = None
         self._loop = loop
         self._t0 = time.perf_counter()
         self.accepted_unix = time.time()
         self.deadline: "float | None" = None
-        if request.deadline_ms is not None:
-            self.deadline = loop.time() + request.deadline_ms / 1000.0
+        if self.deadline_ms is not None:
+            self.deadline = loop.time() + self.deadline_ms / 1000.0
         self.dispatched = 0
         self.completed = 0
         #: Distributed-trace identity of the HTTP request that created
@@ -127,7 +151,7 @@ class Submission:
         self.events: "list[dict]" = []
         self.done = asyncio.Event()
         self._new_event = asyncio.Event()
-        self.add_event("accepted", points=len(self.jobs))
+        self.add_event("accepted", points=len(self.points))
 
     # -- event feed ----------------------------------------------------
 
@@ -157,16 +181,23 @@ class Submission:
 
     # -- lifecycle -----------------------------------------------------
 
+    @property
+    def finished(self) -> bool:
+        return self.status in ("done", "cancelled", "error")
+
     def expired(self) -> bool:
         return (self.deadline is not None
                 and self._loop.time() >= self.deadline)
 
     def finish(self, status: str,
                error: "RequestError | None" = None) -> None:
-        if self.status in ("done", "cancelled", "error"):
+        if self.finished:
             return
         self.status = status
         self.error = error
+        # Jobs still queued are skipped by count and results still
+        # running are discarded, so nothing reads the jobs again.
+        self.jobs = []
         fields = {"status": status}
         if error is not None:
             fields["error"] = error.to_dict()
@@ -175,7 +206,7 @@ class Submission:
 
     def cancel(self) -> bool:
         """Request cancellation; True if the job was still live."""
-        if self.status in ("done", "cancelled", "error"):
+        if self.finished:
             return False
         self.finish("cancelled")
         return True
@@ -183,14 +214,14 @@ class Submission:
     def expire(self) -> None:
         self.finish("error", RequestError(
             "deadline_exceeded",
-            f"deadline of {self.request.deadline_ms} ms passed "
+            f"deadline of {self.deadline_ms} ms passed "
             f"after {self.elapsed_ms()} ms"))
 
     def record_result(self, index: int, job_result) -> None:
         """Fold one engine :class:`JobResult` back into the
         submission (called on the event loop)."""
         self.completed += 1
-        if self.status in ("cancelled", "error"):
+        if self.finished:
             return  # discarded: the client already got its answer
         value = job_result.value
         reuse = (job_result.stats or {}).get("reuse") or {}
@@ -201,14 +232,14 @@ class Submission:
         else:
             # Engine-level failure (worker death, timeout after
             # retries): degrade to an infeasible point, like sweep.
-            p_max, p_min = self.request.points[index]
+            p_max, p_min = self.points[index]
             point = SolvedPoint(p_max=p_max, p_min=p_min,
                                 feasible=False)
             self.add_event("job-failed", index=index,
                            error=job_result.error or "unknown")
         self.results[index] = point
         self.add_event("point", index=index, point=point.to_dict())
-        if self.completed == len(self.jobs):
+        if self.completed == len(self.points):
             self.finish("done")
 
     # -- wire form -----------------------------------------------------
@@ -220,7 +251,7 @@ class Submission:
                                     error=self.error.to_dict())
         else:
             doc = response_envelope(self.status, job=self.id)
-        doc["points_total"] = len(self.jobs)
+        doc["points_total"] = len(self.points)
         doc["points_done"] = sum(
             1 for result in self.results if result is not None)
         if self.status == "done":
@@ -264,15 +295,15 @@ class Batcher:
             raise RequestError(
                 "shutting_down",
                 "server is draining and no longer accepts jobs")
-        if self._queued_jobs + len(submission.jobs) \
+        if self._queued_jobs + len(submission.points) \
                 > self.config.queue_limit:
             raise RequestError(
                 "queue_full",
                 f"queue holds {self._queued_jobs} jobs; admitting "
-                f"{len(submission.jobs)} more would exceed the "
+                f"{len(submission.points)} more would exceed the "
                 f"limit of {self.config.queue_limit}")
         self._queue.append(submission)
-        self._queued_jobs += len(submission.jobs)
+        self._queued_jobs += len(submission.points)
         self._idle.clear()
         if self.registry is not None:
             self.registry.gauge("serving.queue.depth") \
@@ -298,7 +329,6 @@ class Batcher:
             self._task = None
 
     async def _run(self) -> None:
-        cfg = self.config
         while True:
             if not self._queue:
                 self._idle.set()
@@ -308,27 +338,27 @@ class Batcher:
                 self._wakeup.clear()
                 continue
             self._idle.clear()
-            if (self._queued_jobs < cfg.max_batch
-                    and cfg.max_wait_ms > 0 and not self.draining):
-                # Micro-batch window: let concurrent clients coalesce
-                # into one engine batch before dispatching.
-                wait_started = asyncio.get_running_loop().time()
-                while (self._queued_jobs < cfg.max_batch
-                       and not self.draining):
-                    remaining = cfg.max_wait_ms / 1000.0 \
-                        - (asyncio.get_running_loop().time()
-                           - wait_started)
-                    if remaining <= 0:
-                        break
-                    self._wakeup.clear()
-                    try:
-                        await asyncio.wait_for(self._wakeup.wait(),
-                                               remaining)
-                    except asyncio.TimeoutError:
-                        break
+            if self.config.max_wait_ms > 0:
+                await self._hold()
             batch = self._take_batch()
             if batch:
                 await self._dispatch(batch)
+
+    async def _hold(self) -> None:
+        """The explicit ``max_wait_ms`` hold: wait until the batch is
+        full, the window closes or a drain begins."""
+        loop = asyncio.get_running_loop()
+        closes = loop.time() + self.config.max_wait_ms / 1000.0
+        while (self._queued_jobs < self.config.max_batch
+               and not self.draining):
+            remaining = closes - loop.time()
+            if remaining <= 0:
+                return
+            self._wakeup.clear()
+            try:
+                await asyncio.wait_for(self._wakeup.wait(), remaining)
+            except asyncio.TimeoutError:
+                return
 
     def _take_batch(self) \
             -> "list[tuple[Submission, int, SolveJob]]":
@@ -341,31 +371,28 @@ class Batcher:
         entries: "list[tuple[Submission, int, SolveJob]]" = []
         while self._queue and len(entries) < self.config.max_batch:
             submission = self._queue[0]
-            if submission.status == "cancelled":
-                self._queued_jobs -= (len(submission.jobs)
+            if submission.finished or submission.expired():
+                # A queued submission cannot be done, so it was
+                # cancelled or its deadline passed.
+                self._queued_jobs -= (len(submission.points)
                                       - submission.dispatched)
                 self._queue.popleft()
+                if submission.status != "cancelled":
+                    submission.expire()
+                    if self.registry is not None:
+                        self.registry.counter("serving.jobs.expired") \
+                            .inc()
                 continue
-            if submission.expired():
-                self._queued_jobs -= (len(submission.jobs)
-                                      - submission.dispatched)
-                self._queue.popleft()
-                submission.expire()
-                if self.registry is not None:
-                    self.registry.counter("serving.jobs.expired") \
-                        .inc()
-                continue
-            if submission.status == "queued":
-                submission.status = "running"
+            submission.status = "running"
             take = min(self.config.max_batch - len(entries),
-                       len(submission.jobs) - submission.dispatched)
+                       len(submission.points) - submission.dispatched)
             for offset in range(take):
                 index = submission.dispatched + offset
                 entries.append((submission, index,
                                 submission.jobs[index]))
             submission.dispatched += take
             self._queued_jobs -= take
-            if submission.dispatched == len(submission.jobs):
+            if submission.dispatched == len(submission.points):
                 self._queue.popleft()
         if self.registry is not None:
             self.registry.gauge("serving.queue.depth") \

@@ -102,7 +102,7 @@ class ServingConfig:
         Listening address.  Port ``0`` binds an ephemeral port
         (``SolveServer.port`` reports the actual one).
     max_batch / max_wait_ms / queue_limit:
-        Micro-batching knobs — see
+        Micro-batching knobs, with their defaults — see
         :class:`~repro.serving.batching.BatchingConfig`.
     workers:
         Worker processes for the underlying engine batch (``0`` =
@@ -146,9 +146,9 @@ class ServingConfig:
 
     host: str = "127.0.0.1"
     port: int = 8080
-    max_batch: int = 16
-    max_wait_ms: float = 10.0
-    queue_limit: int = 256
+    max_batch: int = BatchingConfig.max_batch
+    max_wait_ms: float = BatchingConfig.max_wait_ms
+    queue_limit: int = BatchingConfig.queue_limit
     workers: int = 0
     reuse_schedules: bool = False
     reuse_policy: str = "identical"
@@ -364,7 +364,7 @@ class SolveServer(HttpService):
             "metrics": self.metrics.snapshot(),
             "jobs": [
                 {"job": submission.id, "status": submission.status,
-                 "points": len(submission.jobs),
+                 "points": len(submission.points),
                  "elapsed_ms": submission.elapsed_ms()}
                 for submission in self.jobs.values()],
         }
@@ -389,7 +389,7 @@ class SolveServer(HttpService):
         request.job_id = submission.id
         self.metrics.counter("serving.jobs.accepted").inc()
         self.metrics.histogram("serving.job.points") \
-            .observe(len(submission.jobs))
+            .observe(len(submission.points))
         while len(self.jobs) > JOB_RETENTION:
             oldest = next(iter(self.jobs))
             if self.jobs[oldest].status in ("done", "cancelled",

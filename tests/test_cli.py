@@ -122,6 +122,19 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(path) in err
 
+    @pytest.mark.parametrize("section", [
+        {"run": {"elapsed_s": "x"}},
+        {"jobs": [{"position": "x", "key": "k", "elapsed_s": "z"}]}],
+        ids=["run", "job"])
+    def test_mistyped_trace_field_is_an_error_line(self, section,
+                                                   tmp_path, capsys):
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps({"format": "repro-trace",
+                                    "version": 2, **section}))
+        assert main(["trace", "summarize", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+
     def test_bad_number_flag_is_an_error_line(self, problem_json,
                                               tmp_path, capsys):
         assert main(["sweep", problem_json, "--budgets", "8,x"]) == 1

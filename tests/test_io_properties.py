@@ -9,8 +9,10 @@ manifests round-trip over random plans, and a manifest or artifact
 with any one field replaced by arbitrary JSON either loads or raises a
 :class:`ReproError` (a typed :class:`SerializationError`, or the
 problem model's own error for a value such as a NaN ``p_max``); (5) so
-does every other document the tool reads, and a file that cannot be
-read or decoded is a :class:`SerializationError` naming its path.
+does every other document the tool reads, a trace whose ``run`` or job
+fields are replaced either summarizes or raises one, and a file that
+cannot be read or decoded is a :class:`SerializationError` naming its
+path.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from repro.io import (load_problem, load_problem_dsl, load_schedule,
 from repro.io.shards import (artifact_from_dict, artifact_to_dict,
                              load_artifact, load_manifest,
                              manifest_from_dict, manifest_to_dict)
+from repro.obs import summarize_trace
 from repro.online import load_script, script_from_problem
 from repro.online.script import SessionScript
 from repro.scheduling import SchedulerOptions
@@ -303,6 +306,11 @@ DOCUMENT_LOADERS = {
 }
 
 
+def _summarize_trace(doc) -> str:
+    """What ``trace summarize`` does with a parsed trace document."""
+    return summarize_trace(RunTrace.from_dict(doc).to_dict())
+
+
 class TestDocumentFormats:
     @pytest.mark.parametrize("kind", sorted(DOCUMENT_LOADERS))
     def test_valid_document_loads(self, kind):
@@ -315,6 +323,16 @@ class TestDocumentFormats:
         doc = json.loads(_valid_document_json(kind))
         doc[data.draw(st.sampled_from(sorted(doc)))] = value
         _loads_or_raises_typed(DOCUMENT_LOADERS[kind], doc)
+
+    @pytest.mark.parametrize("section", ["run", "job"])
+    @given(data=st.data(), value=json_values)
+    @settings(max_examples=80, deadline=None)
+    def test_trace_run_or_job_field_replaced_by_any_json(
+            self, section, data, value):
+        doc = json.loads(_valid_document_json("trace"))
+        fields = doc["run"] if section == "run" else doc["jobs"][0]
+        fields[data.draw(st.sampled_from(sorted(fields)))] = value
+        _loads_or_raises_typed(_summarize_trace, doc)
 
     @pytest.mark.parametrize("reader", [
         load_problem, load_problem_dsl, ScheduleStore.read, read_trace,

@@ -14,6 +14,7 @@ Covers the acceptance criteria of the serving layer:
 from __future__ import annotations
 
 import asyncio
+import gc
 import http.client
 import json
 import os
@@ -24,9 +25,11 @@ import time
 import pytest
 
 from repro import PowerAwareScheduler
+from repro.core.graph import ConstraintGraph
+from repro.engine import BatchRunner, RunnerConfig
 from repro.examples_data import fig1_problem
 from repro.io import problem_to_dict, save_problem
-from repro.io.requests import ERROR_CODES
+from repro.io.requests import ERROR_CODES, solve_request_to_dict
 from repro.serving import (ServingClient, ServingConfig, ServingError,
                            SolveServer)
 
@@ -37,8 +40,10 @@ DOC_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "docs",
 class LiveServer:
     """A :class:`SolveServer` on a background thread's event loop."""
 
-    def __init__(self, config: "ServingConfig | None" = None):
+    def __init__(self, config: "ServingConfig | None" = None,
+                 runner: "BatchRunner | None" = None):
         self.config = config or ServingConfig(port=0)
+        self.runner = runner
         self.server: "SolveServer | None" = None
         self.client: "ServingClient | None" = None
         self._loop: "asyncio.AbstractEventLoop | None" = None
@@ -46,7 +51,7 @@ class LiveServer:
         self._thread: "threading.Thread | None" = None
 
     async def _main(self, ready: threading.Event) -> None:
-        self.server = SolveServer(self.config)
+        self.server = SolveServer(self.config, runner=self.runner)
         await self.server.start()
         self._stop = asyncio.Event()
         ready.set()
@@ -186,6 +191,129 @@ def test_concurrent_clients_coalesce_into_batches():
         # The 100 ms window folded the concurrent solves into fewer
         # engine batches than requests.
         assert live.server.batcher.batches < 4
+
+
+class HeldRunner(BatchRunner):
+    """A runner whose batches wait for :attr:`release` once
+    :meth:`hold` is called, so a test can queue requests behind a busy
+    engine without racing the solver."""
+
+    def __init__(self):
+        super().__init__(RunnerConfig(instrument=True))
+        self.holding = threading.Event()
+        self.release = threading.Event()
+        self.release.set()
+
+    def hold(self) -> None:
+        self.holding.clear()
+        self.release.clear()
+
+    def run(self, jobs, on_result=None):
+        if not self.release.is_set():
+            self.holding.set()
+            assert self.release.wait(30), "batch never released"
+        return super().run(jobs, on_result=on_result)
+
+
+def _solve_in_thread(url: str, problem, p_max: float, out: list):
+    thread = threading.Thread(target=lambda: out.append(
+        ServingClient(url).solve(problem, p_max=p_max, p_min=4.0)))
+    thread.start()
+    return thread
+
+
+def test_requests_queued_behind_a_batch_share_the_next_one():
+    """Without a hold window, requests that arrive while a batch holds
+    the engine still leave together in the next batch."""
+    problem = fig1_problem()
+    runner = HeldRunner()
+    with LiveServer(runner=runner) as live:
+        assert live.server.batcher.config.max_wait_ms == 0
+        runner.hold()
+        responses: "list[dict]" = []
+        threads = [_solve_in_thread(live.url, problem, 16.0, responses)]
+        assert runner.holding.wait(10), "first batch never started"
+        queued = 4
+        threads += [_solve_in_thread(live.url, problem, 17.0 + i,
+                                     responses)
+                    for i in range(queued)]
+        deadline = time.monotonic() + 10.0
+        while live.client.healthz()["queued_jobs"] < queued:
+            assert time.monotonic() < deadline, "requests never queued"
+            time.sleep(0.01)
+        runner.release.set()
+        for thread in threads:
+            thread.join(30)
+        assert [r["status"] for r in responses] == ["done"] * (queued + 1)
+        # The held batch, then one batch for everything that queued.
+        assert live.server.batcher.batches == 2
+
+
+def _live_graphs() -> int:
+    gc.collect()
+    return sum(1 for obj in gc.get_objects()
+               if isinstance(obj, ConstraintGraph))
+
+
+def _job_still_answers(client: ServingClient, job_id: str,
+                       status: str) -> "list[dict]":
+    """The job's status, its event replay and its debug trace; returns
+    the engine spans the trace hangs under the job's request."""
+    assert client.job(job_id)["status"] == status
+    events = list(client.events(job_id))
+    assert events[-1]["event"] == "done"
+    assert events[-1]["status"] == status
+    trace = client.debug_trace(client.trace_context[0])
+    (request,) = [span for span in trace["spans"]
+                  if span["attrs"].get("job") == job_id
+                  and span["attrs"]["method"] == "POST"]
+    return request["children"]
+
+
+def test_served_problem_does_not_outlive_its_response():
+    """A finished job keeps its answer, not its parsed problem: live
+    constraint graphs do not grow with requests served, and finished,
+    cancelled and expired jobs still answer every read endpoint."""
+    problem = fig1_problem()
+    runner = HeldRunner()
+    with LiveServer(runner=runner) as live:
+        live.client.solve(problem, p_max=15.0, p_min=4.0)
+        before = _live_graphs()
+        for i in range(39):
+            live.client.solve(problem, p_max=16.0 + i / 4, p_min=4.0)
+        finished = ServingClient(live.url)
+        done = finished.solve(problem, p_max=30.0, p_min=4.0)
+        assert _live_graphs() <= before
+
+        runner.hold()
+        held: "list[dict]" = []
+        thread = _solve_in_thread(live.url, problem, 31.0, held)
+        assert runner.holding.wait(10), "held batch never started"
+        cancelled = ServingClient(live.url)
+        queued = cancelled.sweep(problem, budgets=[32.0, 33.0],
+                                 levels=[4.0])
+        assert cancelled.cancel(queued["job"])["status"] == "cancelled"
+        expired = ServingClient(live.url)
+        status, doc = expired.request("POST", "/v1/solve",
+                                      solve_request_to_dict(
+                                          problem, p_max=34.0,
+                                          deadline_ms=0))
+        assert (status, doc["error"]["code"]) \
+            == (504, "deadline_exceeded")
+        runner.release.set()
+        thread.join(30)
+        assert held[0]["status"] == "done"
+        assert _live_graphs() <= before
+
+        spans = _job_still_answers(finished, done["job"], "done")
+        assert [span["name"] for span in spans] == ["engine.run"]
+        assert spans[0]["children"], "engine.job spans were dropped"
+        assert finished.job(done["job"])["points"] == done["points"]
+        assert _job_still_answers(cancelled, queued["job"],
+                                  "cancelled") == []
+        assert _job_still_answers(expired, doc["job"], "error") == []
+        assert expired.job(doc["job"])["error"]["code"] \
+            == "deadline_exceeded"
 
 
 # ---------------------------------------------------------------------
