@@ -108,7 +108,7 @@ def test_batched_serving_throughput(artifact_dir):
     # Cold path: 48 sequential /v1/solve requests, immediate dispatch,
     # no schedule reuse, every point distinct so the result cache never
     # helps across requests.
-    cold_config = ServingConfig(port=0, max_wait_ms=0.0)
+    cold_config = ServingConfig(port=0)
     with _LiveServer(cold_config) as cold:
         t0 = time.perf_counter()
         cold_points = []

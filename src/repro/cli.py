@@ -303,23 +303,16 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=0, metavar="N",
                        help="engine worker processes per batch "
                             "(0 = solve in the server process)")
-    # The batching defaults live in BatchingConfig, which this parser
+    # The batching defaults live in ServingConfig, which this parser
     # does not import; a flag left unset is not passed on.
     serve.add_argument("--max-batch", type=int, default=None,
-                       help="most solve jobs per engine batch "
-                            "(default: BatchingConfig's, listed in "
+                       help="most solve jobs per engine batch; a batch "
+                            "leaves as soon as the engine is free "
+                            "(default: ServingConfig's, listed in "
                             "docs/serving.md)")
-    serve.add_argument("--max-wait-ms", type=float, default=None,
-                       metavar="MS",
-                       help="hold a non-full batch up to MS ms for "
-                            "more requests; 0 holds nothing: a batch "
-                            "leaves as soon as the engine is free and "
-                            "requests that queue meanwhile share the "
-                            "next one (default: BatchingConfig's, "
-                            "listed in docs/serving.md)")
     serve.add_argument("--queue-limit", type=int, default=None,
                        help="bound on queued jobs before 429 "
-                            "backpressure (default: BatchingConfig's, "
+                            "backpressure (default: ServingConfig's, "
                             "listed in docs/serving.md)")
     serve.add_argument("--reuse-schedules", action="store_true",
                        help="serve covered points from the "
@@ -935,7 +928,7 @@ def _cmd_serve(args) -> int:
     from .serving import ServingConfig, SolveServer
 
     batching = {name: getattr(args, name)
-                for name in ("max_batch", "max_wait_ms", "queue_limit")
+                for name in ("max_batch", "queue_limit")
                 if getattr(args, name) is not None}
     config = ServingConfig(host=args.host, port=args.port, **batching,
                            workers=max(0, args.workers),

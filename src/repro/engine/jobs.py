@@ -206,9 +206,11 @@ def run_job(job: SolveJob, position: int = 0, key: "str | None" = None,
     ``store`` (a :class:`~repro.engine.schedule_store.ScheduleStore`)
     is forwarded to store-aware kinds; entries the job inserted are
     drained from the store journal into
-    ``result.stats["reuse"]["new_entries"]`` so pool workers ship them
-    back to the parent (the serial path shares the live store, where the
-    drained delta is simply redundant with what is already in it).
+    ``result.stats["reuse"]["new_entries"]``, and the duplicates it
+    suppressed are counted in ``result.stats["reuse"]["deduped"]``, so
+    pool workers ship both back to the parent (the serial path shares
+    the live store, where both are simply redundant with what it
+    already holds and counts).
     """
     fn = _KINDS.get(job.kind)
     key = key if key is not None else job.key()
@@ -216,6 +218,7 @@ def run_job(job: SolveJob, position: int = 0, key: "str | None" = None,
         return JobResult(position=position, key=key, ok=False,
                          error=f"unknown job kind {job.kind!r}")
     use_store = store is not None and job.kind in _STORE_AWARE
+    deduped0 = store.deduped if use_store else 0
     last_error = ""
     capture_ctx = None
     if instrument:
@@ -258,13 +261,18 @@ def run_job(job: SolveJob, position: int = 0, key: "str | None" = None,
     # pushes it wholesale after the batch (RemoteScheduleStore.sync);
     # draining it into per-job stats here would strand every solved
     # entry on this instance — only snapshot modes need the delta
-    # shipped through the result.
+    # shipped through the result.  The dedups this store suppressed
+    # ship too: a snapshot's never reach the parent's counter.
     if use_store and not getattr(store, "remote", False):
         new_entries = store.drain_journal()
-        if new_entries:
+        deduped = store.deduped - deduped0
+        if new_entries or deduped:
             result.stats = dict(result.stats)
             reuse = dict(result.stats.get("reuse") or {})
-            reuse["new_entries"] = new_entries
+            if new_entries:
+                reuse["new_entries"] = new_entries
+            if deduped:
+                reuse["deduped"] = deduped
             result.stats["reuse"] = reuse
     return result
 

@@ -299,11 +299,15 @@ class BatchRunner:
                 self.store.range_hits += 1
             else:
                 self.store.misses += 1
-            if mode in SNAPSHOT_MODES and reuse.get("new_entries"):
-                # Serial runs insert into the live store directly; only
-                # snapshot-running modes (pool workers, shard
-                # subprocesses, remote servers) need their deltas
-                # folded back.
+            if mode not in SNAPSHOT_MODES:
+                continue
+            # Serial runs insert into the live store directly; only
+            # snapshot-running modes (pool workers, shard subprocesses,
+            # remote servers) need their deltas folded back, and the
+            # dedups their stores counted added, so ``deduped`` is the
+            # same whatever the execution path.
+            self.store.deduped += reuse.get("deduped", 0)
+            if reuse.get("new_entries"):
                 self.store.merge_delta(reuse["new_entries"])
                 if LOG.enabled:
                     LOG.emit("store.merge", trace_id=trace_id,

@@ -65,6 +65,17 @@ _RUN_FIELDS = {"jobs": int, "unique_solved": int, "workers": int,
 #: JSON types of the ``cache`` counters, likewise.
 _CACHE_FIELDS = {"hits": int, "misses": int, "evictions": int,
                  "entries": int}
+#: JSON types of the metric-summary, span and span-event fields the
+#: summarizer and the exporters read, likewise; a span or event also
+#: needs a ``name``.
+_METRIC_FIELDS = {"type": str, "value": _NUMBER, "count": _NUMBER,
+                  "sum": _NUMBER, "min": _NUMBER, "max": _NUMBER,
+                  "p50": _NUMBER, "p95": _NUMBER, "p99": _NUMBER,
+                  "exemplar": dict}
+_EXEMPLAR_FIELDS = {"trace_id": str, "value": _NUMBER}
+_SPAN_FIELDS = {"start": _NUMBER, "duration": _NUMBER, "attrs": dict,
+                "events": list, "children": list}
+_EVENT_FIELDS = {"at": _NUMBER, "attrs": dict}
 #: ``JobTrace`` fields of a job record: name, JSON types, default.  A
 #: default of the wrong type makes the field required.
 _JOB_FIELDS = (("position", int, None), ("key", str, None),
@@ -182,12 +193,16 @@ class RunTrace:
                                        ("jobs", list), ("spans", list),
                                        ("metrics", dict))}
         reuse = typed(doc.get("reuse"), (dict, type(None)), "reuse")
-        for section, fields in (("run", _RUN_FIELDS),
-                                ("cache", _CACHE_FIELDS)):
-            for name, types in fields.items():
-                if name in sections[section]:
-                    typed(sections[section][name], types,
-                          f"{section}.{name}")
+        _check_fields(sections["run"], _RUN_FIELDS, "run")
+        _check_fields(sections["cache"], _CACHE_FIELDS, "cache")
+        for name, summary in sections["metrics"].items():
+            summary = _check_fields(summary, _METRIC_FIELDS,
+                                    f"metrics.{name}")
+            if "exemplar" in summary:
+                _check_fields(summary["exemplar"], _EXEMPLAR_FIELDS,
+                              f"metrics.{name}.exemplar")
+        for span in sections["spans"]:
+            _check_span(span)
         jobs = [JobTrace.from_dict(job) for job in sections["jobs"]]
         return cls(run=dict(sections["run"]),
                    cache=dict(sections["cache"]), jobs=jobs,
@@ -201,6 +216,28 @@ class RunTrace:
         Missing parent directories are created.
         """
         return write_json(path, self.to_dict())
+
+
+def _check_fields(doc: Any, fields: "dict[str, Any]", what: str) \
+        -> "dict[str, Any]":
+    """``doc`` if it is an object whose present ``fields`` have their
+    JSON types, else a :class:`SerializationError`."""
+    doc = typed(doc, dict, what)
+    for name, types in fields.items():
+        if name in doc:
+            typed(doc[name], types, f"{what}.{name}")
+    return doc
+
+
+def _check_span(span: Any) -> None:
+    """Type a serialized span, its events and its children."""
+    span = _check_fields(span, _SPAN_FIELDS, "span")
+    typed(span.get("name"), str, "span.name")
+    for event in span.get("events", []):
+        event = _check_fields(event, _EVENT_FIELDS, "span event")
+        typed(event.get("name"), str, "span event.name")
+    for child in span.get("children", []):
+        _check_span(child)
 
 
 def read_trace(path: str) -> RunTrace:

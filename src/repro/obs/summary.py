@@ -91,7 +91,7 @@ def summarize_trace(doc: "Mapping[str, Any]", top: int = 5) -> str:
                 for name, summary in sorted(histograms.items())]
         out.append("")
         out.append(format_table(rows, title="-- histograms --"))
-    counters = {name: summary["value"]
+    counters = {name: summary.get("value", 0)
                 for name, summary in metrics.items()
                 if summary.get("type") == "counter"}
     if counters:

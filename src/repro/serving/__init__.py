@@ -15,10 +15,10 @@ The pieces:
   ``POST /v1/solve`` (synchronous), ``POST /v1/sweep``
   (asynchronous + NDJSON event stream), job status/cancel,
   ``/healthz``, Prometheus ``/metrics``;
-* :class:`~repro.serving.batching.Batcher` /
-  :class:`~repro.serving.batching.BatchingConfig` — the micro-batching
-  loop (``max_batch``, ``max_wait_ms``, bounded queue with 429
-  backpressure, per-request deadlines, cancellation, graceful drain);
+* :class:`~repro.serving.batching.Batcher` — the micro-batching loop:
+  a batch of up to ``max_batch`` jobs leaves as soon as the engine is
+  free, with a bounded queue and 429 backpressure, per-request
+  deadlines, cancellation and graceful drain;
 * :class:`~repro.serving.client.ServingClient` — the blocking
   reference client (``repro-schedule submit`` uses it);
 * online mission sessions (``POST /v1/sessions``) — the server hosts
@@ -61,7 +61,7 @@ Run one::
     asyncio.run(main())
 """
 
-from .batching import Batcher, BatchingConfig, Submission
+from .batching import Batcher, Submission
 from .client import ServingClient, ServingError, TruncatedStreamError
 from .protocol import HttpRequest
 from .router import Router, RouterConfig
@@ -71,7 +71,6 @@ from .store_service import StoreService, StoreServiceConfig
 
 __all__ = [
     "Batcher",
-    "BatchingConfig",
     "HttpRequest",
     "RemoteScheduleStore",
     "Router",

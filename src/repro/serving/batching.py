@@ -7,8 +7,6 @@ free and executes them as *one* :meth:`BatchRunner.arun` batch.
 Requests that arrive while a batch runs queue behind it and leave
 together in the next batch, so batches form under load without a
 timer, and a lone request on an idle server is dispatched at once.
-``max_wait_ms`` is an explicit hold for callers that set it: a
-non-full batch then waits up to that long for stragglers first.
 
 Batching is what makes the shared
 :class:`~repro.engine.cache.ResultCache` and
@@ -26,10 +24,11 @@ event feed as they land.
 A finished submission keeps its answer, not its problem:
 :meth:`Submission.finish` drops the solve jobs (each holding the parsed
 problem's constraint graph) and keeps the point pairs, solved rows,
-event feed, error and span forest that job status, event replay, the
-debug trace and the serve trace read.  The server retains up to
-``JOB_RETENTION`` finished submissions, so what each one keeps is what
-the registry costs.
+event feed and error that job status, event replay and the serve trace
+read.  The server retains up to ``JOB_RETENTION`` finished submissions,
+so what each one keeps is what the registry costs.  Its span forest,
+read only by the debug trace, goes once no flight-recorder record
+names the job.
 
 Backpressure and lifecycle are explicit:
 
@@ -50,55 +49,19 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
-from dataclasses import dataclass
 
 from ..engine import BatchRunner, SolveJob
 from ..io.requests import (RequestError, SolvedPoint, SolveRequest,
                            response_envelope)
-from ..obs import (absorb_cache_stats, absorb_store_stats,
-                   reset_trace_context, set_trace_context)
+from ..obs import (MetricsRegistry, absorb_cache_stats,
+                   absorb_store_stats, reset_trace_context,
+                   set_trace_context)
 from ..scheduling.base import SchedulerOptions
 
-__all__ = ["BatchingConfig", "Submission", "Batcher"]
+__all__ = ["Submission", "Batcher"]
 
 #: Submission status values as they appear on the wire.
 STATUSES = ("queued", "running", "done", "cancelled", "error")
-
-
-@dataclass
-class BatchingConfig:
-    """Tunable knobs of the micro-batching loop.
-
-    Attributes
-    ----------
-    max_batch:
-        Most solve jobs dispatched as one engine batch.
-    max_wait_ms:
-        An explicit hold: how long a non-full batch waits for more
-        requests before dispatching what it has.  The default ``0``
-        dispatches as soon as the engine is free; requests that arrive
-        while a batch runs still share the next one.
-    queue_limit:
-        Bound on undispatched queued jobs; admission beyond it is
-        rejected with ``queue_full`` (HTTP 429).
-
-    These defaults are the server's and the CLI's too.
-    """
-
-    max_batch: int = 16
-    max_wait_ms: float = 0.0
-    queue_limit: int = 256
-
-    def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise ValueError(
-                f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_wait_ms < 0:
-            raise ValueError(
-                f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
-        if self.queue_limit < 1:
-            raise ValueError(
-                f"queue_limit must be >= 1, got {self.queue_limit}")
 
 
 class Submission:
@@ -146,8 +109,10 @@ class Submission:
         #: ``engine.run`` span documents attributed to this submission
         #: — one per batch that dispatched any of its jobs, each
         #: holding only this submission's ``engine.job`` children
-        #: (see :meth:`Batcher._attribute_spans`).
-        self.spans: "list[dict]" = []
+        #: (see :meth:`Batcher._attribute_spans`); ``None`` once the
+        #: server released them because no flight-recorder record
+        #: names the job.
+        self.spans: "list[dict] | None" = []
         self.events: "list[dict]" = []
         self.done = asyncio.Event()
         self._new_event = asyncio.Event()
@@ -264,13 +229,18 @@ class Submission:
 
 
 class Batcher:
-    """The dispatch loop between submissions and the engine."""
+    """The dispatch loop between submissions and the engine.
 
-    def __init__(self, runner: BatchRunner,
-                 config: "BatchingConfig | None" = None,
-                 registry=None):
+    ``config`` is the server's
+    :class:`~repro.serving.server.ServingConfig`, read for
+    ``max_batch`` and ``queue_limit``; ``registry`` is the server's
+    metrics registry.
+    """
+
+    def __init__(self, runner: BatchRunner, config,
+                 registry: MetricsRegistry):
         self.runner = runner
-        self.config = config or BatchingConfig()
+        self.config = config
         self.registry = registry
         self.draining = False
         self.batches = 0
@@ -305,9 +275,7 @@ class Batcher:
         self._queue.append(submission)
         self._queued_jobs += len(submission.points)
         self._idle.clear()
-        if self.registry is not None:
-            self.registry.gauge("serving.queue.depth") \
-                .set(self._queued_jobs)
+        self.registry.gauge("serving.queue.depth").set(self._queued_jobs)
         self._wakeup.set()
 
     # -- loop ----------------------------------------------------------
@@ -338,27 +306,9 @@ class Batcher:
                 self._wakeup.clear()
                 continue
             self._idle.clear()
-            if self.config.max_wait_ms > 0:
-                await self._hold()
             batch = self._take_batch()
             if batch:
                 await self._dispatch(batch)
-
-    async def _hold(self) -> None:
-        """The explicit ``max_wait_ms`` hold: wait until the batch is
-        full, the window closes or a drain begins."""
-        loop = asyncio.get_running_loop()
-        closes = loop.time() + self.config.max_wait_ms / 1000.0
-        while (self._queued_jobs < self.config.max_batch
-               and not self.draining):
-            remaining = closes - loop.time()
-            if remaining <= 0:
-                return
-            self._wakeup.clear()
-            try:
-                await asyncio.wait_for(self._wakeup.wait(), remaining)
-            except asyncio.TimeoutError:
-                return
 
     def _take_batch(self) \
             -> "list[tuple[Submission, int, SolveJob]]":
@@ -379,9 +329,7 @@ class Batcher:
                 self._queue.popleft()
                 if submission.status != "cancelled":
                     submission.expire()
-                    if self.registry is not None:
-                        self.registry.counter("serving.jobs.expired") \
-                            .inc()
+                    self.registry.counter("serving.jobs.expired").inc()
                 continue
             submission.status = "running"
             take = min(self.config.max_batch - len(entries),
@@ -394,9 +342,7 @@ class Batcher:
             self._queued_jobs -= take
             if submission.dispatched == len(submission.points):
                 self._queue.popleft()
-        if self.registry is not None:
-            self.registry.gauge("serving.queue.depth") \
-                .set(self._queued_jobs)
+        self.registry.gauge("serving.queue.depth").set(self._queued_jobs)
         return entries
 
     async def _dispatch(self, entries) -> None:
@@ -448,18 +394,15 @@ class Batcher:
             # shared store before the counter absorb below, so the
             # pushed/sync_errors tallies land in the same snapshot.
             await asyncio.to_thread(self.runner.store.sync)
-        if self.registry is not None:
-            self.registry.counter("serving.batches").inc()
-            self.registry.histogram("serving.batch.jobs") \
-                .observe(len(jobs))
-            self.registry.histogram("serving.batch.seconds") \
-                .observe(elapsed_s)
-            absorb_cache_stats(self.registry, cache_before,
-                               self.runner.cache.stats())
-            if store_before is not None \
-                    and self.runner.store is not None:
-                absorb_store_stats(self.registry, store_before,
-                                   self.runner.store.counters())
+        self.registry.counter("serving.batches").inc()
+        self.registry.histogram("serving.batch.jobs").observe(len(jobs))
+        self.registry.histogram("serving.batch.seconds") \
+            .observe(elapsed_s)
+        absorb_cache_stats(self.registry, cache_before,
+                           self.runner.cache.stats())
+        if store_before is not None:
+            absorb_store_stats(self.registry, store_before,
+                               self.runner.store.counters())
 
     def _attribute_spans(self, entries, batch_number: int) -> None:
         """Slice the batch's engine span tree per submission.
@@ -490,6 +433,8 @@ class Batcher:
         attrs = dict(root.get("attrs") or {})
         attrs["batch"] = batch_number
         for submission in {id(s): s for s, _i, _j in entries}.values():
+            if submission.spans is None:
+                continue  # released: no flight-recorder record names it
             submission.spans.append({
                 "name": root.get("name", "engine.run"),
                 "start": root.get("start", 0.0),

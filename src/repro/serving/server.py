@@ -58,7 +58,7 @@ from __future__ import annotations
 import asyncio
 import os
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from ..engine import BatchRunner, RunnerConfig, ScheduleStore
@@ -76,7 +76,7 @@ from ..io.requests import (DEBUG_REQUESTS_FORMAT,
 from ..online import MissionSession, SessionConfig
 from ..scheduling.base import SchedulerOptions
 from ..obs import LOG
-from .batching import Batcher, BatchingConfig, Submission
+from .batching import Batcher, Submission
 from .protocol import (DEFAULT_MAX_BODY, HttpRequest, HttpService,
                        Route, send_ndjson_line, start_ndjson,
                        write_json)
@@ -101,9 +101,13 @@ class ServingConfig:
     host / port:
         Listening address.  Port ``0`` binds an ephemeral port
         (``SolveServer.port`` reports the actual one).
-    max_batch / max_wait_ms / queue_limit:
-        Micro-batching knobs, with their defaults — see
-        :class:`~repro.serving.batching.BatchingConfig`.
+    max_batch:
+        Most solve jobs dispatched as one engine batch.  A batch
+        leaves as soon as the engine is free; requests that queue
+        while it runs share the next one (:mod:`~repro.serving.batching`).
+    queue_limit:
+        Bound on undispatched queued jobs; admission beyond it is
+        rejected with ``queue_full`` (HTTP 429).
     workers:
         Worker processes for the underlying engine batch (``0`` =
         solve in the server process).
@@ -137,18 +141,17 @@ class ServingConfig:
         When set, the server enables the process-wide structured
         event log (:data:`repro.obs.LOG`) on this JSONL file at
         startup and closes it on shutdown.
-    instrument:
-        Run the engine with span capture on (the default), so
-        ``GET /v1/debug/trace/{trace_id}`` can show scheduler-stage
-        spans under each request.  Turn off to shave per-batch
-        overhead when nobody is tracing.
+
+    The server always runs its engine with span capture on, so
+    ``GET /v1/debug/trace/{trace_id}`` can show scheduler-stage spans
+    under each request.  ``max_batch`` and ``queue_limit`` below 1 are
+    a :class:`~repro.errors.ReproError`.
     """
 
     host: str = "127.0.0.1"
     port: int = 8080
-    max_batch: int = BatchingConfig.max_batch
-    max_wait_ms: float = BatchingConfig.max_wait_ms
-    queue_limit: int = BatchingConfig.queue_limit
+    max_batch: int = 16
+    queue_limit: int = 256
     workers: int = 0
     reuse_schedules: bool = False
     reuse_policy: str = "identical"
@@ -160,12 +163,12 @@ class ServingConfig:
     flight_recorder: int = 64
     slow_ms: float = 1000.0
     log_path: "str | None" = None
-    instrument: bool = True
 
-    def batching(self) -> BatchingConfig:
-        return BatchingConfig(max_batch=self.max_batch,
-                              max_wait_ms=self.max_wait_ms,
-                              queue_limit=self.queue_limit)
+    def __post_init__(self) -> None:
+        for name in ("max_batch", "queue_limit"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ReproError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass
@@ -260,10 +263,9 @@ class SolveServer(HttpService):
                 RunnerConfig(workers=self.config.workers,
                              reuse_schedules=reuse,
                              reuse_policy=self.config.reuse_policy,
-                             instrument=self.config.instrument),
+                             instrument=True),
                 store=store)
-        self.batcher = Batcher(self.runner, self.config.batching(),
-                               registry=self.metrics)
+        self.batcher = Batcher(self.runner, self.config, self.metrics)
         self.jobs: "dict[str, Submission]" = {}
         self._job_counter = 0
         #: Online mission sessions (``POST /v1/sessions``); each entry
@@ -276,6 +278,10 @@ class SolveServer(HttpService):
         #: slow/errored request, each as a small JSON-able record.
         self.recent: "deque[dict]" = deque(maxlen=capacity)
         self.notable: "deque[dict]" = deque(maxlen=capacity)
+        #: Records in either ring naming each job.  Only the debug
+        #: trace reads a job's span forest, and only through these
+        #: records, so the forest goes when the last one leaves.
+        self._ring_refs: "Counter[str]" = Counter()
 
     # -- service hooks -------------------------------------------------
 
@@ -423,12 +429,29 @@ class SolveServer(HttpService):
             record["session"] = request.session_id
         if error_code:
             record["error"] = error_code
-        self.recent.append(record)
+        self._ring_append(self.recent, record)
         if error_code or status >= 400 \
                 or latency_ms >= self.config.slow_ms:
-            self.notable.append(record)
+            self._ring_append(self.notable, record)
         return {key: record[key] for key in ("job", "session")
                 if key in record}
+
+    def _ring_append(self, ring: "deque[dict]", record: dict) -> None:
+        """Append to a flight-recorder ring; a job that no record left
+        in either ring names drops its span forest."""
+        if "job" in record:
+            self._ring_refs[record["job"]] += 1
+        evicted = ring[0].get("job") if len(ring) == ring.maxlen \
+            else None
+        ring.append(record)
+        if evicted is None:
+            return
+        self._ring_refs[evicted] -= 1
+        if not self._ring_refs[evicted]:
+            del self._ring_refs[evicted]
+            submission = self.jobs.get(evicted)
+            if submission is not None:
+                submission.spans = None
 
     async def _debug_requests(self, request: HttpRequest,
                               writer) -> None:
@@ -477,8 +500,7 @@ class SolveServer(HttpService):
             submission = self.jobs.get(record.get("job") or "")
             if submission is not None:
                 span_doc["children"] = [
-                    dict(doc) for doc in
-                    getattr(submission, "spans", [])]
+                    dict(doc) for doc in submission.spans or []]
             spans.append(span_doc)
         write_json(writer, 200, {
             "format": DEBUG_TRACE_FORMAT,

@@ -124,16 +124,20 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("section", [
         {"run": {"elapsed_s": "x"}},
-        {"jobs": [{"position": "x", "key": "k", "elapsed_s": "z"}]}],
-        ids=["run", "job"])
+        {"jobs": [{"position": "x", "key": "k", "elapsed_s": "z"}]},
+        {"metrics": {"a": 1}}, {"spans": [1]}],
+        ids=["run", "job", "metric", "span"])
     def test_mistyped_trace_field_is_an_error_line(self, section,
                                                    tmp_path, capsys):
         path = tmp_path / "trace.json"
         path.write_text(json.dumps({"format": "repro-trace",
                                     "version": 2, **section}))
-        assert main(["trace", "summarize", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and str(path) in err
+        for verb in (["summarize"], ["export", "--format", "chrome"],
+                     ["export", "--format", "prom"],
+                     ["export", "--format", "jsonl"]):
+            assert main(["trace", verb[0], str(path), *verb[1:]]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and str(path) in err, verb
 
     def test_bad_number_flag_is_an_error_line(self, problem_json,
                                               tmp_path, capsys):
@@ -144,6 +148,16 @@ class TestMalformedInput:
                      "--out-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith(
             "error: --budgets needs at least one number")
+
+    @pytest.mark.parametrize("flag, name", [
+        ("--max-batch", "max_batch"), ("--queue-limit", "queue_limit")])
+    def test_out_of_range_serve_flag_is_an_error_line(self, flag, name,
+                                                      capsys):
+        # Refused before a socket is bound, so this cannot start a
+        # server.
+        assert main(["serve", "--port", "0", flag, "0"]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {name} must be >= 1, got 0\n"
 
 
 class TestExample:

@@ -10,9 +10,10 @@ with any one field replaced by arbitrary JSON either loads or raises a
 :class:`ReproError` (a typed :class:`SerializationError`, or the
 problem model's own error for a value such as a NaN ``p_max``); (5) so
 does every other document the tool reads, a trace whose ``run`` or job
-fields are replaced either summarizes or raises one, and a file that
-cannot be read or decoded is a :class:`SerializationError` naming its
-path.
+fields are replaced either summarizes or raises one, a trace whose
+metric entries, spans or span fields are replaced either summarizes
+and exports or raises one, and a file that cannot be read or decoded
+is a :class:`SerializationError` naming its path.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from repro.io import (load_problem, load_problem_dsl, load_schedule,
 from repro.io.shards import (artifact_from_dict, artifact_to_dict,
                              load_artifact, load_manifest,
                              manifest_from_dict, manifest_to_dict)
-from repro.obs import summarize_trace
+from repro.obs import (chrome_trace, jsonl_lines, metrics_from_doc,
+                       prometheus_text, spans_from_doc, summarize_trace)
 from repro.online import load_script, script_from_problem
 from repro.online.script import SessionScript
 from repro.scheduling import SchedulerOptions
@@ -311,6 +313,17 @@ def _summarize_trace(doc) -> str:
     return summarize_trace(RunTrace.from_dict(doc).to_dict())
 
 
+def _summarize_and_export_trace(doc) -> None:
+    """What ``trace summarize`` and ``trace export --format
+    chrome|prom|jsonl`` do with a parsed trace document."""
+    trace = RunTrace.from_dict(doc).to_dict()
+    summarize_trace(trace)
+    spans, metrics = spans_from_doc(trace), metrics_from_doc(trace)
+    json.dumps(chrome_trace(spans, metrics))
+    prometheus_text(metrics)
+    list(jsonl_lines(spans, metrics))
+
+
 class TestDocumentFormats:
     @pytest.mark.parametrize("kind", sorted(DOCUMENT_LOADERS))
     def test_valid_document_loads(self, kind):
@@ -333,6 +346,32 @@ class TestDocumentFormats:
         fields = doc["run"] if section == "run" else doc["jobs"][0]
         fields[data.draw(st.sampled_from(sorted(fields)))] = value
         _loads_or_raises_typed(_summarize_trace, doc)
+
+    @pytest.mark.parametrize("target", ["metric", "metric-field",
+                                        "span", "span-field",
+                                        "child-field", "event-field"])
+    @given(data=st.data(), value=json_values)
+    @settings(max_examples=60, deadline=None)
+    def test_trace_metric_or_span_replaced_by_any_json(
+            self, target, data, value):
+        doc = json.loads(_valid_document_json("trace"))
+        metrics, span = doc["metrics"], doc["spans"][0]
+        event = {"name": "mark", "at": 0.0, "attrs": {"k": 1}}
+        span.setdefault("events", []).append(event)
+        name = data.draw(st.sampled_from(sorted(metrics)))
+        if target == "metric":
+            metrics[name] = value
+        elif target == "span":
+            doc["spans"][0] = value
+        else:
+            fields = {"metric-field": metrics[name], "span-field": span,
+                      "child-field": span["children"][0],
+                      "event-field": event}[target]
+            names = set(fields) | {"name", "type", "value", "exemplar",
+                                   "start", "duration", "attrs",
+                                   "events", "children", "at"}
+            fields[data.draw(st.sampled_from(sorted(names)))] = value
+        _loads_or_raises_typed(_summarize_and_export_trace, doc)
 
     @pytest.mark.parametrize("reader", [
         load_problem, load_problem_dsl, ScheduleStore.read, read_trace,

@@ -279,9 +279,8 @@ def test_doc_conformance_replay():
     """Replay every example in docs/online.md against a live server.
 
     Examples are replayed in document order on a fresh server
-    (``ServingConfig(port=0, max_wait_ms=150)``, as the doc states),
-    so session ids, event sequence numbers, and solved values are
-    deterministic.
+    (``ServingConfig(port=0)``, as the doc states), so session ids,
+    event sequence numbers, and solved values are deterministic.
     """
     with open(DOC_PATH, encoding="utf-8") as handle:
         text = handle.read()
@@ -291,7 +290,7 @@ def test_doc_conformance_replay():
     assert "/v1/sessions" in paths
     assert any(path.endswith("/events") for path in paths)
 
-    with LiveServer(ServingConfig(port=0, max_wait_ms=150.0)) as live:
+    with LiveServer(ServingConfig(port=0)) as live:
         for method, path, body, status, language, block in examples:
             where = f"{method} {path} -> {status}"
             if language == "ndjson":

@@ -44,14 +44,14 @@ from repro.io.requests import (ROUTER_MEMBERS_FORMAT,
                                STORE_RESPONSE_VERSION,
                                store_request_to_dict)
 from repro.scheduling import SchedulerOptions
-from repro.serving import (Router, RouterConfig, ServingClient,
-                           ServingConfig, ServingError, SolveServer,
-                           StoreClient, StoreService,
+from repro.serving import (RemoteScheduleStore, Router, RouterConfig,
+                           ServingClient, ServingConfig, ServingError,
+                           SolveServer, StoreClient, StoreService,
                            StoreServiceConfig)
 
 import tests.test_serving as serving_tests
-from tests.test_serving import LiveServer, _assert_like_doc, \
-    _parse_doc_examples
+from tests.test_serving import HeldReplay, HeldRunner, LiveServer, \
+    _assert_like_doc, _parse_doc_examples
 
 DOC_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "docs",
                         "scaling.md")
@@ -90,25 +90,37 @@ class ScalingStack:
 
     def __init__(self, instances: int = 2, shared_store: bool = True,
                  serve_kwargs: "dict | None" = None,
-                 router_kwargs: "dict | None" = None):
+                 router_kwargs: "dict | None" = None,
+                 held_member: "int | None" = None):
         self.instances = instances
         self.shared_store = shared_store
         self.serve_kwargs = serve_kwargs or {}
         self.router_kwargs = router_kwargs or {}
+        #: Member whose engine runs on a :class:`HeldRunner`
+        #: (:attr:`held`); it needs the shared store.
+        self.held_member = held_member
+        self.held: "HeldRunner | None" = None
         self._exits = contextlib.ExitStack()
 
     def __enter__(self) -> "ScalingStack":
         self.store = self._exits.enter_context(LiveService(
             lambda: StoreService(StoreServiceConfig(port=0))))
         self.serves = []
-        for _ in range(self.instances):
+        for index in range(self.instances):
             config = ServingConfig(
                 port=0,
                 store_url=self.store.url if self.shared_store
                 else None,
                 **self.serve_kwargs)
+            runner = None
+            if index == self.held_member:
+                # The runner SolveServer builds for a store_url config.
+                runner = self.held = HeldRunner(
+                    RunnerConfig(reuse_schedules=True, instrument=True),
+                    store=RemoteScheduleStore(self.store.url))
             self.serves.append(self._exits.enter_context(
-                LiveService(lambda c=config: SolveServer(c))))
+                LiveService(lambda c=config, r=runner:
+                            SolveServer(c, runner=r))))
         members = [serve.url for serve in self.serves]
         self.router = self._exits.enter_context(LiveService(
             lambda: Router(RouterConfig(port=0, members=members,
@@ -551,11 +563,12 @@ def test_doc_conformance_scaling(monkeypatch):
     """Replay every example in docs/scaling.md against a live stack.
 
     The examples were recorded against the exact stack the doc
-    describes — one store service, two ``ServingConfig(port=0,
-    max_wait_ms=150)`` members sharing it, and a router with health
-    probes slowed to keep the recording deterministic — and are
-    replayed in document order, so member assignment (round-robin from
-    m0), job ids and store contents are deterministic.
+    describes — one store service, two ``ServingConfig(port=0)``
+    members sharing it, member ``m1``'s sweep batch held as
+    :class:`HeldReplay` holds it, and a router with health probes
+    slowed to keep the recording deterministic — and are replayed in
+    document order, so member assignment (round-robin from m0), job
+    ids and store contents are deterministic.
 
     Store-service examples are addressed by path (``/v1/store/*``);
     everything else goes through the router.
@@ -574,9 +587,9 @@ def test_doc_conformance_scaling(monkeypatch):
         assert endpoint in paths, f"no doc example for {endpoint}"
 
     with ScalingStack(
-            instances=2,
-            serve_kwargs={"max_wait_ms": 150.0},
+            instances=2, held_member=1,
             router_kwargs={"health_interval_s": 3600.0}) as stack:
+        replay = HeldReplay(stack.held)
         router_client = ServingClient(stack.router.url)
         store_client = ServingClient(stack.store.url)
         for method, path, body, status, language, block in examples:
@@ -585,12 +598,12 @@ def test_doc_conformance_scaling(monkeypatch):
                 else router_client
             if language == "ndjson":
                 records = [json.loads(line) for line in block if line]
-                actual = list(
-                    router_client.events(path.split("/")[3]))
+                actual = replay.events(router_client,
+                                       path.split("/")[3])
                 _assert_like_doc(records, actual, where)
             elif language == "text":
-                got_status, got_text = client.request(method, path,
-                                                      body)
+                got_status, got_text = replay.request(
+                    client, method, path, body)
                 assert got_status == status, where
                 got_lines = set(got_text.splitlines())
                 for line in block:
@@ -598,8 +611,8 @@ def test_doc_conformance_scaling(monkeypatch):
                         assert line in got_lines, \
                             f"{where}: missing {line!r}"
             else:
-                got_status, got_doc = client.request(method, path,
-                                                     body)
+                got_status, got_doc = replay.request(
+                    client, method, path, body)
                 assert got_status == status, \
                     f"{where}: got {got_status} ({got_doc})"
                 _assert_like_doc(json.loads("\n".join(block)),

@@ -164,42 +164,16 @@ def test_clients_share_cache_and_store():
         assert hits and int(hits.group(1)) >= 1
 
 
-def test_concurrent_clients_coalesce_into_batches():
-    problem = fig1_problem()
-    config = ServingConfig(port=0, max_wait_ms=100.0)
-    with LiveServer(config) as live:
-        responses: "list[dict]" = []
-        errors: "list[Exception]" = []
-
-        def worker(p_max: float) -> None:
-            try:
-                client = ServingClient(live.url)
-                responses.append(
-                    client.solve(problem, p_max=p_max, p_min=4.0))
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(16.0 + i,))
-                   for i in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(30)
-        assert not errors
-        assert len(responses) == 4
-        assert all(r["status"] == "done" for r in responses)
-        # The 100 ms window folded the concurrent solves into fewer
-        # engine batches than requests.
-        assert live.server.batcher.batches < 4
-
-
 class HeldRunner(BatchRunner):
     """A runner whose batches wait for :attr:`release` once
     :meth:`hold` is called, so a test can queue requests behind a busy
-    engine without racing the solver."""
+    engine without racing the solver.  The default config is the one a
+    default :class:`SolveServer` builds."""
 
-    def __init__(self):
-        super().__init__(RunnerConfig(instrument=True))
+    def __init__(self, config: "RunnerConfig | None" = None,
+                 store=None):
+        super().__init__(config or RunnerConfig(instrument=True),
+                         store=store)
         self.holding = threading.Event()
         self.release = threading.Event()
         self.release.set()
@@ -222,13 +196,22 @@ def _solve_in_thread(url: str, problem, p_max: float, out: list):
     return thread
 
 
+def _hold_engine(live: LiveServer, runner: HeldRunner, problem,
+                 out: list) -> threading.Thread:
+    """Start a solve whose batch holds the engine until
+    ``runner.release`` is set; its response lands in ``out``."""
+    runner.hold()
+    thread = _solve_in_thread(live.url, problem, 16.0, out)
+    assert runner.holding.wait(10), "held batch never started"
+    return thread
+
+
 def test_requests_queued_behind_a_batch_share_the_next_one():
-    """Without a hold window, requests that arrive while a batch holds
-    the engine still leave together in the next batch."""
+    """Requests that arrive while a batch holds the engine leave
+    together in the next batch."""
     problem = fig1_problem()
     runner = HeldRunner()
     with LiveServer(runner=runner) as live:
-        assert live.server.batcher.config.max_wait_ms == 0
         runner.hold()
         responses: "list[dict]" = []
         threads = [_solve_in_thread(live.url, problem, 16.0, responses)]
@@ -316,6 +299,38 @@ def test_served_problem_does_not_outlive_its_response():
             == "deadline_exceeded"
 
 
+def test_span_forest_lives_while_a_ring_record_names_its_job():
+    """A job keeps its engine span forest while a flight-recorder
+    record names it: the first job loses it once a dozen solves push
+    its record out, a slow job pinned in the notable ring keeps it."""
+    problem = fig1_problem()
+    runner = HeldRunner()
+    config = ServingConfig(port=0, flight_recorder=4, slow_ms=500.0)
+    with LiveServer(config, runner=runner) as live:
+        first = ServingClient(live.url).solve(problem, p_max=15.0,
+                                              p_min=4.0)
+        slow: "list[dict]" = []
+        thread = _hold_engine(live, runner, problem, slow)
+        time.sleep(0.6)  # past slow_ms: the solve is notable
+        runner.release.set()
+        thread.join(30)
+        assert slow[0]["status"] == "done"
+        first_job = live.server.jobs[first["job"]]
+        slow_job = live.server.jobs[slow[0]["job"]]
+        slow_trace = live.client.debug_trace(slow_job.trace_id)
+        assert first_job.spans
+        for i in range(12):
+            live.client.solve(problem, p_max=17.0 + i, p_min=4.0)
+        assert first_job.spans is None
+        with pytest.raises(ServingError) as err:
+            live.client.debug_trace(first_job.trace_id)
+        assert err.value.code == "not_found"
+        assert live.client.debug_trace(slow_job.trace_id) == slow_trace
+        (request,) = slow_trace["spans"]
+        (run,) = request["children"]
+        assert run["name"] == "engine.run" and run["children"]
+
+
 # ---------------------------------------------------------------------
 # deadlines, cancellation, backpressure, drain
 # ---------------------------------------------------------------------
@@ -330,15 +345,21 @@ def test_deadline_exceeded_maps_to_504():
 
 
 def test_queue_full_maps_to_429():
-    config = ServingConfig(port=0, queue_limit=1, max_wait_ms=2000.0)
+    config = ServingConfig(port=0, queue_limit=1)
     problem = fig1_problem()
-    with LiveServer(config) as live:
-        # First job parks in the coalescing window and fills the queue.
+    runner = HeldRunner()
+    with LiveServer(config, runner=runner) as live:
+        held: "list[dict]" = []
+        thread = _hold_engine(live, runner, problem, held)
+        # The next job queues behind the held batch and fills the queue.
         live.client.sweep(problem, points=[(16.0, 14.0)])
         with pytest.raises(ServingError) as err:
             live.client.sweep(problem, points=[(25.0, 4.0)])
         assert err.value.code == "queue_full"
         assert err.value.http_status == 429
+        runner.release.set()
+        thread.join(30)
+        assert held[0]["status"] == "done"
 
 
 def test_draining_server_rejects_new_jobs_with_503():
@@ -372,10 +393,12 @@ def test_drain_completes_every_accepted_job():
 
 
 def test_cancel_queued_job():
-    config = ServingConfig(port=0, max_wait_ms=500.0)
-    with LiveServer(config) as live:
-        ack = live.client.sweep(fig1_problem(),
-                                budgets=[10.0, 12.0, 14.0],
+    problem = fig1_problem()
+    runner = HeldRunner()
+    with LiveServer(runner=runner) as live:
+        held: "list[dict]" = []
+        thread = _hold_engine(live, runner, problem, held)
+        ack = live.client.sweep(problem, budgets=[10.0, 12.0, 14.0],
                                 levels=[4.0, 8.0])
         cancelled = live.client.cancel(ack["job"])
         assert cancelled["status"] == "cancelled"
@@ -385,6 +408,16 @@ def test_cancel_queued_job():
         assert events[-1]["status"] == "cancelled"
         again = live.client.cancel(ack["job"])  # idempotent
         assert again["status"] == "cancelled"
+        runner.release.set()
+        thread.join(30)
+        assert held[0]["status"] == "done"
+        deadline = time.monotonic() + 10.0
+        while live.client.healthz()["queued_jobs"]:
+            assert time.monotonic() < deadline, "queue never emptied"
+            time.sleep(0.01)
+        # The cancelled sweep left the queue without reaching the
+        # engine: the held batch is the only one.
+        assert live.client.healthz()["batches"] == 1
 
 
 # ---------------------------------------------------------------------
@@ -647,13 +680,47 @@ def test_doc_error_table_matches_error_codes():
         == ERROR_CODES
 
 
+class HeldReplay:
+    """The doc replays' engine hold.
+
+    Each ``POST /v1/sweep`` example runs its job's batch on a held
+    engine, so the examples after it find the job running: a status
+    poll, the event stream's header, a cancel.  Reading that header or
+    replaying a ``DELETE`` releases the engine.
+    """
+
+    def __init__(self, runner: HeldRunner):
+        self.runner = runner
+
+    def request(self, client: ServingClient, method: str, path: str,
+                body):
+        """Replay one request example; returns ``(status, body)``."""
+        sweep = (method, path) == ("POST", "/v1/sweep")
+        if sweep:
+            self.runner.hold()
+        reply = client.request(method, path, body)
+        if sweep:
+            assert self.runner.holding.wait(10), "sweep never dispatched"
+        elif method == "DELETE":
+            self.runner.release.set()
+        return reply
+
+    def events(self, client: ServingClient, job_id: str) -> "list[dict]":
+        """Replay an event-stream example: the header, read while the
+        engine is held, then every record after the release."""
+        stream = client.events(job_id)
+        header = next(stream)
+        self.runner.release.set()
+        return [header, *stream]
+
+
 def test_doc_conformance_replay():
     """Replay every example in docs/serving.md against a live server.
 
-    The examples were recorded against ``ServingConfig(port=0,
-    max_wait_ms=150)`` (as the doc states) and are replayed in
-    document order, so job ids, batch numbers and cache hits are
-    deterministic.
+    The examples were recorded against ``ServingConfig(port=0)`` with
+    each sweep's batch held as :class:`HeldReplay` holds it (as the
+    doc states) and are replayed in document order, so job ids, batch
+    numbers and cache hits are deterministic.
     """
     with open(DOC_PATH, encoding="utf-8") as handle:
         text = handle.read()
@@ -664,16 +731,18 @@ def test_doc_conformance_replay():
                      "/metrics"):
         assert endpoint in paths, f"no doc example for {endpoint}"
 
-    with LiveServer(ServingConfig(port=0, max_wait_ms=150.0)) as live:
+    runner = HeldRunner()
+    replay = HeldReplay(runner)
+    with LiveServer(runner=runner) as live:
         for method, path, body, status, language, block in examples:
             where = f"{method} {path} -> {status}"
             if language == "ndjson":
                 records = [json.loads(line) for line in block if line]
-                actual = list(live.client.events(path.split("/")[3]))
+                actual = replay.events(live.client, path.split("/")[3])
                 _assert_like_doc(records, actual, where)
             elif language == "text":
-                got_status, got_text = live.client.request(
-                    method, path, body)
+                got_status, got_text = replay.request(
+                    live.client, method, path, body)
                 assert got_status == status, where
                 got_lines = set(got_text.splitlines())
                 for line in block:
@@ -681,8 +750,8 @@ def test_doc_conformance_replay():
                         assert line in got_lines, \
                             f"{where}: missing {line!r}"
             else:
-                got_status, got_doc = live.client.request(
-                    method, path, body)
+                got_status, got_doc = replay.request(
+                    live.client, method, path, body)
                 assert got_status == status, \
                     f"{where}: got {got_status} ({got_doc})"
                 _assert_like_doc(json.loads("\n".join(block)),

@@ -250,6 +250,30 @@ def test_serial_sharded_and_merged_traces_agree():
     assert merged.trace.run["mode"] == "shards"
 
 
+def test_store_counters_do_not_depend_on_the_execution_path():
+    """The 6x6 Fig. 1 grid with a schedule store counts the same
+    ``engine.store.*`` values serially, on a two-worker pool and over
+    two subprocess shards: a worker's or a shard's store ships the
+    dedups it suppressed, so ``deduped`` is solved entries minus
+    distinct entries on every path."""
+    jobs = SweepSpec.grid(fig1_problem(), [8, 10, 12, 14, 16, 20],
+                          [1, 2, 4, 6, 8, 10],
+                          options=SchedulerOptions(seed=2001)).jobs()
+    counters = []
+    for config, backend in (
+            (RunnerConfig(reuse_schedules=True), None),
+            (RunnerConfig(reuse_schedules=True, workers=2), None),
+            (RunnerConfig(reuse_schedules=True),
+             SubprocessShardBackend(shards=2))):
+        runner = BatchRunner(config, backend=backend)
+        runner.run(jobs)
+        counters.append(runner.store.counters())
+    assert counters[0] == {"range_hits": 4, "misses": 31, "primes": 1,
+                           "inserted": 6, "deduped": 26, "entries": 6}
+    assert counters[1] == counters[0]
+    assert counters[2] == counters[0]
+
+
 def test_merge_store_matches_unsharded_store(fig1_grid_jobs):
     serial = BatchRunner(RunnerConfig(reuse_schedules=True))
     serial.run(fig1_grid_jobs)

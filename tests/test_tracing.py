@@ -174,7 +174,7 @@ def test_remote_sweep_produces_single_stitched_trace():
     runner's trace id, covering client → server → runner →
     scheduler."""
     jobs = _grid_jobs()
-    with LiveServer(ServingConfig(port=0, max_wait_ms=0.0)) as live:
+    with LiveServer(ServingConfig(port=0)) as live:
         runner = BatchRunner(
             RunnerConfig(instrument=True),
             backend=RemoteBackend([live.client], shards=2))
@@ -247,7 +247,7 @@ def test_flight_recorder_keeps_errors_in_notable_ring():
 
 
 def test_solve_request_record_links_job_and_trace():
-    with LiveServer(ServingConfig(port=0, max_wait_ms=0.0)) as live:
+    with LiveServer(ServingConfig(port=0)) as live:
         response = live.client.solve(fig1_problem())
         debug = live.client.debug_requests()
     solves = [record for record in debug["requests"]
@@ -322,7 +322,7 @@ class TestEventLog:
 def test_cli_top_once_renders_frame(capsys):
     from repro.cli import main
 
-    with LiveServer(ServingConfig(port=0, max_wait_ms=0.0)) as live:
+    with LiveServer(ServingConfig(port=0)) as live:
         live.client.solve(fig1_problem())
         url = f"http://127.0.0.1:{live.server.port}"
         assert main(["top", "--server", url, "--once"]) == 0
