@@ -85,6 +85,10 @@ class ConstraintGraph:
         # derived cache (the solver owns it, see
         # repro.core.longest_path).
         self._state_cache: "dict[int, tuple[int, dict, dict]]" = {}
+        # non-anchor tasks and their names, in insertion order; built on
+        # first read, reset by add_task and set_duration
+        self._real_tasks: "list[Task] | None" = None
+        self._real_names: "list[str] | None" = None
         self.add_task(Task.anchor())
 
     # ------------------------------------------------------------------
@@ -96,6 +100,7 @@ class ConstraintGraph:
         if task.name in self._tasks:
             raise GraphError(f"duplicate task {task.name!r}")
         self._tasks[task.name] = task
+        self._real_tasks = self._real_names = None
         self._out.setdefault(task.name, set())
         self._in.setdefault(task.name, set())
         if task.resource is not None:
@@ -126,9 +131,12 @@ class ConstraintGraph:
         task by its *realized* duration so the schedulers' resource
         exclusion and power profile see the stretched reality, not the
         nominal plan.  Durations feed the solvers but not the edge set,
-        so the solved longest-path distances stay valid and nothing is
-        invalidated.  Not journaled — use on throwaway copies, not on a
-        graph a later ``rollback`` must restore.
+        so the solved longest-path distances stay valid; only the task
+        lists are rebuilt.  Not journaled — use on throwaway copies, not
+        on a graph a later ``rollback`` must restore — and only before
+        any :class:`~repro.core.schedule.Schedule` of this graph exists:
+        a schedule computes its makespan once, and a changed duration
+        would leave it stale.
         """
         task = self.task(name)
         if task.is_anchor:
@@ -141,6 +149,7 @@ class ConstraintGraph:
             return task
         replaced = _dc_replace(task, duration=duration)
         self._tasks[name] = replaced
+        self._real_tasks = self._real_names = None
         return replaced
 
     def __contains__(self, name: str) -> bool:
@@ -152,13 +161,21 @@ class ConstraintGraph:
         return self._tasks[ANCHOR_NAME]
 
     def tasks(self, include_anchor: bool = False) -> "list[Task]":
-        """All task vertices, in insertion order."""
-        return [t for t in self._tasks.values()
-                if include_anchor or not t.is_anchor]
+        """All task vertices, in insertion order (a fresh list)."""
+        if include_anchor:
+            return list(self._tasks.values())
+        if self._real_tasks is None:
+            self._real_tasks = [t for t in self._tasks.values()
+                                if not t.is_anchor]
+        return list(self._real_tasks)
 
     def task_names(self, include_anchor: bool = False) -> "list[str]":
-        """All vertex names, in insertion order."""
-        return [t.name for t in self.tasks(include_anchor=include_anchor)]
+        """All vertex names, in insertion order (a fresh list)."""
+        if include_anchor:
+            return list(self._tasks)
+        if self._real_names is None:
+            self._real_names = [t.name for t in self.tasks()]
+        return list(self._real_names)
 
     def __len__(self) -> int:
         """Number of real (non-anchor) tasks."""
@@ -510,7 +527,9 @@ class ConstraintGraph:
             del self._edges[key]
             self._out[key[0]].discard(key[1])
             self._in[key[1]].discard(key[0])
-        self._journal.clear()
+        # a new journal object, so slack memos stamped with the old one
+        # (see repro.core.slack) are dropped even at journal length 0
+        self._journal = []
         self._state_cache.clear()
         return len(doomed)
 
@@ -527,6 +546,7 @@ class ConstraintGraph:
         first solve.
         """
         state = self.__dict__.copy()
+        state["_real_tasks"] = state["_real_names"] = None
         solved = self._current_state()
         state["_state_cache"] = {} if solved is None \
             else {len(self._journal): solved}

@@ -77,7 +77,8 @@ class SchedulingProblem:
 
     def check(self, schedule: Schedule) -> ValidationReport:
         """Time-validity of ``schedule`` plus this problem's ``P_max``
-        on its :meth:`profile`."""
+        on the power it draws: the same sum as :meth:`profile`, found
+        by the independent checker of :mod:`repro.core.validation`."""
         return check_power_valid(schedule, self.p_max,
                                  baseline=self.baseline)
 

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from ..errors import ValidationError
-from .schedule import Schedule
+from .schedule import BUILD_COUNTS, Schedule
+from .tolerance import POWER_TOL as _POWER_TOL
 
 __all__ = ["Interval", "PowerProfile"]
 
@@ -93,6 +94,7 @@ class PowerProfile:
             prev_end = t1
         self.baseline = baseline
         self._starts = [seg[0] for seg in self._segments]
+        BUILD_COUNTS["profiles"] += 1
 
     # ------------------------------------------------------------------
     # construction
@@ -116,32 +118,32 @@ class PowerProfile:
         if horizon == 0:
             return PowerProfile([], baseline=baseline)
 
-        # Sweep: breakpoints at every task start/finish.
-        points = {0, horizon}
-        events: "list[tuple[int, float]]" = []
+        # Per-time power deltas, summed in task order with a task's
+        # start before its end; the summation order fixes every level
+        # to the bit.
+        tasks = schedule.graph._tasks
+        deltas: "dict[int, float]" = {}
         for name, start in schedule.items():
-            task = schedule.graph.task(name)
-            if task.duration == 0 or task.power == 0:
+            task = tasks[name]
+            power = task.power
+            if task.duration == 0 or power == 0:
                 continue
             end = start + task.duration
-            points.add(start)
-            points.add(min(end, horizon))
-            events.append((start, task.power))
-            events.append((end, -task.power))
-        breaks = sorted(p for p in points if 0 <= p <= horizon)
-        deltas: "dict[int, float]" = {}
-        for t, dp in events:
-            deltas[t] = deltas.get(t, 0.0) + dp
+            deltas[start] = deltas.get(start, 0.0) + power
+            deltas[end] = deltas.get(end, 0.0) - power
 
+        # One running level over the sorted change times (all within
+        # [0, horizon], since horizon >= the finish time).
         segments: "list[tuple[int, int, float]]" = []
         level = baseline
-        pending = sorted(deltas)
-        idx = 0
-        for b0, b1 in zip(breaks, breaks[1:]):
-            while idx < len(pending) and pending[idx] <= b0:
-                level += deltas[pending[idx]]
-                idx += 1
-            segments.append((b0, b1, max(level, 0.0)))
+        prev = 0
+        for t in sorted(deltas):
+            if t > prev:
+                segments.append((prev, t, max(level, 0.0)))
+                prev = t
+            level += deltas[t]
+        if prev < horizon:
+            segments.append((prev, horizon, max(level, 0.0)))
         return PowerProfile(segments, baseline=baseline)
 
     # ------------------------------------------------------------------
@@ -185,11 +187,9 @@ class PowerProfile:
     # spikes and gaps (Section 4.2)
     # ------------------------------------------------------------------
 
-    #: Absolute tolerance for power comparisons.  Summing float task
-    #: powers can overshoot a budget by an ulp; a schedule is only
-    #: treated as violating a constraint when it misses by more than
-    #: this (the paper's instances are specified to 0.1 W).
-    POWER_TOL = 1e-9
+    #: Absolute tolerance for power comparisons
+    #: (:data:`repro.core.tolerance.POWER_TOL`).
+    POWER_TOL = _POWER_TOL
 
     def spikes(self, p_max: float, tol: float = POWER_TOL) \
             -> "list[Interval]":

@@ -11,6 +11,16 @@ with the derived quantities the algorithms need:
   Gantt chart),
 * functional updates (``with_start``/``delayed``) used by the power
   schedulers to explore neighbouring schedules.
+
+A schedule computes its makespan once, and
+:func:`repro.core.slack.slack` remembers each task's slack on it; both
+read the graph as it was when they were computed.  The graph's
+durations must not change under a schedule
+(:meth:`ConstraintGraph.set_duration` runs only on working copies that
+have no schedule yet), and ``slack`` re-checks the edge set itself.
+Neither memo takes part in equality, hashing or pickles.  The
+constructors bump :data:`BUILD_COUNTS`, which the pipeline folds into
+``SchedulerStats`` per stage.
 """
 
 from __future__ import annotations
@@ -21,7 +31,12 @@ from ..errors import ValidationError
 from .graph import ConstraintGraph
 from .task import Task
 
-__all__ = ["Schedule"]
+__all__ = ["Schedule", "BUILD_COUNTS"]
+
+#: Schedules and power profiles this process has built (one per
+#: constructor call).  Per-process, like the longest-path counters;
+#: callers read deltas.
+BUILD_COUNTS = {"schedules": 0, "profiles": 0}
 
 
 class Schedule:
@@ -29,22 +44,44 @@ class Schedule:
 
     def __init__(self, graph: ConstraintGraph,
                  starts: "Mapping[str, int]"):
-        missing = [name for name in graph.task_names()
-                   if name not in starts]
-        if missing:
+        names = graph.task_names()
+        try:
+            own = {name: starts[name] for name in names}
+        except KeyError:
+            missing = [name for name in names if name not in starts]
             raise ValidationError(
-                f"schedule is missing start times for {missing}")
+                f"schedule is missing start times for {missing}") from None
+        # Every entry is checked; the first test passes a known task
+        # with a plain non-negative int, which is nearly every entry.
+        tasks = graph._tasks
+        plain = True
         for name, start in starts.items():
-            if name not in graph and not name.startswith("__"):
+            if type(start) is int and start >= 0 and name in tasks:
+                continue
+            if name not in tasks and not name.startswith("__"):
                 raise ValidationError(
                     f"schedule mentions unknown task {name!r}")
             if not isinstance(start, int) or start < 0:
                 raise ValidationError(
                     f"start of {name!r} must be a non-negative integer, "
                     f"got {start!r}")
+            plain = plain and type(start) is int
         self._graph = graph
-        self._starts = {name: int(starts[name])
-                        for name in graph.task_names()}
+        self._starts = own if plain else \
+            {name: int(start) for name, start in own.items()}
+        self._makespan: "int | None" = None
+        # slack memo, owned by repro.core.slack.slack
+        self._slack: "tuple | None" = None
+        BUILD_COUNTS["schedules"] += 1
+
+    def __getstate__(self):
+        return {"_graph": self._graph, "_starts": self._starts}
+
+    def __setstate__(self, state) -> None:
+        self._graph = state["_graph"]
+        self._starts = state["_starts"]
+        self._makespan = None
+        self._slack = None
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -83,9 +120,12 @@ class Schedule:
     @property
     def makespan(self) -> int:
         """Finish time ``tau_sigma``: when the last task completes."""
-        if not self._starts:
-            return 0
-        return max(self.finish(name) for name in self._starts)
+        if self._makespan is None:
+            tasks = self._graph._tasks
+            self._makespan = max(
+                (start + tasks[name].duration
+                 for name, start in self._starts.items()), default=0)
+        return self._makespan
 
     # Alias matching the paper's tau_sigma vocabulary.
     finish_time = makespan
@@ -108,12 +148,18 @@ class Schedule:
 
     def active_tasks(self, t: int) -> "list[Task]":
         """All tasks executing during slot ``[t, t+1)``, insertion order."""
-        return [self._graph.task(name) for name in self._starts
-                if self.is_active(name, t)]
+        tasks = self._graph._tasks
+        out = []
+        for name, start in self._starts.items():
+            if start <= t:
+                task = tasks[name]
+                if t < start + task.duration:
+                    out.append(task)
+        return out
 
     def power_at(self, t: int) -> float:
         """Instantaneous task power at slot ``t`` (baseline excluded)."""
-        return sum(task.power for task in self.active_tasks(t))
+        return sum([task.power for task in self.active_tasks(t)])
 
     def resource_timeline(self, resource: str) -> "list[tuple[int, Task]]":
         """``(start, task)`` pairs on a resource, sorted by start time."""

@@ -21,6 +21,14 @@ tasks from colliding when one slides within its slack.
 
 The slack-based heuristics of the max-power scheduler order simultaneous
 tasks by this quantity.
+
+A schedule remembers the slack :func:`slack` computed for each of its
+tasks.  The memo holds only while the graph's edge set is the one it
+was computed under: it is stamped with the graph's journal (the list
+object, its length and its last entry), which changes whenever an edge
+is added, removed, weakened or stripped, and comes back when a rollback
+returns to the stamped prefix.  The schedulers read slack before adding
+a trial edge or after rolling it back, so their reads hit.
 """
 
 from __future__ import annotations
@@ -43,6 +51,16 @@ def slack(schedule: Schedule, name: str) -> int:
     only happens for time-invalid schedules).
     """
     graph = schedule.graph
+    journal = graph._journal
+    size = len(journal)
+    last = journal[-1] if size else None
+    memo = schedule._slack
+    if memo is None or memo[0] is not journal or memo[1] != size \
+            or memo[2] is not last:
+        memo = schedule._slack = (journal, size, last, {})
+    known = memo[3].get(name)
+    if known is not None:
+        return known
     best = UNBOUNDED_SLACK
     sigma_v = schedule.start(name)
     # Hot path: the max-power scheduler recomputes every candidate's
@@ -69,6 +87,7 @@ def slack(schedule: Schedule, name: str) -> int:
                 f"{name!r} -> {dst!r} (weight {weight}); "
                 f"slack would be {room}")
         best = min(best, room)
+    memo[3][name] = best
     return best
 
 

@@ -11,18 +11,28 @@ The paper's definitions (Sections 4.1–4.2):
 The validators return structured violation reports rather than just
 booleans so tests, the CLI, and EXPERIMENTS.md tables can show *why* a
 schedule failed.  ``assert_*`` variants raise :class:`ValidationError`.
+
+The checker shares nothing with the objects the schedulers build and
+remember.  It reads only the raw starts (``schedule.items()``), each
+task's duration, power and resource, the graph's edge triples, the
+resources' idle power, ``P_max`` and the baseline.  It builds no
+power profile, solves no longest path and asks the schedule nothing
+but its starts, so a stale makespan, slack or profile cannot fool it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ..errors import ValidationError
-from .profile import PowerProfile
 from .schedule import Schedule
+from .task import ANCHOR_NAME
+from .tolerance import POWER_TOL
 
 __all__ = ["Violation", "ValidationReport", "check_time_valid",
-           "check_power_valid", "assert_time_valid", "assert_power_valid"]
+           "check_power_valid", "power_spikes", "assert_time_valid",
+           "assert_power_valid"]
 
 
 @dataclass(frozen=True)
@@ -64,39 +74,100 @@ def check_time_valid(schedule: Schedule) -> ValidationReport:
     """Check every separation edge and resource exclusivity."""
     report = ValidationReport()
     graph = schedule.graph
-    anchor = graph.anchor.name
+    starts = dict(schedule.items())
+    starts[ANCHOR_NAME] = 0
 
-    def start_of(name: str) -> int:
-        return 0 if name == anchor else schedule.start(name)
-
-    for edge in graph.edges():
-        gap = start_of(edge.dst) - start_of(edge.src)
-        if gap < edge.weight:
+    for src, dst, weight in graph.edge_triples():
+        gap = starts[dst] - starts[src]
+        if gap < weight:
             report.add(
                 "separation",
-                f"sigma({edge.dst}) - sigma({edge.src}) = {gap} violates "
-                f">= {edge.weight} (edge tag {edge.tag!r})")
+                f"sigma({dst}) - sigma({src}) = {gap} violates "
+                f">= {weight} (edge tag {graph.edge_tag(src, dst)!r})")
 
+    # Each resource's intervals sorted by start: a task can only clash
+    # with later-starting tasks that start before it ends.
+    timelines: "dict[str, list[tuple[int, str, int]]]" = {}
+    for task in graph.tasks():
+        if task.resource is not None:
+            timelines.setdefault(task.resource, []).append(
+                (starts[task.name], task.name, task.duration))
     for resource in graph.resources.names:
-        for u, v in schedule.overlapping_on_resource(resource):
-            report.add(
-                "resource",
-                f"tasks {u.name!r} and {v.name!r} overlap on shared "
-                f"resource {resource!r} "
-                f"([{schedule.start(u.name)}, {schedule.finish(u.name)}) vs "
-                f"[{schedule.start(v.name)}, {schedule.finish(v.name)}))")
+        timeline = sorted(timelines.get(resource, ()))
+        for i, (start_u, u, duration_u) in enumerate(timeline):
+            end_u = start_u + duration_u
+            for start_v, v, duration_v in timeline[i + 1:]:
+                if start_v >= end_u:
+                    break
+                if duration_u > 0 and duration_v > 0:
+                    report.add(
+                        "resource",
+                        f"tasks {u!r} and {v!r} overlap on shared "
+                        f"resource {resource!r} ([{start_u}, {end_u}) vs "
+                        f"[{start_v}, {start_v + duration_v}))")
     return report
+
+
+def power_spikes(schedule: Schedule, p_max: float,
+                 baseline: float = 0.0) -> "list[tuple[int, int, float]]":
+    """Maximal intervals ``(start, end, peak)`` in which the schedule
+    draws more than ``P_max`` (by more than :data:`POWER_TOL`).
+
+    An event sweep over ``[0, makespan)``: at each time a task starts
+    or ends, the level is the :func:`math.fsum` of the running tasks'
+    powers, ``baseline`` and every resource's idle power.
+    """
+    graph = schedule.graph
+    starting: "dict[int, list[tuple[str, float]]]" = {}
+    ending: "dict[int, list[str]]" = {}
+    horizon = 0
+    for name, start in schedule.items():
+        task = graph.task(name)
+        end = start + task.duration
+        horizon = max(horizon, end)
+        if task.duration > 0:
+            starting.setdefault(start, []).append((name, task.power))
+            ending.setdefault(end, []).append(name)
+    if horizon == 0:
+        return []
+    floor = [baseline] + [res.idle_power for res in graph.resources]
+    limit = p_max + POWER_TOL
+    times = sorted({0, *starting, *ending} - {horizon})
+    running: "dict[str, float]" = {}
+    spikes: "list[tuple[int, int, float]]" = []
+    spike: "list | None" = None          # [start, end, peak] while open
+    for i, t in enumerate(times):
+        for name in ending.get(t, ()):
+            del running[name]
+        running.update(starting.get(t, ()))
+        level = math.fsum([*running.values(), *floor])
+        end = times[i + 1] if i + 1 < len(times) else horizon
+        if level > limit:
+            if spike is None:
+                spike = [t, end, level]
+            else:
+                spike[1], spike[2] = end, max(spike[2], level)
+        elif spike is not None:
+            spikes.append(tuple(spike))
+            spike = None
+    if spike is not None:
+        spikes.append(tuple(spike))
+    return spikes
 
 
 def check_power_valid(schedule: Schedule, p_max: float,
                       baseline: float = 0.0) -> ValidationReport:
-    """Time-validity plus the hard max-power constraint."""
+    """Time-validity plus the hard max-power constraint.
+
+    The power drawn is the running tasks' power plus ``baseline`` plus
+    the resources' idle power, each counted once.
+    """
     report = check_time_valid(schedule)
-    profile = PowerProfile.from_schedule(schedule, baseline=baseline)
-    for spike in profile.spikes(p_max):
+    for start, end, peak in power_spikes(schedule, p_max, baseline):
         report.add(
             "spike",
-            f"power spike {spike}: profile exceeds P_max = {p_max:g} W")
+            f"power spike [{start}, {end}) @ {peak:g}W: profile exceeds "
+            f"P_max = {p_max:g} W")
     return report
 
 

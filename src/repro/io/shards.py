@@ -342,12 +342,37 @@ def artifact_from_dict(doc: "Mapping[str, Any]") -> ShardArtifact:
                                f"result {name}")
                   for name, types, default in _RESULT_FIELDS}
         fields["stats"] = dict(fields["stats"])
+        if "reuse" in fields["stats"]:
+            _check_reuse_marker(fields["stats"]["reuse"])
         results.append(JobResult(value=_decode_value(item.get("value")),
                                  **fields))
     return ShardArtifact(index=index, of=of, results=results,
                          run={name: run[name]
                               for name in ARTIFACT_RUN_FIELDS
                               if name in run})
+
+
+def _check_reuse_marker(marker: Any) -> None:
+    """Type a result's reuse marker, the part of ``stats`` that
+    :meth:`~repro.engine.runner.BatchRunner.fold` reads: an object
+    whose ``hit`` is a bool, ``deduped`` a non-negative int and
+    ``new_entries`` a list of ``{"base_key", "name", "entry"}``
+    objects (two strings and an object)."""
+    what = "result stats.reuse"
+    marker = typed(marker, dict, what)
+    if "hit" in marker:
+        typed(marker["hit"], bool, f"{what}.hit")
+    if "deduped" in marker \
+            and typed(marker["deduped"], int, f"{what}.deduped") < 0:
+        raise SerializationError(
+            f"{what}.deduped must be >= 0, found {marker['deduped']}")
+    for item in typed(marker.get("new_entries", []), list,
+                      f"{what}.new_entries"):
+        item = typed(item, dict, f"{what}.new_entries item")
+        for name, types in (("base_key", str), ("name", str),
+                            ("entry", dict)):
+            typed(item.get(name), types,
+                  f"{what}.new_entries item {name}")
 
 
 def save_artifact(artifact: ShardArtifact, path: str) -> str:

@@ -10,6 +10,7 @@ One flat, dot-separated namespace covers every layer::
     sched.maxp.*      Fig. 4 scheduler counters
     sched.minp.*      Fig. 6 scheduler counters
     sched.lp.*        longest-path solver cache behaviour
+    sched.build.*     schedules and power profiles built per solve
     exec.*            tick-executor events and violations
     mission.*         mission-simulator iterations
     obs.*             the instrumentation layer's own accounting
@@ -63,6 +64,8 @@ STATS_METRIC_NAMES: "dict[str, str]" = {
     "lp_incremental_runs": "sched.lp.incremental_runs",
     "lp_full_runs": "sched.lp.full_runs",
     "lp_probe_prunes": "core.kernel.probe_prunes",
+    "schedules_built": "sched.build.schedules",
+    "profiles_built": "sched.build.profiles",
 }
 
 

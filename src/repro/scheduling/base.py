@@ -112,7 +112,8 @@ class SchedulerStats:
     payload: per-stage wall-clock timings (``stage_seconds``, keyed by
     pipeline stage name) and how the longest-path solver answered
     (exact memo hits, journal replays, full Bellman–Ford solves, and
-    probes pruned from a certified contradiction).  The batch engine
+    probes pruned from a certified contradiction), and how many
+    schedules and power profiles it built.  The batch engine
     (:mod:`repro.engine`) aggregates these into its JSON run traces,
     and :meth:`absorb_into` folds them into a :mod:`repro.obs` metrics
     registry under the stable ``sched.*`` naming scheme
@@ -132,6 +133,8 @@ class SchedulerStats:
     lp_incremental_runs: int = 0
     lp_full_runs: int = 0
     lp_probe_prunes: int = 0
+    schedules_built: int = 0
+    profiles_built: int = 0
     stage_seconds: "dict[str, float]" = field(default_factory=dict)
 
     def merge(self, other: "SchedulerStats") -> None:

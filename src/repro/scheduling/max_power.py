@@ -247,7 +247,8 @@ class MaxPowerScheduler:
         schedule = asap_schedule(graph, probe=True)
         if schedule is None:
             return None
-        spike = problem.profile(schedule).first_spike(problem.p_max)
+        profile = problem.profile(schedule)
+        spike = profile.first_spike(problem.p_max)
         if spike is None:
             return schedule
         if self._attempts <= 0:
@@ -264,8 +265,11 @@ class MaxPowerScheduler:
             self._attempts -= 1
             self.stats.spike_attempts += 1
             token = graph.checkpoint()
-            cleared = self._clear_time(graph, problem, t,
-                                       prefer=candidates[lead])
+            # Every branch starts from this edge set (the first as is,
+            # the others rolled back to it), so it starts from this
+            # schedule and profile too.
+            cleared = self._clear_time(graph, problem, t, schedule,
+                                       profile, prefer=candidates[lead])
             if cleared:
                 self.stats.spikes_removed += 1
                 solved = self._repair(graph, problem)
@@ -284,19 +288,25 @@ class MaxPowerScheduler:
         ``slack_ordering`` off (ablation), a seeded random order is
         used instead.
         """
-        names = [task.name for task in schedule.active_tasks(t)]
+        active = schedule.active_tasks(t)
+        names = [task.name for task in active]
         if not self.options.slack_ordering:
             self._rng.shuffle(names)
             return names
-        names.sort(key=lambda n: (-slack(schedule, n),
-                                  schedule.graph.task(n).power,
+        power = {task.name: task.power for task in active}
+        names.sort(key=lambda n: (-slack(schedule, n), power[n],
                                   self._salt.get(n, 0.0), n))
         return names
 
     def _clear_time(self, graph: ConstraintGraph,
                     problem: SchedulingProblem, t: int,
+                    schedule: Schedule, profile: PowerProfile,
                     prefer: "str | None" = None) -> bool:
         """Delay tasks until the profile at slot ``t`` is within budget.
+
+        ``schedule`` and ``profile`` are the ASAP schedule of the
+        graph's current edge set and its profile.  The loop keeps them
+        until the edge set changes, and solves a trial move once.
 
         Victims whose delay would contradict the constraints (positive
         cycle — e.g. a locked task) are skipped rather than failing the
@@ -308,12 +318,13 @@ class MaxPowerScheduler:
         guard = 4 * len(graph) + 8
         blocked: "set[str]" = set()
         zero_slack_delayed = False
-        schedule = None
         while guard > 0:
             guard -= 1
-            schedule = asap_schedule(graph, probe=True)
-            if schedule is None:  # pragma: no cover - defensive
-                return False
+            if schedule is None:
+                schedule = asap_schedule(graph, probe=True)
+                if schedule is None:  # pragma: no cover - defensive
+                    return False
+                profile = None
             if baseline + schedule.power_at(t) <= budget:
                 if zero_slack_delayed:
                     self._lock_remaining(graph, schedule, t)
@@ -328,20 +339,25 @@ class MaxPowerScheduler:
                 # make further delay".  Unlock one and retry.
                 if not self._unlock_one(graph, schedule, t, blocked):
                     return False
+                schedule = None
                 continue
             victim = prefer if prefer in order else order[0]
             prefer = None
             # Land just past the moment the power composition changes.
-            target = problem.profile(schedule).segment_end(t)
+            if profile is None:
+                profile = problem.profile(schedule)
+            target = profile.segment_end(t)
             had_zero_slack = slack(schedule, victim) == 0
             token = graph.checkpoint()
             if not self._delay_past(graph, schedule, victim, t, target):
+                blocked.add(victim)       # the edge set is unchanged
+                continue
+            trial = asap_schedule(graph, probe=True)
+            if trial is None:
+                graph.rollback(token)     # back to this schedule's edges
                 blocked.add(victim)
                 continue
-            if asap_schedule(graph, probe=True) is None:
-                graph.rollback(token)
-                blocked.add(victim)
-                continue
+            schedule, profile = trial, None
             self.stats.delays_applied += 1
             if had_zero_slack:
                 zero_slack_delayed = True

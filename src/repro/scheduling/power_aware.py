@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from ..core.longest_path import lp_counter_snapshot, lp_counters_delta
 from ..core.problem import SchedulingProblem
+from ..core.schedule import BUILD_COUNTS
 from ..obs import OBS
 from .base import ScheduleResult, SchedulerOptions
 from .max_power import MaxPowerScheduler
@@ -28,21 +29,26 @@ def _timed_stage(label: str, run) -> ScheduleResult:
 
     The stage's wall-clock seconds land in ``stats.stage_seconds[label]``
     and the longest-path solver's answer counters (exact memo hits /
-    replays / full solves / probe prunes) observed during the stage
-    are folded into the stage result's stats.  Under an enabled
-    :mod:`repro.obs` session the stage also records a
-    ``sched.stage.<label>`` span carrying the same counters.
+    replays / full solves / probe prunes) and the schedules and power
+    profiles built during the stage are folded into the stage result's
+    stats.  Under an enabled :mod:`repro.obs` session the stage also
+    records a ``sched.stage.<label>`` span carrying the same counters.
     """
     snapshot = lp_counter_snapshot()
+    built = dict(BUILD_COUNTS)
     with OBS.span(f"sched.stage.{label}") as stage_span:
         t0 = time.perf_counter()
         result: ScheduleResult = run()
         elapsed = time.perf_counter() - t0
         delta = lp_counters_delta(snapshot)
+        built = {key: BUILD_COUNTS[key] - count
+                 for key, count in built.items()}
         stage_span.set(lp_cache_hits=delta["cache_hits"],
                        lp_incremental_runs=delta["incremental_runs"],
                        lp_full_runs=delta["full_runs"],
-                       lp_probe_prunes=delta["probe_prunes"])
+                       lp_probe_prunes=delta["probe_prunes"],
+                       schedules_built=built["schedules"],
+                       profiles_built=built["profiles"])
     stats = result.stats
     stats.stage_seconds[label] = \
         stats.stage_seconds.get(label, 0.0) + elapsed
@@ -50,6 +56,8 @@ def _timed_stage(label: str, run) -> ScheduleResult:
     stats.lp_incremental_runs += delta["incremental_runs"]
     stats.lp_full_runs += delta["full_runs"]
     stats.lp_probe_prunes += delta["probe_prunes"]
+    stats.schedules_built += built["schedules"]
+    stats.profiles_built += built["profiles"]
     return result
 
 

@@ -117,10 +117,10 @@ class TimingScheduler:
                    visited: "list[str]") -> bool:
         """Depth-first enumeration of topological orders with
         serialization; True when every vertex has been placed."""
-        names = graph.task_names()
-        if len(visited) == len(names):
+        if len(visited) == len(graph):
             return True
-        ready = self._ready_set(graph, set(visited))
+        done = set(visited)
+        ready = self._ready_set(graph, done)
         if not ready:
             # Remaining vertices form a forward-edge cycle: with integer
             # non-negative weights, any forward cycle that is not all
@@ -128,14 +128,14 @@ class TimingScheduler:
             # admits simultaneous starts, which longest path handles,
             # so break ties by visiting the lexicographically first
             # remaining vertex.
-            remaining = [n for n in names if n not in set(visited)]
+            remaining = [n for n in graph.task_names() if n not in done]
             ready = [min(remaining)]
         for candidate in ready:
             if self._budget <= 0:
                 return False
             self._budget -= 1
             token = graph.checkpoint()
-            if self._place(graph, candidate, set(visited)):
+            if self._place(graph, candidate, done):
                 visited.append(candidate)
                 if self._visit_all(graph, visited):
                     return True
@@ -154,17 +154,20 @@ class TimingScheduler:
         """
         self.stats.longest_path_runs += 1
         dist = longest_paths(graph).distance
+        # Read the in-adjacency and the edge store directly, as
+        # repro.core.slack does: this runs once per visited vertex.
+        edges = graph._edges
+        into = graph._in
         ready = []
         for name in graph.task_names():
             if name in visited:
                 continue
-            preds_ok = True
-            for edge in graph.in_edges(name):
-                if edge.weight >= 0 and edge.src != ANCHOR_NAME \
-                        and edge.src not in visited:
-                    preds_ok = False
-                    break
-            if preds_ok:
+            for src in into[name]:
+                if src != ANCHOR_NAME and src not in visited:
+                    entry = edges.get((src, name))
+                    if entry is not None and entry[0] >= 0:
+                        break
+            else:
                 ready.append(name)
         ready.sort(key=lambda n: (dist[n], n))
         return ready

@@ -308,6 +308,23 @@ DOCUMENT_LOADERS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _reuse_artifact_json() -> str:
+    """A one-shard artifact of the Fig. 1 grid run with a schedule
+    store and no primed one: its first result's reuse marker carries a
+    new store entry, and later ones count dedups."""
+    jobs = SweepSpec.grid(FIG1, [20, 25], [5, 10]).jobs()
+    [manifest] = plan_shards(jobs, 1, runner={"reuse_schedules": True})
+    return json.dumps(artifact_to_dict(run_manifest(manifest)))
+
+
+def _merge_artifact(doc) -> None:
+    """What ``shard merge`` does with one parsed artifact document."""
+    from repro.engine.merge import merge_artifacts
+
+    merge_artifacts([artifact_from_dict(doc)])
+
+
 def _summarize_trace(doc) -> str:
     """What ``trace summarize`` does with a parsed trace document."""
     return summarize_trace(RunTrace.from_dict(doc).to_dict())
@@ -372,6 +389,27 @@ class TestDocumentFormats:
                                    "events", "children", "at"}
             fields[data.draw(st.sampled_from(sorted(names)))] = value
         _loads_or_raises_typed(_summarize_and_export_trace, doc)
+
+    @pytest.mark.parametrize("target", ["marker", "hit", "deduped",
+                                        "new_entries", "new-entry",
+                                        "base_key", "name", "entry"])
+    @given(value=json_values)
+    @settings(max_examples=60, deadline=None)
+    def test_reuse_marker_replaced_by_any_json(self, target, value):
+        doc = json.loads(_reuse_artifact_json())
+        stats = doc["results"][0]["stats"]
+        marker = stats["reuse"]
+        assert marker["new_entries"] and doc["results"][1]["stats"][
+            "reuse"]["deduped"]
+        if target == "marker":
+            stats["reuse"] = value
+        elif target == "new-entry":
+            marker["new_entries"][0] = value
+        elif target in ("base_key", "name", "entry"):
+            marker["new_entries"][0][target] = value
+        else:
+            marker[target] = value
+        _loads_or_raises_typed(_merge_artifact, doc)
 
     @pytest.mark.parametrize("reader", [
         load_problem, load_problem_dsl, ScheduleStore.read, read_trace,
