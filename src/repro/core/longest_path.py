@@ -23,13 +23,17 @@ the answer ladder, in order of preference, is:
    graph copy or pickle seeds its empty journal with its source's
    current memo, so a rolled-back graph and an unmutated copy hit too);
 2. **replay** — a shorter memo within :data:`_REPLAY_WINDOW` journal
-   entries, and every journal entry since it is monotone (edges only
-   created or tightened), so only the changed edges are relaxed with a
-   worklist over the memoized fixpoint;
-3. **full solve** — pure-Python Bellman–Ford.
+   entries, over the same vertex set.  The journal suffix's net change
+   is settled over the memoized fixpoint: the vertices whose memoized
+   path ran through a weakened or removed edge restart, then a worklist
+   relaxes them and every created or tightened edge (see
+   :func:`_replay`);
+3. **full solve** — pure-Python Bellman–Ford, also taken when the
+   replay suspects a positive cycle.
 
 Every step returns the same integer distances: the Bellman–Ford least
-fixpoint of an edge set is unique.
+fixpoint of an edge set is unique.  Predecessors may differ from a
+cold solve's where two paths tie; each still names a longest path.
 """
 
 from __future__ import annotations
@@ -257,14 +261,25 @@ def _replay(graph: ConstraintGraph, probe: bool):
 
     The edge set is a pure function of the journal prefix, and
     ``rollback`` drops memos above the restored token — so a surviving
-    journal-length key names exactly the edge set at that prefix.  A
-    memoized prefix is usable when every journal entry since it is
-    monotone (edges only created or tightened — ``add_edge`` keeps the
-    max weight, so this is the common case): distances only grow, and
-    worklist relaxation of the changed edges over the memoized fixpoint
-    reaches the current least fixpoint.  Any weakening or removal in
-    the suffix disqualifies the step — and disqualifies every shorter
-    prefix too, so the scan stops there.
+    journal-length key names exactly the edge set at that prefix.  The
+    suffix's net change per touched pair splits two ways:
+
+    * a created or tightened edge can only raise distances; it is
+      relaxed by the worklist over the memoized fixpoint;
+    * a weakened or removed edge ``src -> dst`` can only lower them,
+      and only where a memoized path ran through it: when the memo's
+      ``pred[dst] == src``, ``dst`` is a *cut root*, and every vertex of
+      its predecessor subtree restarts (:func:`_reset_subtrees`).  Off
+      the predecessor tree it moves no distance.
+
+    A vertex outside the reset subtrees keeps a solved path whose edges
+    are all still present, at their memo weight or tighter, so its
+    memoized distance is still a lower bound of the new one; the reset
+    vertices restart from the implicit anchor edge and their best edge
+    in from outside; the worklist then raises both to the new least
+    fixpoint.  The step falls through to the full solve only when no
+    memo lies within :data:`_REPLAY_WINDOW`, the vertex set changed, or
+    the worklist suspects a positive cycle.
 
     Returns the new ``(distance, predecessor)`` dicts, None to fall
     through to the full solve, or :data:`_INFEASIBLE` when a probing
@@ -294,25 +309,65 @@ def _replay(graph: ConstraintGraph, probe: bool):
                 first_prev[edge_key] = prev
         edges = graph._edges
         adds = []
-        for edge_key, prev in first_prev.items():
-            current = edges.get(edge_key)
+        roots = []
+        for (src, dst), prev in first_prev.items():
+            current = edges.get((src, dst))
             if current is None:
-                if prev is None:
-                    continue  # created then removed: net no-op
-                return None  # removed since the memo: not monotone
-            if prev is None or current[0] > prev[0]:
-                adds.append((edge_key[0], edge_key[1], current[0]))
-            elif current[0] < prev[0]:
-                return None  # weakened since the memo: not monotone
-        if not adds:
+                if prev is not None and pred[dst] == src:
+                    roots.append(dst)  # removed from a memoized path
+            elif prev is None or current[0] > prev[0]:
+                adds.append((src, dst, current[0]))
+            elif current[0] < prev[0] and pred[dst] == src:
+                roots.append(dst)  # weakened on a memoized path
+        if not adds and not roots:
             return dist, pred
+        # The memo's dicts are shared with graph copies and pickles:
+        # work on copies.
+        dist, pred = dict(dist), dict(pred)
+        reset = _reset_subtrees(graph, dist, pred, roots) if roots else ()
         try:
-            return _propagate_adds(graph, dict(dist), dict(pred), adds)
+            return _propagate(graph, dist, pred, adds, reset)
         except _Diverged as diverged:
             if probe and _certified_infeasible(graph, diverged):
                 return _INFEASIBLE
             return None
     return None
+
+
+def _reset_subtrees(graph: ConstraintGraph, dist: dict, pred: dict,
+                    roots: "list[str]") -> "list[str]":
+    """Restart every vertex whose memoized path runs through a root.
+
+    ``dist``/``pred`` are private copies of a solved fixpoint, whose
+    predecessor edges are tight and acyclic (``pred[v] is None``
+    exactly when ``dist[v] == 0``).  The union of the roots'
+    predecessor subtrees is reset in place: each vertex restarts at 0
+    (the implicit anchor edge), then takes its best live edge in from a
+    vertex outside the subtrees, whose memoized distance stands.
+    Returns the reset vertices, which the worklist must visit.
+    """
+    children: "dict[str, list[str]]" = {}
+    for name, parent in pred.items():
+        if parent is not None:
+            children.setdefault(parent, []).append(name)
+    reset = list(roots)
+    inside = set(reset)
+    for name in reset:  # grows while iterating: a breadth-first walk
+        for child in children.get(name, ()):
+            if child not in inside:
+                inside.add(child)
+                reset.append(child)
+    edges = graph._edges
+    incoming = graph._in
+    for name in reset:
+        best, via = 0, None
+        for src in incoming.get(name, ()):
+            if src not in inside:
+                entry = edges.get((src, name))
+                if entry is not None and dist[src] + entry[0] > best:
+                    best, via = dist[src] + entry[0], src
+        dist[name], pred[name] = best, via
+    return reset
 
 
 def _remember_state(graph: ConstraintGraph, dist: dict,
@@ -332,10 +387,12 @@ def _remember_state(graph: ConstraintGraph, dist: dict,
             del state_cache[key]
 
 
-def _propagate_adds(graph, dist, pred, adds) -> "tuple[dict, dict]":
-    """Worklist relaxation of added or tightened edges over a fixpoint.
+def _propagate(graph, dist, pred, adds, reset) -> "tuple[dict, dict]":
+    """Worklist relaxation from a memoized fixpoint to the current one.
 
-    ``adds`` holds ``(src, dst, weight)`` triples; ``dist``/``pred``
+    ``adds`` holds ``(src, dst, weight)`` triples of added or tightened
+    edges; ``reset`` names the vertices :func:`_reset_subtrees`
+    restarted, whose out-edges are visited first.  ``dist``/``pred``
     are private copies of the memoized fixpoint and are updated in
     place and returned.  Divergence — a suspected positive cycle —
     raises :class:`_Diverged`, carrying whether the divergence is a
@@ -348,8 +405,8 @@ def _propagate_adds(graph, dist, pred, adds) -> "tuple[dict, dict]":
     recompute, never a wrong exception.
     """
     limit = len(dist)
-    queue: "deque[str]" = deque()
-    queued: "set[str]" = set()
+    queue: "deque[str]" = deque(reset)
+    queued: "set[str]" = set(reset)
     counts: "dict[str, int]" = {}
 
     def relax(src: str, dst: str, weight: int) -> None:
@@ -359,9 +416,10 @@ def _propagate_adds(graph, dist, pred, adds) -> "tuple[dict, dict]":
             pred[dst] = src
             counts[dst] = counts.get(dst, 0) + 1
             if dst == ANCHOR_NAME and dist[dst] > 0:
-                # Every relaxed value is the length of a real walk from
-                # the anchor, so a positive anchor distance certifies a
-                # positive closed walk — infeasibility proven.
+                # Every distance is at most the length of a real walk
+                # from the anchor (a reset vertex restarts from one), so
+                # a positive anchor distance certifies a positive
+                # closed walk — infeasibility proven.
                 raise _Diverged(dst, pred, certain=True)
             if counts[dst] > limit:
                 raise _Diverged(dst, pred, certain=False)

@@ -209,9 +209,15 @@ class ScheduleResult:
 def make_result(problem: SchedulingProblem, schedule: Schedule,
                 stats: "SchedulerStats | None" = None,
                 stage: str = "power_aware",
-                extra: "Mapping[str, Any] | None" = None) -> ScheduleResult:
-    """Assemble a :class:`ScheduleResult` (profile + metrics computed)."""
-    profile = problem.profile(schedule)
+                extra: "Mapping[str, Any] | None" = None,
+                profile: "PowerProfile | None" = None) -> ScheduleResult:
+    """Assemble a :class:`ScheduleResult` (profile + metrics computed).
+
+    A caller that already holds ``problem.profile(schedule)`` passes it
+    as ``profile`` instead of having it built again.
+    """
+    if profile is None:
+        profile = problem.profile(schedule)
     metrics = profile_metrics(profile, schedule.makespan, problem.p_max,
                               problem.p_min)
     return ScheduleResult(problem=problem, schedule=schedule,

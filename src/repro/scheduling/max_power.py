@@ -127,16 +127,19 @@ class MaxPowerScheduler:
         else:
             base_graph = timing.extra["graph"]
 
-        best: "tuple[tuple[float, float], Schedule, ConstraintGraph] | None" \
-            = None
+        # ((makespan, energy cost), schedule, graph, profile)
+        best: "tuple | None" = None
         failures: "list[str]" = []
 
-        def consider(schedule: Schedule, graph: ConstraintGraph) -> None:
+        def consider(schedule: Schedule, graph: ConstraintGraph,
+                     profile: "PowerProfile | None" = None) -> None:
             nonlocal best
+            if profile is None:
+                profile = problem.profile(schedule)
             key = (float(schedule.makespan),
-                   problem.profile(schedule).energy_above(problem.p_min))
+                   profile.energy_above(problem.p_min))
             if best is None or key < best[0]:
-                best = (key, schedule, graph)
+                best = (key, schedule, graph, profile)
 
         for variant in range(max(1, self.options.max_power_restarts)):
             graph = base_graph.copy()
@@ -170,16 +173,17 @@ class MaxPowerScheduler:
                 f"{problem.name!r} under P_max = {problem.p_max:g} W "
                 f"({len(failures)} attempt(s); first failure: "
                 f"{failures[0] if failures else 'n/a'}){serial_outcome}")
-        _, schedule, graph = best
+        _, schedule, graph, profile = best
         result = make_result(problem, schedule, stats=self.stats,
-                             stage="max_power")
+                             stage="max_power", profile=profile)
         result.extra["graph"] = graph
         return result
 
     def _serial_candidate(self, problem: SchedulingProblem,
                           finish_by: "int | None") \
-            -> "tuple[Schedule, ConstraintGraph]":
-        """The fully-serialized schedule as an extra candidate.
+            -> "tuple[Schedule, ConstraintGraph, PowerProfile]":
+        """The fully-serialized schedule, its graph and its profile as
+        an extra candidate.
 
         In tightly power-bounded regimes (the rover's worst case) the
         best valid schedule *is* the serial one — the paper observes
@@ -201,7 +205,7 @@ class MaxPowerScheduler:
                 f"the serial schedule of {problem.name!r} peaks at "
                 f"{profile.peak():g} W, above P_max = "
                 f"{problem.p_max:g} W")
-        return result.schedule, result.extra["graph"]
+        return result.schedule, result.extra["graph"], profile
 
     # ------------------------------------------------------------------
 

@@ -109,7 +109,7 @@ class MinPowerScheduler:
                               order=config.scan_order,
                               slot=config.slot) as scan_span:
                     schedule, rho = self._fill_gaps(graph, problem,
-                                                    config)
+                                                    config, base)
                     scan_span.set(rho=round(rho, 6))
                 if rho > best_rho + _RHO_EPS:
                     best_schedule, best_graph, best_rho = \
@@ -136,17 +136,20 @@ class MinPowerScheduler:
                 for i, (order, slot) in enumerate(combos)]
 
     def _fill_gaps(self, graph: ConstraintGraph,
-                   problem: SchedulingProblem,
-                   config: GapFillConfig) -> "tuple[Schedule, float]":
+                   problem: SchedulingProblem, config: GapFillConfig,
+                   base: ScheduleResult) -> "tuple[Schedule, float]":
         """Run repeated gap-filling scans under one configuration.
 
-        Mutates ``graph`` (delay edges tagged ``"gapfill"``); returns
-        the final schedule and its utilization.
+        ``graph`` is a fresh copy of ``base``'s graph, so the scan
+        starts from ``base``'s schedule, profile and utilization: the
+        copy has the same edge set until a move is accepted, and the
+        base graph is never mutated.  Mutates ``graph`` (delay edges
+        tagged ``"gapfill"``); returns the final schedule and its
+        utilization.
         """
         rng = random.Random(config.seed)
-        schedule = asap_schedule(graph)
-        profile = problem.profile(schedule)
-        rho = min_power_utilization(profile, problem.p_min)
+        schedule, profile = base.schedule, base.profile
+        rho = base.metrics.utilization
         for _ in range(self.MAX_SCANS_PER_CONFIG):
             self.stats.scans += 1
             moved = False

@@ -148,6 +148,71 @@ def _cold_distances(graph: ConstraintGraph) -> "dict[str, int]":
     return dict(longest_paths(_cold_graph(graph)).distance)
 
 
+def _tree() -> ConstraintGraph:
+    """A graph whose predecessor tree is known: a delay edge overwrote
+    ``a``'s user release (10 over 4), ``b`` and ``d`` hang off ``a``,
+    ``c`` off ``b``; ``c``'s own release (9) is off the tree, and so is
+    ``e``'s lock (a release and a max edge into the anchor)."""
+    g = ConstraintGraph("tree")
+    for name, duration in (("a", 3), ("b", 4), ("c", 2), ("d", 5),
+                           ("e", 1)):
+        g.new_task(name, duration=duration)
+    g.add_release("a", 4)
+    g.add_precedence("a", "b")
+    g.add_precedence("b", "c")
+    g.add_min_separation("a", "d", 1)
+    g.add_release("c", 9)
+    g.lock_start("e", 6)
+    g = g.copy()  # the user constraints predate the journal
+    g.add_edge(ANCHOR_NAME, "a", 10, tag="delay")
+    return g
+
+
+def _settled_by_replay(graph: ConstraintGraph, mutate) -> "dict[str, int]":
+    """Solve ``graph``, apply ``mutate``, and answer again: the answer
+    must equal a cold solve and come from one replay."""
+    longest_paths(graph)
+    mutate(graph)
+    snapshot = lp_counter_snapshot()
+    answer = dict(longest_paths(graph).distance)
+    delta = lp_counters_delta(snapshot)
+    assert (delta["full_runs"], delta["incremental_runs"]) == (0, 1)
+    assert answer == _cold_distances(graph)
+    return answer
+
+
+def _edges_at(graph: ConstraintGraph, length: int) -> dict:
+    """The edge store as it stood at journal length ``length``."""
+    edges = dict(graph._edges)
+    for key, prev in reversed(graph._journal[length:]):
+        if prev is None:
+            edges.pop(key, None)
+        else:
+            edges[key] = prev
+    return edges
+
+
+def _assert_memos_are_solved_trees(graph: ConstraintGraph) -> None:
+    """Every memo is the least fixpoint of its edge set, held by a tight,
+    acyclic predecessor map: the invariant the replay step cuts along."""
+    for length, (vertices, dist, pred) in graph._state_cache.items():
+        assert vertices == len(dist) == len(pred)
+        edges = _edges_at(graph, length)
+        for (src, dst), (weight, _) in edges.items():
+            if src in dist and dst in dist:
+                assert dist[dst] >= dist[src] + weight
+        for name, parent in pred.items():
+            if parent is None:
+                assert dist[name] == 0
+            else:
+                assert dist[name] == dist[parent] + edges[(parent, name)][0]
+            chain = set()
+            while name is not None:
+                assert name not in chain, "predecessor cycle"
+                chain.add(name)
+                name = pred[name]
+
+
 class TestAnswerLadder:
     """Exact memo hits and journal replays must be indistinguishable
     from a full solve of the same edge set."""
@@ -322,6 +387,88 @@ class TestAnswerLadder:
         assert delta["full_runs"] == 0
         assert delta["cache_hits"] == 1
 
+    def test_weakened_tree_edge_replays(self):
+        g = _tree()
+        assert longest_paths(g).distance["c"] == 17
+        answer = _settled_by_replay(
+            g, lambda g: g.weaken_edge(ANCHOR_NAME, "a"))
+        assert (answer["a"], answer["b"], answer["c"], answer["d"]) == \
+            (4, 7, 11, 5)
+
+    def test_removed_tree_edge_replays(self):
+        answer = _settled_by_replay(_tree(),
+                                    lambda g: g.remove_edge("a", "b"))
+        assert (answer["b"], answer["c"]) == (0, 9)
+
+    def test_weakened_off_tree_edge_replays(self):
+        g = _tree()
+        g.add_release("c", 12)  # tightens the release c's path ignores
+        before = dict(longest_paths(g).distance)
+        assert _settled_by_replay(
+            g, lambda g: g.weaken_edge(ANCHOR_NAME, "c")) == before
+
+    def test_weaken_then_tighten_same_pair_replays(self):
+        """Compaction's boundary trials: roll back, lift the delay,
+        re-add it at an earlier start."""
+        g = _tree()
+        longest_paths(g)
+        token = g.checkpoint()
+        for start in (5, 7, 9):
+            g.rollback(token)
+            answer = _settled_by_replay(g, lambda g: (
+                g.weaken_edge(ANCHOR_NAME, "a"),
+                g.add_edge(ANCHOR_NAME, "a", start, tag="delay")))
+            assert answer["a"] == start
+
+    def test_overlapping_cuts_replay(self):
+        """Two cut roots, ``c`` inside ``a``'s subtree."""
+        answer = _settled_by_replay(_tree(), lambda g: (
+            g.weaken_edge(ANCHOR_NAME, "a"),
+            g.remove_edge("b", "c")))
+        assert (answer["a"], answer["b"], answer["c"], answer["d"]) == \
+            (4, 7, 9, 5)
+
+    def test_weakened_max_separation_on_tree_replays(self):
+        """A max separation can carry a path backwards: ``b`` starts at
+        most 20 before ``d``, so ``b`` hangs off ``d``."""
+        g = _tree()
+        g.add_release("d", 40)
+        g.add_max_separation("b", "d", 20)
+        assert longest_paths(g).predecessor["b"] == "d"
+        answer = _settled_by_replay(
+            g, lambda g: g.weaken_edge("d", "b"))
+        assert (answer["b"], answer["c"]) == (13, 17)
+
+    def test_weakened_lock_into_anchor_replays(self):
+        g = _tree()
+        assert longest_paths(g).predecessor[ANCHOR_NAME] is None
+        answer = _settled_by_replay(
+            g, lambda g: g.weaken_edge("e", ANCHOR_NAME))
+        assert answer["e"] == 6
+
+    def test_weakening_then_positive_cycle_matches_cold_solve(self):
+        """An addition after a weakening that closes a positive cycle:
+        a probe says so, a plain call raises the cold solve's error."""
+        def mutate(g):
+            g.weaken_edge(ANCHOR_NAME, "a")
+            g.add_min_separation("c", "a", 1)
+
+        cold = _tree()
+        mutate(cold)
+        with pytest.raises(PositiveCycleError) as cold_exc:
+            longest_paths(cold)
+        for probe in (True, False):
+            g = _tree()
+            longest_paths(g)
+            mutate(g)
+            if probe:
+                assert longest_paths(g, probe=True) is None
+                continue
+            with pytest.raises(PositiveCycleError) as exc:
+                longest_paths(g)
+            assert str(exc.value) == str(cold_exc.value)
+            assert exc.value.cycle == cold_exc.value.cycle
+
 
 def test_journal_memos_answer_rover_session_arrivals():
     """The journal memos answer the online session's admission and
@@ -352,3 +499,93 @@ def test_journal_memos_answer_rover_session_arrivals():
     assert len(session.admitted) == 20
     assert delta["incremental_runs"] > 0
     assert delta["full_runs"] <= 740
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_weakening_replays_keep_solved_trees(seed):
+    """Random weaken, remove, add, lock, rollback and copy sequences on
+    graphs with max separations: every answer equals a cold solve, and
+    every memo stays a tight, acyclic predecessor tree."""
+    rng = random.Random(seed)
+    g = _random_graph(100 + seed, tasks=rng.randint(3, 14))
+    names = g.task_names()
+    for name in rng.sample(names, len(names) // 3):
+        token = g.checkpoint()
+        g.add_max_separation(name, rng.choice(names), rng.randint(8, 40))
+        if longest_paths(g, probe=True) is None:
+            g.rollback(token)
+    assert longest_paths(g, probe=True) is not None
+    tokens: "list[int]" = []
+    paid = {"incremental_runs": 0, "full_runs": 0}
+    for _ in range(80):
+        before = g.checkpoint()
+        op = rng.random()
+        if op < 0.15:
+            tokens.append(before)
+        elif op < 0.25 and tokens:
+            g.rollback(tokens.pop(rng.randrange(len(tokens))))
+            tokens = [t for t in tokens if t <= g.checkpoint()]
+        elif op < 0.4 and g.edge_count():
+            edge = rng.choice(g.edges())
+            g.weaken_edge(edge.src, edge.dst)
+        elif op < 0.55 and g.edge_count():
+            edge = rng.choice(g.edges())
+            g.remove_edge(edge.src, edge.dst)
+        elif op < 0.6:
+            g, tokens = g.copy(), []
+        elif op < 0.7:
+            g.lock_start(rng.choice(names), rng.randint(0, 40))
+        else:
+            src, dst = rng.sample(names, 2)
+            g.add_edge(src, dst, rng.randint(-12, 8), tag="delay")
+        try:
+            expected = _cold_distances(g)
+        except PositiveCycleError:
+            assert longest_paths(g, probe=True) is None
+            g.rollback(before)
+            continue
+        snapshot = lp_counter_snapshot()
+        assert dict(longest_paths(g).distance) == expected
+        delta = lp_counters_delta(snapshot)
+        for step in paid:
+            paid[step] += delta[step]
+        _assert_memos_are_solved_trees(g)
+    assert paid["incremental_runs"] > paid["full_runs"]
+
+
+def test_rover_max_power_stage_pays_no_full_solve():
+    """Spike repair's unlocks and compaction's relaxations weaken edges;
+    the replay settles every one (40 full solves when a weakening fell
+    through to the full solve)."""
+    from repro.mission import MarsRover
+    from repro.mission.rover import SolarCase
+    from repro.scheduling import PowerAwareScheduler
+
+    run = PowerAwareScheduler().solve_pipeline(
+        MarsRover.standard().problem(SolarCase.TYPICAL))
+    assert run.max_power.stats.lp_full_runs == 0
+    assert run.max_power.stats.lp_incremental_runs > 0
+
+
+def test_weakenings_replay_in_rover_session_arrivals():
+    """The first 20 unrolled-rover arrivals pay 648 full solves when
+    every weakened edge falls through to the full solve; replaying
+    weakenings leaves a few dozen."""
+    from repro.mission import MarsRover
+    from repro.mission.rover import SolarCase
+    from repro.online import (MissionSession, SessionConfig,
+                              arrivals_from_problem)
+    from repro.scheduling import SchedulerOptions
+
+    rover = MarsRover.standard()
+    problem = rover.problem(
+        SolarCase.TYPICAL,
+        graph=rover.unrolled_graph(SolarCase.TYPICAL, iterations=5))
+    session = MissionSession(SessionConfig(
+        p_max=problem.p_max, p_min=problem.p_min,
+        baseline=problem.baseline, options=SchedulerOptions(),
+        name="weakening-replay"))
+    snapshot = lp_counter_snapshot()
+    for arrival in arrivals_from_problem(problem, quiesce=False)[:20]:
+        session.apply(arrival)
+    assert lp_counters_delta(snapshot)["full_runs"] <= 40
