@@ -479,19 +479,32 @@ class ConstraintGraph:
 
     def copy(self, name: "str | None" = None) -> "ConstraintGraph":
         """Deep-enough copy: fresh edge store and journal, shared tasks
-        (tasks are frozen dataclasses so sharing is safe)."""
+        (tasks are frozen dataclasses so sharing is safe).
+
+        The stores are cloned directly, in the order adding the tasks
+        and then the edges one by one would give them: the resource
+        pool lists task resources in first-use order, then the other
+        declared ones (``total_idle_power`` sums in that order), and
+        each adjacency set is filled in edge order.
+        """
         clone = ConstraintGraph(name=name or self.name)
-        for task in self.tasks():
-            clone.add_task(task)
-        for res in self._resources:
-            if res.name not in clone._resources:
-                clone._resources.add(res)
-            else:
-                # replace the auto-created default with the real record
-                clone._resources._by_name[res.name] = res
-        for (src, dst), (weight, tag) in self._edges.items():
-            clone.add_edge(src, dst, weight, tag=tag)
-        clone._journal.clear()
+        clone._tasks = dict(self._tasks)
+        clone._real_tasks = self._real_tasks
+        clone._real_names = self._real_names
+        declared = self._resources._by_name
+        pool = clone._resources._by_name
+        for task in self._tasks.values():
+            if task.resource is not None and task.resource not in pool:
+                pool[task.resource] = declared[task.resource]
+        for res_name, res in declared.items():
+            if res_name not in pool:
+                pool[res_name] = res
+        clone._edges = dict(self._edges)
+        out = clone._out = {vertex: set() for vertex in self._tasks}
+        into = clone._in = {vertex: set() for vertex in self._tasks}
+        for src, dst in self._edges:
+            out[src].add(dst)
+            into[dst].add(src)
         solved = self._current_state()
         if solved is not None:
             # Identical edge set => identical unique fixpoint, so the

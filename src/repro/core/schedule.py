@@ -74,6 +74,18 @@ class Schedule:
         self._slack: "tuple | None" = None
         BUILD_COUNTS["schedules"] += 1
 
+    def _rebind(self, graph: ConstraintGraph) -> None:
+        """Move this schedule onto ``graph`` in place.
+
+        ``graph`` must hold the same tasks with the same durations and
+        only edges the starts satisfy: the min-power stage binds its
+        winning schedule, which nothing else holds yet, to the copy
+        that carries the winner's ``gapfill`` edges (DESIGN.md §5o).
+        The makespan memo stays; the slack memo is dropped.
+        """
+        self._graph = graph
+        self._slack = None
+
     def __getstate__(self):
         return {"_graph": self._graph, "_starts": self._starts}
 

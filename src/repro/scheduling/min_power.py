@@ -37,13 +37,12 @@ from ..core.metrics import min_power_utilization
 from ..core.problem import SchedulingProblem
 from ..core.profile import PowerProfile
 from ..core.schedule import Schedule
-from ..core.slack import slack
+from ..core.slack import inherit_slack, slack
 from ..core.task import ANCHOR_NAME
 from ..obs import OBS
 from .base import ScheduleResult, SchedulerOptions, SchedulerStats, \
     make_result
 from .max_power import MaxPowerScheduler
-from .timing import asap_schedule
 
 __all__ = ["MinPowerScheduler", "min_power_schedule", "GapFillConfig"]
 
@@ -92,34 +91,46 @@ class MinPowerScheduler:
                 base: ScheduleResult) -> ScheduleResult:
         """Gap-fill an existing valid result (``base``).
 
-        ``base.extra["graph"]`` must hold the decorated graph whose ASAP
-        schedule is ``base.schedule`` (as produced by
-        :class:`MaxPowerScheduler`).
+        Precondition: ``base.schedule`` is the ASAP schedule of the
+        decorated graph ``base.extra["graph"]``; every max-power and
+        serial result is.  Then each gap-fill trial, a delay of one task
+        within its slack, is that schedule with one start changed
+        (DESIGN.md §5o), so the scans build no graph and solve no
+        longest path.  The winning configuration's moves become
+        ``gapfill`` release edges on one copy of the graph, which the
+        returned schedule and ``extra["graph"]`` share; when no
+        configuration improves, ``base``'s own schedule and graph are
+        returned.
         """
         base_graph: ConstraintGraph = base.extra["graph"]
         best_schedule = base.schedule
-        best_graph = base_graph
+        best_moves: "list[tuple[str, int]]" = []
         best_rho = base.metrics.utilization
         best_config = None
         needs_work = problem.p_min > 0 and best_rho < 1.0 - _RHO_EPS
         if needs_work:
             for config in self._configs():
-                graph = base_graph.copy()
                 with OBS.span("sched.minp.scan",
                               order=config.scan_order,
                               slot=config.slot) as scan_span:
-                    schedule, rho = self._fill_gaps(graph, problem,
-                                                    config, base)
+                    schedule, rho, moves = self._fill_gaps(problem,
+                                                           config, base)
                     scan_span.set(rho=round(rho, 6))
                 if rho > best_rho + _RHO_EPS:
-                    best_schedule, best_graph, best_rho = \
-                        schedule, graph, rho
+                    best_schedule, best_moves, best_rho = \
+                        schedule, moves, rho
                     best_config = config
                 if best_rho >= 1.0 - _RHO_EPS:
                     break
+        graph = base_graph
+        if best_moves:
+            graph = base_graph.copy()
+            for name, start in best_moves:
+                graph.add_edge(ANCHOR_NAME, name, start, tag="gapfill")
+            best_schedule._rebind(graph)
         result = make_result(problem, best_schedule, stats=self.stats,
                              stage="min_power")
-        result.extra["graph"] = best_graph
+        result.extra["graph"] = graph
         result.extra["config"] = best_config
         return result
 
@@ -135,21 +146,22 @@ class MinPowerScheduler:
         return [GapFillConfig(order, slot, self.options.seed + i)
                 for i, (order, slot) in enumerate(combos)]
 
-    def _fill_gaps(self, graph: ConstraintGraph,
-                   problem: SchedulingProblem, config: GapFillConfig,
-                   base: ScheduleResult) -> "tuple[Schedule, float]":
+    def _fill_gaps(self, problem: SchedulingProblem,
+                   config: GapFillConfig, base: ScheduleResult) \
+            -> "tuple[Schedule, float, list[tuple[str, int]]]":
         """Run repeated gap-filling scans under one configuration.
 
-        ``graph`` is a fresh copy of ``base``'s graph, so the scan
-        starts from ``base``'s schedule, profile and utilization: the
-        copy has the same edge set until a move is accepted, and the
-        base graph is never mutated.  Mutates ``graph`` (delay edges
-        tagged ``"gapfill"``); returns the final schedule and its
-        utilization.
+        Starts from ``base``'s schedule, profile and utilization and
+        never touches a graph: every schedule it builds belongs to
+        ``base``'s graph.  Returns the final schedule, its utilization
+        and the accepted ``(task, new start)`` moves in order; the
+        schedule is the ASAP schedule of ``base``'s graph plus one
+        ``anchor -> task`` release edge per move.
         """
         rng = random.Random(config.seed)
         schedule, profile = base.schedule, base.profile
         rho = base.metrics.utilization
+        moves: "list[tuple[str, int]]" = []
         for _ in range(self.MAX_SCANS_PER_CONFIG):
             self.stats.scans += 1
             moved = False
@@ -159,81 +171,80 @@ class MinPowerScheduler:
             elif config.scan_order == "random":
                 rng.shuffle(gap_times)
             for t in gap_times:
-                outcome = self._fill_one_gap(graph, problem, schedule,
-                                             profile, t, config, rng, rho)
+                outcome = self._fill_one_gap(problem, schedule, profile,
+                                             t, config, rng, rho)
                 if outcome is not None:
-                    schedule, profile, rho = outcome
+                    schedule, profile, rho, move = outcome
+                    moves.append(move)
                     moved = True
                     if rho >= 1.0 - _RHO_EPS:
-                        return schedule, rho
+                        return schedule, rho, moves
             if not moved:
                 break
-        return schedule, rho
+        return schedule, rho, moves
 
-    def _fill_one_gap(self, graph, problem, schedule, profile, t, config,
-                      rng, rho_now):
+    def _fill_one_gap(self, problem, schedule, profile, t, config, rng,
+                      rho_now):
         """Try to move one earlier task into the gap at time ``t``.
 
-        Returns ``(schedule, profile, rho)`` on an accepted move, else
-        None.  The gap may have moved or closed since the scan list was
-        built; we re-read the profile and skip stale entries.
+        Returns ``(schedule, profile, rho, (task, new start))`` on an
+        accepted move, else None.  The gap may have moved or closed
+        since the scan list was built; we re-read the profile and skip
+        stale entries.
+
+        A new start inside the task's slot window is a delay within its
+        slack, so the trial schedule is ``schedule`` with that one start
+        changed: it finishes by ``schedule``'s makespan exactly when the
+        moved task does, which is tested before anything is built.
         """
         if profile.value(t) >= problem.p_min - PowerProfile.POWER_TOL:
             return None
         makespan = schedule.makespan
-        candidates = self._gap_candidates(graph, schedule, t)
-        for name in candidates:
-            window = self._slot_window(graph, schedule, name, t)
+        tasks = schedule.graph._tasks
+        for name in self._gap_candidates(schedule, t):
+            window = self._slot_window(schedule, name, t)
             if window is None:
                 continue
-            new_start = self._choose_slot(graph, window, name, t,
+            new_start = self._choose_slot(window, tasks[name], t,
                                           profile, config, rng)
-            token = graph.checkpoint()
-            changed = graph.add_edge(ANCHOR_NAME, name, new_start,
-                                     tag="gapfill")
-            if not changed:
-                graph.rollback(token)
-                continue
-            accepted = None
-            trial = asap_schedule(graph, probe=True)
-            if trial is not None and trial.makespan <= makespan:
+            if new_start + tasks[name].duration <= makespan:
+                trial = schedule.with_start(name, new_start)
                 trial_profile = problem.profile(trial, horizon=makespan)
                 if trial_profile.is_power_valid(problem.p_max):
                     rho_new = min_power_utilization(trial_profile,
                                                     problem.p_min)
                     if rho_new > rho_now + _RHO_EPS:
-                        accepted = (trial, trial_profile, rho_new)
-            if accepted is not None:
-                self.stats.gap_fill_moves += 1
-                return accepted
+                        self.stats.gap_fill_moves += 1
+                        inherit_slack(trial, schedule, name)
+                        return (trial, trial_profile, rho_new,
+                                (name, new_start))
             self.stats.gap_fill_rejected += 1
-            graph.rollback(token)
         return None
 
-    def _gap_candidates(self, graph: ConstraintGraph,
-                        schedule: Schedule, t: int) -> "list[str]":
+    def _gap_candidates(self, schedule: Schedule, t: int) -> "list[str]":
         """Tasks that start before ``t`` and could be active at ``t``
         after a within-slack delay; nearest (latest-starting) first."""
+        tasks = schedule.graph._tasks
         out = []
         for name, start in schedule.items():
-            task = graph.task(name)
+            task = tasks[name]
             if task.duration == 0 or task.power == 0 or start > t:
                 continue
-            if schedule.is_active(name, t):
+            if t < start + task.duration:  # already active at t
                 continue
             if slack(schedule, name) >= t - start - task.duration + 1:
                 out.append((start, name))
         out.sort(key=lambda pair: (-pair[0], pair[1]))
         return [name for _, name in out]
 
-    def _slot_window(self, graph: ConstraintGraph, schedule: Schedule,
-                     name: str, t: int) -> "tuple[int, int] | None":
+    def _slot_window(self, schedule: Schedule, name: str,
+                     t: int) -> "tuple[int, int] | None":
         """Feasible new-start interval making ``name`` active at ``t``.
 
         ``[lo, hi]`` with ``lo > sigma(name)`` (a real delay), bounded
         by the task's slack so nothing else moves.
         """
-        task = graph.task(name)
+        task = schedule.graph.task(name)
         start = schedule.start(name)
         lo = max(start + 1, t - task.duration + 1)
         hi = min(t, start + slack(schedule, name))
@@ -241,15 +252,14 @@ class MinPowerScheduler:
             return None
         return lo, hi
 
-    def _choose_slot(self, graph, window, name, t, profile, config, rng) \
-            -> int:
+    def _choose_slot(self, window, task, t, profile, config, rng) -> int:
         """Pick the new start inside ``window`` per the slot heuristic."""
         lo, hi = window
         if config.slot == "start_at_gap":
             choice = t
         elif config.slot == "finish_at_gap_end":
             # Right-align the task to the end of the gap containing t.
-            choice = profile.segment_end(t) - graph.task(name).duration
+            choice = profile.segment_end(t) - task.duration
         else:
             choice = rng.randint(lo, hi)
         return min(max(choice, lo), hi)

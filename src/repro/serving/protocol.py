@@ -266,6 +266,10 @@ class HttpService:
         self.started_unix = time.time()
         self._server: "asyncio.AbstractServer | None" = None
         self._tasks: "list[asyncio.Task]" = []
+        #: Set by :meth:`shutdown` before it cancels the background
+        #: loops, which check it: Python 3.11's ``asyncio.wait_for``
+        #: drops a cancel that lands as its inner await completes.
+        self._stopping = False
         self._owns_log = False
 
     # -- lifecycle -----------------------------------------------------
@@ -273,6 +277,7 @@ class HttpService:
     async def start(self) -> None:
         """Open the structured log when configured, run the start
         hook, and bind the socket."""
+        self._stopping = False
         if self.config.log_path and not LOG.enabled:
             LOG.enable(path=self.config.log_path)
             self._owns_log = True
@@ -290,8 +295,9 @@ class HttpService:
             await self._server.serve_forever()
 
     async def shutdown(self) -> None:
-        """Cancel background tasks, run the stop hook, close the
-        socket, and close the log this service opened."""
+        """Stop and cancel background tasks, run the stop hook, close
+        the socket, and close the log this service opened."""
+        self._stopping = True
         for task in self._tasks:
             task.cancel()
             try:
@@ -315,7 +321,9 @@ class HttpService:
 
     async def _on_start(self) -> None:
         """Start hook: runs before the socket binds; background loops
-        appended to ``self._tasks`` are cancelled at shutdown."""
+        appended to ``self._tasks`` are cancelled at shutdown.  A loop
+        that awaits ``asyncio.wait_for`` must also return once
+        ``self._stopping`` is set."""
 
     async def _on_stop(self) -> "dict":
         """Stop hook: runs before the socket closes; returns the stop

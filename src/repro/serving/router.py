@@ -197,9 +197,13 @@ class Router(HttpService):
     # -- membership health ---------------------------------------------
 
     async def _health_loop(self) -> None:
-        while True:
+        # A probe's ``wait_for`` may swallow shutdown's cancel, so the
+        # loop also ends on the flag shutdown sets first.
+        while not self._stopping:
             await asyncio.sleep(self.config.health_interval_s)
             for member in self.members:
+                if self._stopping:
+                    return
                 try:
                     status, _headers, _raw, _r, _w = \
                         await self._roundtrip(member, "GET",

@@ -406,6 +406,59 @@ def _spawn_serve_member() -> "tuple[subprocess.Popen, str]":
             return proc, match.group(1)
 
 
+def test_router_shutdown_returns_while_probes_run():
+    """Shutdown ends the health loop even when its cancel lands as a
+    probe's ``wait_for`` completes (Python 3.11 drops such a cancel):
+    50 start/stop cycles on one event loop, probing a stub member every
+    0.5 ms, each shutdown within one interval plus one probe
+    timeout."""
+    import asyncio
+
+    async def stub(reader, writer):
+        await reader.readuntil(b"\r\n\r\n")
+        writer.write(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n"
+                     b"Connection: close\r\n\r\n{}")
+        await writer.drain()
+        writer.close()
+
+    async def cycles():
+        member = await asyncio.start_server(stub, "127.0.0.1", 0)
+        port = member.sockets[0].getsockname()[1]
+        probes = 0
+        try:
+            for cycle in range(50):
+                config = RouterConfig(
+                    port=0, members=[f"http://127.0.0.1:{port}"],
+                    health_interval_s=0.0005, timeout=1.0)
+                router = Router(config)
+                await router.start()
+                # Let probes start, then cancel at a different loop
+                # iteration each cycle.
+                await asyncio.sleep(0.001)
+                for _ in range(cycle % 17):
+                    await asyncio.sleep(0)
+                await asyncio.wait_for(
+                    router.shutdown(),
+                    config.health_interval_s + config.timeout)
+                if router.members[0].last_ok_unix is not None:
+                    probes += 1
+        finally:
+            member.close()
+            await member.wait_closed()
+        return probes
+
+    # A hang must fail the test, not the run: the loop lives on a
+    # daemon thread.
+    outcome = {}
+    worker = threading.Thread(
+        target=lambda: outcome.update(probes=asyncio.run(cycles())),
+        daemon=True)
+    worker.start()
+    worker.join(60)
+    assert not worker.is_alive(), "a router shutdown hung"
+    assert outcome["probes"] > 0
+
+
 def test_router_reassigns_after_member_death():
     """Kill one of three subprocess members mid-sweep: the run must
     still be bit-identical to serial, and the router must bench the
