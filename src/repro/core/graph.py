@@ -33,9 +33,6 @@ from .task import ANCHOR_NAME, Task
 
 __all__ = ["Edge", "ConstraintGraph"]
 
-#: Sentinel for "no constraint" when querying separations.
-_NO_EDGE = object()
-
 
 @dataclass(frozen=True)
 class Edge:
@@ -275,6 +272,24 @@ class ConstraintGraph:
         self._in[dst].discard(src)
         return True
 
+    def weakened(self, src: str, dst: str) -> "tuple[int, str] | None":
+        """The ``(weight, tag)`` entry :meth:`weaken_edge` would leave on
+        ``src -> dst``, or None when the pair would hold no edge.
+
+        Read-only.  For a pair holding an edge this is the entry the
+        pair had before its first journaled mutation; None when it had
+        none, or when the journal holds no history for the pair (the
+        pair predates this episode's journal), since weakening then
+        removes the edge.  A pair holding no edge keeps none.
+        """
+        key = (src, dst)
+        if key not in self._edges:
+            return None
+        for entry_key, prev in self._journal:
+            if entry_key == key:
+                return prev
+        return None
+
     def weaken_edge(self, src: str, dst: str) -> bool:
         """Undo every journaled tightening of ``src -> dst`` (journaled).
 
@@ -284,10 +299,11 @@ class ConstraintGraph:
         it — and the compaction/unlock passes used to ``remove_edge`` the
         pair outright, dropping the user's release or deadline with it.
         This restores the value the pair had *before the first journaled
-        mutation* instead: the user constraint survives, while an edge
-        the scheduler created from nothing (oldest journaled prior is
-        ``None``) is removed exactly as before.  Falls back to plain
-        removal when the journal holds no history for the pair.
+        mutation* instead (:meth:`weakened`): the user constraint
+        survives, while an edge the scheduler created from nothing
+        (oldest journaled prior is ``None``) is removed exactly as
+        before.  Falls back to plain removal when the journal holds no
+        history for the pair.
 
         Returns True if the edge set changed.
         """
@@ -295,14 +311,8 @@ class ConstraintGraph:
         current = self._edges.get(key)
         if current is None:
             return False
-        original = _NO_EDGE
-        for entry_key, prev in self._journal:
-            if entry_key == key:
-                original = prev
-                break
-        if original is _NO_EDGE or original is None:
-            # No journaled history (pair predates this episode's journal)
-            # or the pair genuinely had no edge before: drop it.
+        original = self.weakened(src, dst)
+        if original is None:
             return self.remove_edge(src, dst)
         if original == current:
             return False

@@ -41,6 +41,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from ..errors import InfeasibleError, PositiveCycleError
 from ..obs import OBS
@@ -48,7 +49,8 @@ from .graph import ConstraintGraph
 from .task import ANCHOR_NAME
 
 __all__ = ["LongestPathResult", "longest_paths", "earliest_starts",
-           "latest_starts", "lp_counter_snapshot", "lp_counters_delta"]
+           "latest_starts", "lp_counter_snapshot", "lp_counters_delta",
+           "predecessor_children", "predecessor_subtrees"]
 
 # ----------------------------------------------------------------------
 # observability: per-process counters of how each longest-path query was
@@ -334,6 +336,36 @@ def _replay(graph: ConstraintGraph, probe: bool):
     return None
 
 
+def predecessor_children(pred: "Mapping[str, str | None]") \
+        -> "dict[str, list[str]]":
+    """The children of each vertex in a predecessor map."""
+    children: "dict[str, list[str]]" = {}
+    for name, parent in pred.items():
+        if parent is not None:
+            children.setdefault(parent, []).append(name)
+    return children
+
+
+def predecessor_subtrees(children: "dict[str, list[str]]",
+                         roots: "Iterable[str]") \
+        -> "tuple[list[str], set[str]]":
+    """The union of the roots' subtrees in a predecessor map, given its
+    :func:`predecessor_children`: every vertex whose predecessor chain
+    runs through a root, roots included, breadth first and as a set.
+
+    On a solved fixpoint (tight, acyclic predecessors) these are the
+    vertices whose memoized longest path uses a root.
+    """
+    reached = list(roots)
+    inside = set(reached)
+    for name in reached:  # grows while iterating: a breadth-first walk
+        for child in children.get(name, ()):
+            if child not in inside:
+                inside.add(child)
+                reached.append(child)
+    return reached, inside
+
+
 def _reset_subtrees(graph: ConstraintGraph, dist: dict, pred: dict,
                     roots: "list[str]") -> "list[str]":
     """Restart every vertex whose memoized path runs through a root.
@@ -346,17 +378,7 @@ def _reset_subtrees(graph: ConstraintGraph, dist: dict, pred: dict,
     vertex outside the subtrees, whose memoized distance stands.
     Returns the reset vertices, which the worklist must visit.
     """
-    children: "dict[str, list[str]]" = {}
-    for name, parent in pred.items():
-        if parent is not None:
-            children.setdefault(parent, []).append(name)
-    reset = list(roots)
-    inside = set(reset)
-    for name in reset:  # grows while iterating: a breadth-first walk
-        for child in children.get(name, ()):
-            if child not in inside:
-                inside.add(child)
-                reset.append(child)
+    reset, inside = predecessor_subtrees(predecessor_children(pred), roots)
     edges = graph._edges
     incoming = graph._in
     for name in reset:

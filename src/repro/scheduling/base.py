@@ -42,8 +42,10 @@ class SchedulerOptions:
         Number of multi-start repair attempts in the max-power
         scheduler.  Restart 0 is the pure paper heuristic; later
         restarts perturb tie-breaking among equal-slack tasks, and the
-        best schedule by (finish time, energy cost) wins.  Set to 1 for
-        the paper's single-run behaviour.
+        best schedule by (finish time, energy cost) wins.  A restart
+        whose tie-breaking orders every candidate list restart 0 sorts
+        the same way would repeat restart 0, so it is skipped.  Set to
+        1 for the paper's single-run behaviour.
     slack_ordering:
         If True (paper default) order simultaneous tasks by slack and
         delay the largest-slack task first; if False pick in a

@@ -40,15 +40,19 @@ quantifies this).  It raises :class:`SchedulingFailure` in that case.
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 import sys
+from bisect import bisect_right
 
 from ..core.graph import ConstraintGraph
+from ..core.longest_path import predecessor_children, predecessor_subtrees
 from ..core.problem import SchedulingProblem
 from ..core.profile import PowerProfile
 from ..core.schedule import Schedule
 from ..core.slack import slack
 from ..core.task import ANCHOR_NAME
+from ..core.tolerance import POWER_TOL
 from ..errors import SchedulingFailure
 from ..obs import OBS
 from .base import ScheduleResult, SchedulerOptions, SchedulerStats, \
@@ -94,6 +98,9 @@ class MaxPowerScheduler:
         self.stats = SchedulerStats()
         self._salt: "dict[str, float]" = {}
         self._rng = random.Random(self.options.seed)
+        # salts of the restarts whose orders still agree with restart
+        # 0's, while restart 0 runs (see solve)
+        self._twins: "dict[int, dict[str, float]]" = {}
 
     # ------------------------------------------------------------------
 
@@ -141,19 +148,39 @@ class MaxPowerScheduler:
             if best is None or key < best[0]:
                 best = (key, schedule, graph, profile)
 
-        for variant in range(max(1, self.options.max_power_restarts)):
-            graph = base_graph.copy()
+        restarts = max(1, self.options.max_power_restarts)
+        # Restart v > 0 differs from restart 0 only in the salt that
+        # breaks its slack-and-power ties.  Restart 0 drops each one
+        # whose salt would have ordered one of its candidate lists
+        # differently (_ordered_active); the rest, its twins, would
+        # replay it step for step (DESIGN.md §5p), so they do not run.
+        self._twins = {}
+        if self.options.slack_ordering:
+            names = base_graph.task_names()
+            self._twins = {
+                variant: _tie_breaks(self.options.seed, variant, names)[1]
+                for variant in range(1, restarts)}
+        twins: "set[int]" = set()
+        first = None
+        for variant in range(restarts):
             with OBS.span("sched.maxp.restart",
                           variant=variant) as restart_span:
-                try:
-                    schedule = self.eliminate_spikes(graph, problem,
-                                                     variant=variant)
-                except SchedulingFailure as exc:
+                if variant in twins:
+                    # Restart 0's schedule again would tie its key, and
+                    # its failure would repeat restart 0's message.
+                    restart_span.set(skipped=True)
+                    outcome = first
+                else:
+                    outcome = self._restart(base_graph, problem, variant)
+                if variant == 0:
+                    first, twins, self._twins = outcome, set(self._twins), {}
+                if isinstance(outcome, str):
                     restart_span.set(failed=True)
-                    failures.append(str(exc))
+                    failures.append(outcome)
                     continue
-                restart_span.set(makespan=schedule.makespan)
-            consider(schedule, graph)
+                restart_span.set(makespan=outcome[0].makespan)
+            if variant not in twins:
+                consider(*outcome)
 
         serial_outcome = ""
         if self.options.serial_fallback:
@@ -178,6 +205,18 @@ class MaxPowerScheduler:
                              stage="max_power", profile=profile)
         result.extra["graph"] = graph
         return result
+
+    def _restart(self, base_graph: ConstraintGraph,
+                 problem: SchedulingProblem, variant: int) \
+            -> "tuple[Schedule, ConstraintGraph] | str":
+        """One repair restart on a copy of ``base_graph``: its schedule
+        and graph, or the message it failed with."""
+        graph = base_graph.copy()
+        try:
+            return self.eliminate_spikes(graph, problem,
+                                         variant=variant), graph
+        except SchedulingFailure as exc:
+            return str(exc)
 
     def _serial_candidate(self, problem: SchedulingProblem,
                           finish_by: "int | None") \
@@ -222,12 +261,8 @@ class MaxPowerScheduler:
         (multi-start).
         """
         self._attempts = self.options.max_spike_attempts
-        self._rng = random.Random((self.options.seed, variant).__hash__())
-        if variant == 0:
-            self._salt = {}
-        else:
-            self._salt = {name: self._rng.random()
-                          for name in graph.task_names()}
+        self._rng, self._salt = _tie_breaks(self.options.seed, variant,
+                                            graph.task_names())
         # One recursion level per spike; deep schedules need headroom
         # beyond CPython's default limit.
         limit = sys.getrecursionlimit()
@@ -293,14 +328,32 @@ class MaxPowerScheduler:
         used instead.
         """
         active = schedule.active_tasks(t)
-        names = [task.name for task in active]
         if not self.options.slack_ordering:
+            names = [task.name for task in active]
             self._rng.shuffle(names)
             return names
-        power = {task.name: task.power for task in active}
-        names.sort(key=lambda n: (-slack(schedule, n), power[n],
-                                  self._salt.get(n, 0.0), n))
-        return names
+        salt = self._salt
+        keys = sorted((-slack(schedule, task.name), task.power,
+                       salt.get(task.name, 0.0), task.name)
+                      for task in active)
+        if self._twins:
+            self._drop_diverging_twins(keys)
+        return [key[3] for key in keys]
+
+    def _drop_diverging_twins(self, keys: "list[tuple]") -> None:
+        """Forget every pending restart whose salt would order ``keys``,
+        restart 0's sorted candidate list, differently.
+
+        Restart 0 breaks each tie of (-slack, power) by name.  A salted
+        restart orders a tie group the same way exactly when its salts
+        do not decrease along the group, pair by adjacent pair.
+        """
+        for variant, salt in list(self._twins.items()):
+            for first, second in zip(keys, keys[1:]):
+                if first[0] == second[0] and first[1] == second[1] \
+                        and salt[first[3]] > salt[second[3]]:
+                    del self._twins[variant]
+                    break
 
     def _clear_time(self, graph: ConstraintGraph,
                     problem: SchedulingProblem, t: int,
@@ -441,17 +494,20 @@ class MaxPowerScheduler:
         removal, then (if that reopens a spike) the earliest
         power-valid start among the profile's segment boundaries.
         Every accepted relaxation keeps the schedule valid and never
-        increases the finish time, so the loop converges.
+        increases the finish time, so the loop converges.  A try that
+        the current schedule, its profile and its longest-path memo
+        prove hopeless is refused without an edit (:meth:`_hopeless`).
         """
-        while True:
-            schedule = asap_schedule(graph)
-            if not self._compact_round(graph, problem, schedule):
-                return schedule
+        current = _Compaction(graph, problem)
+        while self._compact_round(graph, problem, current):
+            pass
+        return current.schedule
 
     def _compact_round(self, graph: ConstraintGraph,
                        problem: SchedulingProblem,
-                       schedule: Schedule) -> bool:
+                       current: "_Compaction") -> bool:
         """One pass over all tasks; True if anything moved."""
+        schedule = current.schedule
         makespan = schedule.makespan
         order = sorted(schedule, key=lambda n: (schedule.start(n), n))
         moved = False
@@ -459,14 +515,91 @@ class MaxPowerScheduler:
             tag = graph.edge_tag(ANCHOR_NAME, name)
             if tag not in self._RELAXABLE_TAGS:
                 continue
-            if self._relax_release(graph, problem, name, makespan):
+            if self._hopeless(graph, problem, name, current):
+                continue
+            relaxed = self._relax_release(graph, problem, name, makespan)
+            if relaxed is not None:
+                current.schedule, current.profile = relaxed
                 moved = True
         return moved
 
+    def _hopeless(self, graph: ConstraintGraph, problem: SchedulingProblem,
+                  name: str, current: "_Compaction") -> bool:
+        """True when every trial of ``name``'s release try must fail.
+
+        Reads ``current``, the graph's edges and journal, and its
+        longest-path memo for the current edge set; edits nothing and
+        asks no longest-path query (DESIGN.md §5p).  Only ``name``'s
+        subtree S in the memo's predecessor map can move, so ``name``
+        lands at some ``s`` with ``earliest <= s < release``, where
+        ``earliest`` is the release :meth:`ConstraintGraph.weaken_edge`
+        would restore, raised by every in-edge from outside S.  If
+        ``earliest >= release`` it cannot move; otherwise the try is
+        hopeless when every such slot draws more than ``current.limit``
+        even with the power of S's tasks taken out.  False means "not
+        proven", never "will succeed".
+        """
+        solved = graph._current_state()
+        if solved is None:
+            return False
+        _, dist, pred = solved
+        if current.pred is not pred:
+            current.pred, current.children = pred, predecessor_children(pred)
+        moving, inside = predecessor_subtrees(current.children, (name,))
+        restored = graph.weakened(ANCHOR_NAME, name)
+        earliest = max(restored[0], 0) if restored is not None else 0
+        edges = graph._edges
+        for src in graph._in[name]:
+            if src != ANCHOR_NAME and src not in inside:
+                entry = edges.get((src, name))
+                if entry is not None:
+                    earliest = max(earliest, dist[src] + entry[0])
+        release = graph.separation(ANCHOR_NAME, name)
+        if earliest >= release:
+            return True
+        tasks = graph._tasks
+        task = tasks[name]
+        if task.duration <= 0 or not task.power > 0 \
+                or not math.isfinite(current.limit):
+            return False
+        # (start, end, power) of the tasks of S drawing power in the
+        # window [earliest, release), clipped to it.
+        drawn = []
+        for member in moving:
+            other = tasks[member]
+            if other.duration > 0 and other.power > 0:
+                start = dist[member]
+                end = start + other.duration
+                if start < release and end > earliest:
+                    drawn.append((max(start, earliest), min(end, release),
+                                  other.power))
+        cuts = sorted({t for start, end, _ in drawn for t in (start, end)})
+        profile = current.profile
+        segments = profile._segments
+        index = bisect_right(profile._starts, earliest) - 1
+        t = earliest
+        while t < release:
+            _, t1, level = segments[index]
+            end = min(t1, release)
+            pieces = [t] + [cut for cut in cuts if t < cut < end]
+            for piece in pieces:
+                draw = sum([p for start, stop, p in drawn
+                            if start <= piece < stop])
+                if not level - draw + task.power > current.limit:
+                    return False
+            t = end
+            index += 1
+        return True
+
     def _relax_release(self, graph: ConstraintGraph,
                        problem: SchedulingProblem, name: str,
-                       makespan: int) -> bool:
-        """Try to move one task earlier by weakening its release edge."""
+                       makespan: int) \
+            -> "tuple[Schedule, PowerProfile] | None":
+        """Try to move one task earlier by weakening its release edge.
+
+        Returns the accepted trial's schedule and profile, or None when
+        every trial failed and the edge set is back as it was.
+        """
         release = graph.separation(ANCHOR_NAME, name)
         tag = graph.edge_tag(ANCHOR_NAME, name)
         token = graph.checkpoint()
@@ -477,15 +610,15 @@ class MaxPowerScheduler:
         trial = asap_schedule(graph, probe=True)
         if trial is None:              # pragma: no cover - defensive
             graph.rollback(token)
-            return False
+            return None
         earliest = trial.start(name)
         if earliest >= release:
             graph.rollback(token)
-            return False
+            return None
         profile = problem.profile(trial)
         if trial.makespan <= makespan \
                 and profile.is_power_valid(problem.p_max):
-            return True
+            return trial, profile
         # Full removal reopens a spike: try intermediate starts at the
         # profile's change points, earliest first.
         boundaries = sorted({t0 for t0, _, _ in profile.segments
@@ -497,11 +630,53 @@ class MaxPowerScheduler:
             trial = asap_schedule(graph, probe=True)
             if trial is None:           # pragma: no cover - defensive
                 continue
-            if trial.makespan <= makespan and problem.profile(trial) \
-                    .is_power_valid(problem.p_max):
-                return True
+            if trial.makespan <= makespan:
+                profile = problem.profile(trial)
+                if profile.is_power_valid(problem.p_max):
+                    return trial, profile
         graph.rollback(token)
-        return False
+        return None
+
+
+class _Compaction:
+    """What compaction holds between tries (DESIGN.md §5p).
+
+    ``schedule`` is the ASAP schedule of the graph's current edge set
+    and ``profile`` its profile: built once per :meth:`compact` call,
+    then each accepted trial's.  ``limit`` is the level a slot's lower
+    bound must exceed for every trial to spike there: ``P_max`` plus
+    3·``POWER_TOL`` (the two profiles' segment merging and the validity
+    test) plus a rounding allowance relative to the largest sum a level
+    can hold; infinite when ``P_max`` or a power is.  ``children`` is
+    the child map of ``pred``, the predecessor map of the memo it was
+    built from.
+    """
+
+    __slots__ = ("schedule", "profile", "limit", "pred", "children")
+
+    def __init__(self, graph: ConstraintGraph,
+                 problem: SchedulingProblem):
+        self.schedule = asap_schedule(graph)
+        self.profile = problem.profile(self.schedule)
+        # Every level is a sum of the baseline and at most two terms of
+        # each task's power; its rounding error is below 4n ulps of this
+        # total for n tasks (DESIGN.md §5p).
+        total = problem.baseline + graph.resources.total_idle_power \
+            + 2 * sum(task.power for task in graph.tasks())
+        self.limit = problem.p_max + 3 * POWER_TOL \
+            + (len(graph) + 1) * 2.0 ** -44 * total
+        self.pred: "dict | None" = None
+        self.children: "dict[str, list[str]]" = {}
+
+
+def _tie_breaks(seed: int, variant: int, names: "list[str]") \
+        -> "tuple[random.Random, dict[str, float]]":
+    """Restart ``variant``'s random source and the salt it draws from
+    it over ``names``: restart 0 draws none (ties break by name)."""
+    rng = random.Random((seed, variant).__hash__())
+    if variant == 0:
+        return rng, {}
+    return rng, {name: rng.random() for name in names}
 
 
 def max_power_schedule(problem: SchedulingProblem,

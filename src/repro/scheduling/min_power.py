@@ -92,18 +92,19 @@ class MinPowerScheduler:
         """Gap-fill an existing valid result (``base``).
 
         Precondition: ``base.schedule`` is the ASAP schedule of the
-        decorated graph ``base.extra["graph"]``; every max-power and
-        serial result is.  Then each gap-fill trial, a delay of one task
-        within its slack, is that schedule with one start changed
-        (DESIGN.md §5o), so the scans build no graph and solve no
-        longest path.  The winning configuration's moves become
+        decorated graph ``base.extra["graph"]``, and ``base.profile``
+        its profile under ``problem``; every max-power and serial
+        result of ``problem`` is.  Then each gap-fill trial, a delay of
+        one task within its slack, is that schedule with one start
+        changed (DESIGN.md §5o), so the scans build no graph and solve
+        no longest path.  The winning configuration's moves become
         ``gapfill`` release edges on one copy of the graph, which the
-        returned schedule and ``extra["graph"]`` share; when no
-        configuration improves, ``base``'s own schedule and graph are
-        returned.
+        returned schedule and ``extra["graph"]`` share, and its last
+        trial profile is the result's; when no configuration improves,
+        ``base``'s own schedule, profile and graph are returned.
         """
         base_graph: ConstraintGraph = base.extra["graph"]
-        best_schedule = base.schedule
+        best_schedule, best_profile = base.schedule, base.profile
         best_moves: "list[tuple[str, int]]" = []
         best_rho = base.metrics.utilization
         best_config = None
@@ -113,12 +114,12 @@ class MinPowerScheduler:
                 with OBS.span("sched.minp.scan",
                               order=config.scan_order,
                               slot=config.slot) as scan_span:
-                    schedule, rho, moves = self._fill_gaps(problem,
-                                                           config, base)
+                    schedule, profile, rho, moves = self._fill_gaps(
+                        problem, config, base)
                     scan_span.set(rho=round(rho, 6))
                 if rho > best_rho + _RHO_EPS:
-                    best_schedule, best_moves, best_rho = \
-                        schedule, moves, rho
+                    best_schedule, best_profile = schedule, profile
+                    best_moves, best_rho = moves, rho
                     best_config = config
                 if best_rho >= 1.0 - _RHO_EPS:
                     break
@@ -129,7 +130,7 @@ class MinPowerScheduler:
                 graph.add_edge(ANCHOR_NAME, name, start, tag="gapfill")
             best_schedule._rebind(graph)
         result = make_result(problem, best_schedule, stats=self.stats,
-                             stage="min_power")
+                             stage="min_power", profile=best_profile)
         result.extra["graph"] = graph
         result.extra["config"] = best_config
         return result
@@ -148,15 +149,18 @@ class MinPowerScheduler:
 
     def _fill_gaps(self, problem: SchedulingProblem,
                    config: GapFillConfig, base: ScheduleResult) \
-            -> "tuple[Schedule, float, list[tuple[str, int]]]":
+            -> "tuple[Schedule, PowerProfile, float, list[tuple[str, int]]]":
         """Run repeated gap-filling scans under one configuration.
 
         Starts from ``base``'s schedule, profile and utilization and
         never touches a graph: every schedule it builds belongs to
-        ``base``'s graph.  Returns the final schedule, its utilization
-        and the accepted ``(task, new start)`` moves in order; the
-        schedule is the ASAP schedule of ``base``'s graph plus one
-        ``anchor -> task`` release edge per move.
+        ``base``'s graph.  Returns the final schedule, its profile, its
+        utilization and the accepted ``(task, new start)`` moves in
+        order; the schedule is the ASAP schedule of ``base``'s graph
+        plus one ``anchor -> task`` release edge per move.  The profile
+        is the last accepted trial's, built over ``[0, tau)`` with
+        ``tau`` the schedule's own makespan (a move never changes it),
+        or ``base.profile`` when nothing moved.
         """
         rng = random.Random(config.seed)
         schedule, profile = base.schedule, base.profile
@@ -178,10 +182,10 @@ class MinPowerScheduler:
                     moves.append(move)
                     moved = True
                     if rho >= 1.0 - _RHO_EPS:
-                        return schedule, rho, moves
+                        return schedule, profile, rho, moves
             if not moved:
                 break
-        return schedule, rho, moves
+        return schedule, profile, rho, moves
 
     def _fill_one_gap(self, problem, schedule, profile, t, config, rng,
                       rho_now):

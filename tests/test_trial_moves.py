@@ -182,9 +182,9 @@ class TestBuildCounts:
     """Schedules and profiles built per stage; they repeat exactly."""
 
     @pytest.mark.parametrize("problem, timing, max_power, total", [
-        (fig1_problem(), (1, 1), (16, 12), (18, 15)),
+        (fig1_problem(), (1, 1), (12, 10), (14, 12)),
         (MarsRover.standard().problem(SolarCase.TYPICAL),
-         (1, 1), (78, 68), (79, 70)),
+         (1, 1), (38, 32), (39, 33)),
     ], ids=["fig1", "rover-typical"])
     def test_pipeline_counts(self, problem, timing, max_power, total):
         for _ in range(2):
@@ -198,5 +198,5 @@ class TestBuildCounts:
         stats = PowerAwareScheduler().solve(fig1_problem()).stats
         registry = MetricsRegistry()
         stats.absorb_into(registry)
-        assert registry.counter("sched.build.schedules").value == 18
-        assert registry.counter("sched.build.profiles").value == 15
+        assert registry.counter("sched.build.schedules").value == 14
+        assert registry.counter("sched.build.profiles").value == 12
