@@ -21,7 +21,7 @@ import time
 
 from _bench_utils import write_artifact
 from repro.analysis import format_table, sweep_grid
-from repro.engine import BatchRunner, RunnerConfig
+from repro.engine import BatchRunner, RunnerConfig, ScheduleStore
 from repro.workloads import RandomWorkloadConfig, random_problem
 
 GRID_TASKS = 28
@@ -197,7 +197,7 @@ def test_schedule_reuse_speedup_json(artifact_dir):
             for pm in budgets for pn in levels]
 
     def timed(reuse):
-        runner = BatchRunner(RunnerConfig(reuse_schedules=reuse))
+        runner = BatchRunner(store=ScheduleStore() if reuse else None)
         t0 = time.perf_counter()
         points = runner.run_values(jobs)
         return time.perf_counter() - t0, points, runner

@@ -31,7 +31,7 @@ import time
 
 from _bench_utils import write_artifact
 from repro.engine import (BatchRunner, RemoteBackend, RunnerConfig,
-                          SweepSpec)
+                          ScheduleStore, SweepSpec)
 from repro.scheduling import SchedulerOptions
 from repro.serving import ServingClient, StoreClient
 from repro.workloads import RandomWorkloadConfig, random_problem
@@ -174,7 +174,7 @@ def _fleet_workload():
 
 def _run_wave(router_url, jobs):
     runner = BatchRunner(
-        RunnerConfig(reuse_schedules=True, retries=2),
+        RunnerConfig(retries=2), store=ScheduleStore(),
         backend=RemoteBackend([router_url], shards=SHARDS))
     t0 = time.perf_counter()
     results = runner.run(jobs)

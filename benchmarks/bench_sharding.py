@@ -29,7 +29,7 @@ import time
 
 from _bench_utils import write_artifact
 from repro.analysis import format_table, sweep_grid
-from repro.engine import (BatchRunner, RunnerConfig,
+from repro.engine import (BatchRunner, ScheduleStore,
                           SubprocessShardBackend, SweepSpec)
 from repro.workloads import RandomWorkloadConfig, random_problem
 
@@ -61,7 +61,7 @@ FLOOR_STRADDLE_LEVELS = [round(0.8 + 0.45 * index, 2)
 
 def _sharded_run(jobs, strategy):
     runner = BatchRunner(
-        RunnerConfig(reuse_schedules=True, reuse_policy="valid"),
+        store=ScheduleStore("valid"),
         backend=SubprocessShardBackend(shards=SHARDS,
                                        strategy=strategy))
     t0 = time.perf_counter()

@@ -566,11 +566,12 @@ def _cmd_sweep(args) -> int:
         budgets = [round(base * factor, 2)
                    for factor in (0.6, 0.75, 0.9, 1.0, 1.2, 1.5, 2.0,
                                   3.0)]
-    reuse = args.reuse_schedules or bool(args.store)
     store = None
     if args.store and os.path.exists(args.store):
         store = ScheduleStore.read(args.store,
                                    policy=args.reuse_policy)
+    elif args.reuse_schedules or args.store:
+        store = ScheduleStore(policy=args.reuse_policy)
     backend = None
     if args.backend == "shards":
         from .engine.backends import SubprocessShardBackend
@@ -587,9 +588,7 @@ def _cmd_sweep(args) -> int:
         backend = RemoteBackend(servers, shards=args.shards,
                                 strategy=args.shard_strategy)
     runner = BatchRunner(RunnerConfig(workers=max(0, args.parallel),
-                                      instrument=args.instrument,
-                                      reuse_schedules=reuse,
-                                      reuse_policy=args.reuse_policy),
+                                      instrument=args.instrument),
                          store=store, backend=backend)
     if levels:
         points = sweep_grid(problem, budgets, levels, runner=runner)
@@ -632,6 +631,7 @@ def _cmd_shard(args) -> int:
 
 
 def _cmd_shard_plan(args) -> int:
+    from .engine import ScheduleStore
     from .engine.planner import SweepSpec, plan_shards
     from .io.shards import save_manifest
     from .obs import new_trace_id
@@ -650,12 +650,14 @@ def _cmd_shard_plan(args) -> int:
     # One trace id for the whole plan: every shard run adopts it, and
     # so does the merge, so worker logs and the merged trace join.
     runner_doc = {"retries": 1,
-                  "reuse_schedules": args.reuse_schedules,
-                  "reuse_policy": args.reuse_policy,
                   "instrument": args.instrument,
                   "trace": {"trace_id": new_trace_id()}}
+    # The store document names its policy; each shard primes its own.
+    store_doc = ScheduleStore(policy=args.reuse_policy).to_dict() \
+        if args.reuse_schedules else None
     plan = plan_shards(jobs, max(1, args.shards), args.strategy,
-                       sweep=problem.name, runner=runner_doc)
+                       sweep=problem.name, runner=runner_doc,
+                       store=store_doc)
     for manifest in plan:
         path = os.path.join(args.out_dir,
                             f"shard_{manifest.index}.json")

@@ -44,26 +44,30 @@ def run_manifest(manifest):
 
     Runs the manifest's jobs through a serial in-process
     :class:`~repro.engine.runner.BatchRunner` configured from the
-    manifest's ``runner`` section (the parent's store document, when
-    shipped, seeds the shard store).  That runner dedups the clamped
-    duplicate points a plan keeps, so each shard solves a key once.
-    The artifact holds the results, re-tagged with their *global*
-    positions, and the run's identity; whoever folds the results
-    rebuilds the store delta, cache and trace from them.
+    manifest's ``runner`` section; it reuses schedules exactly when the
+    manifest ships a store document, under the policy that document
+    names.  (Older manifests carry ``runner.reuse_policy``, which
+    overrides it, and ``runner.reuse_schedules: true`` without a
+    document means a fresh store under that policy.)  That runner
+    dedups the clamped duplicate points a plan keeps, so each shard
+    solves a key once.  The artifact holds the results, re-tagged with
+    their *global* positions, and the run's identity; whoever folds
+    the results rebuilds the store delta, cache and trace from them.
     """
     from ...io.shards import ARTIFACT_RUN_FIELDS, ShardArtifact
     from ..runner import BatchRunner, RunnerConfig
 
     knobs = manifest.runner or {}
-    reuse_policy = knobs.get("reuse_policy", "identical")
-    config = RunnerConfig(
-        retries=knobs.get("retries", 1),
-        reuse_schedules=bool(knobs.get("reuse_schedules")),
-        reuse_policy=reuse_policy,
-        instrument=bool(knobs.get("instrument")))
-    runner = BatchRunner(config, store=None if manifest.store is None
-                         else ScheduleStore.from_dict(
-                             manifest.store, policy=reuse_policy))
+    policy = knobs.get("reuse_policy")
+    store = None
+    if manifest.store is not None:
+        store = ScheduleStore.from_dict(manifest.store, policy=policy)
+    elif knobs.get("reuse_schedules"):
+        store = ScheduleStore(policy=policy or "identical")
+    runner = BatchRunner(
+        RunnerConfig(retries=knobs.get("retries", 1),
+                     instrument=bool(knobs.get("instrument"))),
+        store=store)
     trace_ctx = knobs.get("trace") or {}
     if trace_ctx.get("trace_id"):
         # The parent runner's trace context rode the manifest; adopt it
@@ -113,12 +117,8 @@ class SubprocessShardBackend(ExecutionBackend):
             on_result: "Callable[[JobResult], None] | None" = None) \
             -> str:
         key_of = {position: key for position, key, _job in entries}
-        runner_doc = {
-            "retries": config.retries,
-            "reuse_schedules": store is not None,
-            "reuse_policy": config.reuse_policy,
-            "instrument": bool(instrument),
-        }
+        runner_doc = {"retries": config.retries,
+                      "instrument": bool(instrument)}
         context = current_trace_context()
         if context is not None:
             runner_doc["trace"] = {"trace_id": context[0],

@@ -14,15 +14,15 @@ Built-in kinds
     :class:`~repro.analysis.sweep.SweepPoint` (infeasible problems give
     a ``feasible=False`` point rather than an error).
 
-Schedule reuse: kind functions may accept an optional second parameter
-— a :class:`~repro.engine.schedule_store.ScheduleStore` — and consult
-it before solving.  A job served from the store marks
+Schedule reuse: every kind function is called as ``fn(job, store)``,
+where ``store`` is the runner's
+:class:`~repro.engine.schedule_store.ScheduleStore` or ``None`` when
+the runner holds none.  A job served from the store marks
 ``stats["reuse"]["hit"] = True`` and skips the pipeline entirely; a job
 that solved records its final schedule into the store and ships any new
 entries back through ``stats["reuse"]["new_entries"]`` so the parent
 process can merge them (:func:`run_job` drains the store journal after
-each job).  Single-parameter kind functions remain valid: the registry
-inspects the signature at registration and never passes them a store.
+each job).  A kind that has no use for a store ignores the parameter.
 
 Determinism: a job's randomness flows entirely from ``options.seed``.
 :func:`derive_seed` produces stable per-job seeds from a base seed and
@@ -32,7 +32,6 @@ serial and parallel executions of the same batch are identical.
 
 from __future__ import annotations
 
-import inspect
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
@@ -86,34 +85,21 @@ class JobResult:
 
 _KINDS: "dict[str, Callable[..., tuple[Any, dict]]]" = {}
 
-#: Kind names whose function accepts the optional store parameter.
-_STORE_AWARE: "set[str]" = set()
-
 
 def register_kind(name: str,
                   fn: "Callable[..., tuple[Any, dict]]") -> None:
-    """Register a worker function ``job -> (value, stats_dict)``.
+    """Register a worker function ``(job, store) -> (value, stats)``.
 
-    Must be called at import time of a real module so that spawned
-    worker processes see the registration too; with the default ``fork``
-    start method the parent's registry is inherited directly.
-
-    A function taking a second parameter is treated as store-aware and
-    called as ``fn(job, store)`` (``store`` may be None); one-parameter
-    functions keep the original ``fn(job)`` contract.
+    ``store`` is the runner's schedule store, or ``None`` when the
+    runner holds none.  Must be called at import time of a real module
+    so that spawned worker processes see the registration too; with
+    the default ``fork`` start method the parent's registry is
+    inherited directly.
     """
     _KINDS[name] = fn
-    try:
-        params = inspect.signature(fn).parameters
-    except (TypeError, ValueError):
-        params = {}
-    if len(params) >= 2:
-        _STORE_AWARE.add(name)
-    else:
-        _STORE_AWARE.discard(name)
 
 
-def _solve_sweep_point(job: SolveJob, store=None) -> "tuple[Any, dict]":
+def _solve_sweep_point(job: SolveJob, store) -> "tuple[Any, dict]":
     from ..analysis.sweep import SweepPoint
     from ..errors import SchedulingFailure
     from ..scheduling.power_aware import PowerAwareScheduler
@@ -138,8 +124,7 @@ def _solve_sweep_point(job: SolveJob, store=None) -> "tuple[Any, dict]":
     stats = result.stats.as_dict()
     if use_store:
         store.record_result(base_key, problem, result)
-        stats["reuse"] = {"hit": False}
-    elif store is not None:
+    if store is not None:
         stats["reuse"] = {"hit": False}
     point = SweepPoint(
         p_max=problem.p_max, p_min=problem.p_min, feasible=True,
@@ -203,9 +188,9 @@ def run_job(job: SolveJob, position: int = 0, key: "str | None" = None,
     process (serial caller and pool worker alike) can re-parent the
     tree under its own job span and merge the metric increments.
 
-    ``store`` (a :class:`~repro.engine.schedule_store.ScheduleStore`)
-    is forwarded to store-aware kinds; entries the job inserted are
-    drained from the store journal into
+    ``store`` (a :class:`~repro.engine.schedule_store.ScheduleStore`
+    or ``None``) is passed to the kind function; entries the job
+    inserted are drained from the store journal into
     ``result.stats["reuse"]["new_entries"]``, and the duplicates it
     suppressed are counted in ``result.stats["reuse"]["deduped"]``, so
     pool workers ship both back to the parent (the serial path shares
@@ -217,8 +202,7 @@ def run_job(job: SolveJob, position: int = 0, key: "str | None" = None,
     if fn is None:
         return JobResult(position=position, key=key, ok=False,
                          error=f"unknown job kind {job.kind!r}")
-    use_store = store is not None and job.kind in _STORE_AWARE
-    deduped0 = store.deduped if use_store else 0
+    deduped0 = store.deduped if store is not None else 0
     last_error = ""
     capture_ctx = None
     if instrument:
@@ -230,10 +214,7 @@ def run_job(job: SolveJob, position: int = 0, key: "str | None" = None,
     try:
         for attempt in range(1, max(1, retries + 1) + 1):
             try:
-                if use_store:
-                    value, stats = fn(job, store)
-                else:
-                    value, stats = fn(job)
+                value, stats = fn(job, store)
             except Exception as exc:  # noqa: BLE001 - reported, not raised
                 last_error = f"{type(exc).__name__}: {exc}"
                 continue
@@ -263,7 +244,7 @@ def run_job(job: SolveJob, position: int = 0, key: "str | None" = None,
     # entry on this instance — only snapshot modes need the delta
     # shipped through the result.  The dedups this store suppressed
     # ship too: a snapshot's never reach the parent's counter.
-    if use_store and not getattr(store, "remote", False):
+    if store is not None and not getattr(store, "remote", False):
         new_entries = store.drain_journal()
         deduped = store.deduped - deduped0
         if new_entries or deduped:

@@ -133,10 +133,10 @@ class ShardManifest:
     order; positions index into the *full* planned job list, so merged
     shard results interleave back into submission order.  ``runner``
     carries the execution knobs a shard worker should honour
-    (``retries``, ``reuse_schedules``, ``reuse_policy``,
-    ``instrument``, ``trace``); ``store`` optionally carries
-    the parent's schedule-store document so shards start from the
-    already-primed entries.
+    (``retries``, ``instrument``, ``trace``); ``store`` optionally
+    carries a schedule-store document: the shard reuses schedules
+    exactly when one is shipped, under the policy it names, starting
+    from whatever entries the parent already primed.
     """
 
     index: int

@@ -38,7 +38,7 @@ from .backends.base import SNAPSHOT_MODES, ExecutionBackend
 from .backends.local import LocalBackend
 from .cache import ResultCache
 from .jobs import JobResult, SolveJob
-from .schedule_store import REUSE_POLICIES, ScheduleStore
+from .schedule_store import ScheduleStore
 from .trace import JobTrace, RunTrace
 
 __all__ = ["RunnerConfig", "BatchRunner"]
@@ -59,18 +59,6 @@ class RunnerConfig:
         Capped retry budget, applied both in-worker (re-running a job
         whose kind function raised) and at pool level (re-submitting a
         job that timed out or whose worker died).
-    reuse_schedules:
-        Attach a validity-range :class:`ScheduleStore`: jobs whose
-        power environment falls inside a stored schedule's validity
-        rectangle are served without running the pipeline (paper
-        Section 5.3).  Orthogonal to the runner's exact-key result
-        cache — the cache serves *identical* jobs, the store serves the same
-        workload under *different* ``(P_max, P_min)``.
-    reuse_policy:
-        ``"identical"`` (default) serves only certified entries that
-        provably reproduce a fresh solve bit-for-bit;``"valid"`` serves
-        any covering entry (power-valid, full utilization — the paper's
-        Fig. 7 semantics) even when a fresh solve might beat it.
     instrument:
         Record the run through :mod:`repro.obs`: hierarchical spans
         (the run, each job, the pipeline stages and longest-path
@@ -86,8 +74,6 @@ class RunnerConfig:
     workers: int = 0
     timeout_s: "float | None" = None
     retries: int = 1
-    reuse_schedules: bool = False
-    reuse_policy: str = "identical"
     instrument: bool = False
 
     def __post_init__(self) -> None:
@@ -98,10 +84,6 @@ class RunnerConfig:
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError(
                 f"timeout_s must be positive or None, got {self.timeout_s}")
-        if self.reuse_policy not in REUSE_POLICIES:
-            raise ValueError(
-                f"reuse_policy must be one of {REUSE_POLICIES}, "
-                f"got {self.reuse_policy!r}")
 
 
 class BatchRunner:
@@ -115,6 +97,12 @@ class BatchRunner:
     store settlement, or trace assembly.  Every runner owns a
     :class:`ResultCache` that extends the in-run dedup of identical
     jobs across successive ``run`` calls.
+
+    The runner reuses schedules (paper Section 5.3) exactly when it
+    holds a ``store``, under that store's ``policy``, which every
+    backend, worker and trace reads.  The cache serves *identical*
+    jobs; the store serves the same workload under *different*
+    ``(P_max, P_min)``.
     """
 
     def __init__(self, config: "RunnerConfig | None" = None,
@@ -123,12 +111,7 @@ class BatchRunner:
         self.config = config or RunnerConfig()
         self.backend: ExecutionBackend = backend or LocalBackend()
         self.cache = ResultCache()
-        if store is not None:
-            self.store: "ScheduleStore | None" = store
-        elif self.config.reuse_schedules:
-            self.store = ScheduleStore(policy=self.config.reuse_policy)
-        else:
-            self.store = None
+        self.store = store
         #: Trace of the most recent :meth:`run`.
         self.last_trace: "RunTrace | None" = None
         #: Execution mode of the most recent run:

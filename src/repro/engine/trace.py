@@ -33,10 +33,10 @@ Schema (``format: "repro-trace", version: 2``)::
                 "entries": 4}
     }
 
-The ``reuse`` section appears only when the run carried a validity-range
-schedule store (``reuse_schedules``); per-job ``reused`` flags mark the
-jobs it served.  Both are additive to schema v2 — absent in older
-documents, tolerated by this reader.
+The ``reuse`` section appears only when the runner held a
+validity-range schedule store, and names that store's policy; per-job
+``reused`` flags mark the jobs it served.  Both are additive to schema
+v2 — absent in older documents, tolerated by this reader.
 
 Version 1 documents (no ``spans`` / ``metrics`` sections, no eviction
 accounting) are still accepted by :func:`read_trace` — they load with

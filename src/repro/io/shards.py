@@ -11,8 +11,7 @@ process (and machine) boundaries:
       "shard": {"index": 1, "of": 4},
       "kind": "sweep_point",
       "options": {... SchedulerOptions fields ...} | null,
-      "runner": {"retries": 1, "reuse_schedules": true,
-                 "reuse_policy": "identical", "instrument": false,
+      "runner": {"retries": 1, "instrument": false,
                  "trace": {"trace_id": "...", "parent_span_id": "..."}},
       "problems": [{... repro-problem doc, p_max/p_min removed ...}],
       "jobs": [{"position": 7, "problem": 0,
@@ -28,11 +27,15 @@ process (and machine) boundaries:
   ``jobs[i].position`` is the job's index in the *full* planned sweep,
   so merged shard results restore submission order.  A per-job
   ``options`` object overrides the manifest default (reseeded Monte
-  Carlo batches); ``store`` ships the parent's already-primed schedule
-  store so shards never repeat priming work it already did.
-  ``runner.trace`` (optional) is the orchestrating run's trace
-  identity — workers adopt it so shard artifacts stitch back under
-  the parent trace on merge (see docs/observability.md).  Other
+  Carlo batches).  A shard reuses schedules exactly when ``store``
+  ships a schedule-store document, under the policy that document
+  names; it carries whatever the parent already primed, so shards
+  never repeat that work.  ``runner.trace`` (optional) is the
+  orchestrating run's trace identity — workers adopt it so shard
+  artifacts stitch back under the parent trace on merge (see
+  docs/observability.md).  Older manifests' ``runner.reuse_schedules``
+  and ``runner.reuse_policy`` still work (see
+  :func:`~repro.engine.backends.shards.run_manifest`).  Other
   ``runner`` keys are ignored, so manifests from older releases, which
   also carried since-removed solver switches, still load and run
   (docs/formats.md lists them).

@@ -2,15 +2,17 @@
 
 A :class:`Span` is a named, nestable wall-clock interval with string
 attributes, instant events, and child spans — the unit every exporter
-(:mod:`repro.obs.export`) understands.  Spans are recorded against a
-process-wide :class:`Instrumentation` singleton (:data:`OBS`) that is
-**off by default**: when disabled, :func:`span` returns a shared no-op
-context manager and the only cost at an instrumentation point is one
-attribute check, so the hot paths (``longest_paths``, the executor's
-tick loop) stay unencumbered.
+(:mod:`repro.obs.export`) understands.  Spans are recorded against the
+:class:`Instrumentation` singleton (:data:`OBS`), which is **off by
+default**: when disabled, :func:`span` returns a shared no-op context
+manager and the only cost at an instrumentation point is one session
+lookup, so the hot paths (``longest_paths``, the executor's tick loop)
+stay unencumbered.  Each context records into its own session: the one
+a :class:`Capture` opened in it, else the process-wide one — so two
+threads capturing at once never see each other's spans.
 
-Times are ``perf_counter`` seconds relative to the recorder's *epoch*
-(set when the recorder is enabled or a :func:`capture` begins), so a
+Times are ``perf_counter`` seconds relative to the session's *epoch*
+(set when it is enabled or a :func:`capture` begins), so a
 span tree is self-consistent within one process.  Cross-process
 stitching — a worker's spans re-parented under the parent's job span —
 uses the wall-clock anchor each :class:`Capture` records (see
@@ -206,10 +208,10 @@ _NOOP = _NoopSpan()
 class _LiveSpan:
     """Context manager closing a real span on exit."""
 
-    __slots__ = ("_recorder", "_span")
+    __slots__ = ("_session", "_span")
 
-    def __init__(self, recorder: "Instrumentation", span_obj: Span):
-        self._recorder = recorder
+    def __init__(self, session: "_Session", span_obj: Span):
+        self._session = session
         self._span = span_obj
 
     def __enter__(self) -> Span:
@@ -218,99 +220,129 @@ class _LiveSpan:
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is not None:
             self._span.attrs.setdefault("error", exc_type.__name__)
-        self._recorder._close(self._span)
+        self._session.close(self._span)
 
 
-class Instrumentation:
-    """Per-process span recorder + metrics registry; off by default."""
+class _Session:
+    """One recording session: the state every :data:`OBS` call acts on."""
 
-    def __init__(self) -> None:
-        self.enabled = False
+    __slots__ = ("enabled", "metrics", "epoch", "roots", "stack",
+                 "count")
+
+    def __init__(self, enabled: bool = False) -> None:
+        self.clear(enabled)
+
+    def clear(self, enabled: bool = False) -> None:
+        """Drop every span and metric; restart the epoch at now."""
+        self.enabled = enabled
         self.metrics = MetricsRegistry()
-        self._epoch = 0.0
-        self._roots: "list[Span]" = []
-        self._stack: "list[Span]" = []
-        self._count = 0
-        self._dropped = 0
-
-    # -- lifecycle -----------------------------------------------------
-
-    def enable(self) -> None:
-        """Switch recording on with a fresh, empty session."""
-        self.reset()
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
-    def reset(self) -> None:
-        """Drop all recorded spans/metrics; keep the enabled flag off."""
-        self.enabled = False
-        self.metrics = MetricsRegistry()
-        self._epoch = time.perf_counter()
-        self._roots = []
-        self._stack = []
-        self._count = 0
-        self._dropped = 0
+        self.epoch = time.perf_counter()
+        self.roots: "list[Span]" = []
+        self.stack: "list[Span]" = []
+        self.count = 0
 
     def now(self) -> float:
-        """Seconds since the session epoch."""
-        return time.perf_counter() - self._epoch
+        return time.perf_counter() - self.epoch
 
-    # -- recording -----------------------------------------------------
-
-    def span(self, name: str, **attrs: Any):
-        """Open a span; ``with OBS.span("sched.timing") as sp: ...``."""
-        if not self.enabled:
-            return _NOOP
-        if self._count >= MAX_SPANS:
-            self._dropped += 1
-            self.metrics.counter("obs.spans.dropped").inc()
-            return _NOOP
-        self._count += 1
-        span_obj = Span(name=name, start=self.now(),
-                        attrs=dict(attrs) if attrs else {})
-        if self._stack:
-            self._stack[-1].children.append(span_obj)
-        else:
-            self._roots.append(span_obj)
-        self._stack.append(span_obj)
-        return _LiveSpan(self, span_obj)
-
-    def _close(self, span_obj: Span) -> None:
+    def close(self, span_obj: Span) -> None:
         span_obj.end = self.now()
         # Unwind to (and past) the span being closed; tolerates callers
         # that leak an inner span.
-        while self._stack:
-            top = self._stack.pop()
+        while self.stack:
+            top = self.stack.pop()
             if top is span_obj:
                 break
             if top.end is None:
                 top.end = span_obj.end
 
+    def collect(self) -> "list[Span]":
+        for open_span in self.stack:
+            if open_span.end is None:
+                open_span.end = self.now()
+        return list(self.roots)
+
+
+class Instrumentation:
+    """Span recorder + metrics registry; off by default.
+
+    Every call acts on the current context's session: the one a
+    :class:`Capture` opened in it, else the process-wide one.
+    """
+
+    def __init__(self) -> None:
+        # The default is the process-wide session.
+        self._current: "ContextVar[_Session]" = \
+            ContextVar("repro_obs_session", default=_Session())
+
+    @property
+    def enabled(self) -> bool:
+        """Is the current context's session recording?"""
+        return self._current.get().enabled
+
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """The current context's metrics registry."""
+        return self._current.get().metrics
+
+    # -- lifecycle -----------------------------------------------------
+
+    def enable(self) -> None:
+        """Switch recording on with a fresh, empty session."""
+        self._current.get().clear(enabled=True)
+
+    def disable(self) -> None:
+        self._current.get().enabled = False
+
+    def reset(self) -> None:
+        """Drop all recorded spans/metrics; keep the enabled flag off."""
+        self._current.get().clear()
+
+    def now(self) -> float:
+        """Seconds since the session epoch."""
+        return self._current.get().now()
+
+    # -- recording -----------------------------------------------------
+
+    def span(self, name: str, **attrs: Any):
+        """Open a span; ``with OBS.span("sched.timing") as sp: ...``."""
+        session = self._current.get()
+        if not session.enabled:
+            return _NOOP
+        if session.count >= MAX_SPANS:
+            session.metrics.counter("obs.spans.dropped").inc()
+            return _NOOP
+        session.count += 1
+        span_obj = Span(name=name, start=session.now(),
+                        attrs=dict(attrs) if attrs else {})
+        if session.stack:
+            session.stack[-1].children.append(span_obj)
+        else:
+            session.roots.append(span_obj)
+        session.stack.append(span_obj)
+        return _LiveSpan(session, span_obj)
+
     def event(self, name: str, **attrs: Any) -> None:
         """Record an instant event on the currently-open span."""
-        if not self.enabled or not self._stack:
+        session = self._current.get()
+        if not session.enabled or not session.stack:
             return
-        self._stack[-1].events.append(
-            {"name": name, "at": self.now(),
+        session.stack[-1].events.append(
+            {"name": name, "at": session.now(),
              "attrs": dict(attrs) if attrs else {}})
 
     def attach(self, span_obj: Span) -> None:
         """Adopt an externally-built span (a re-parented worker tree)."""
-        if self._stack:
-            self._stack[-1].children.append(span_obj)
+        session = self._current.get()
+        if session.stack:
+            session.stack[-1].children.append(span_obj)
         else:
-            self._roots.append(span_obj)
+            session.roots.append(span_obj)
 
     # -- extraction ----------------------------------------------------
 
     def collect(self) -> "list[Span]":
         """The root spans recorded so far (open spans closed at now)."""
-        for open_span in self._stack:
-            if open_span.end is None:
-                open_span.end = self.now()
-        return list(self._roots)
+        return self._current.get().collect()
 
     def capture(self) -> "Capture":
         """Run a nested, isolated recording session (see below)."""
@@ -320,8 +352,10 @@ class Instrumentation:
 class Capture:
     """Isolated recording session — the worker-process span shipper.
 
-    ``with OBS.capture() as cap:`` swaps in a fresh enabled session
-    (epoch = now) and restores the previous state on exit.  The spans
+    ``with OBS.capture() as cap:`` makes a fresh enabled session (epoch
+    = now) the current context's session until exit; other threads
+    and event loops keep their own (``asyncio.to_thread`` copies the
+    context, so a capture there is private to that call).  The spans
     recorded inside are available as ``cap.spans`` (times relative to
     the capture start), the metric increments as ``cap.metrics_data``,
     and ``cap.wall0`` anchors the capture on the shared wall clock so a
@@ -330,31 +364,22 @@ class Capture:
 
     def __init__(self, recorder: Instrumentation):
         self._recorder = recorder
-        self._saved: "tuple | None" = None
+        self._session: "_Session | None" = None
+        self._token = None
         self.wall0 = 0.0
         self.spans: "list[Span]" = []
         self.metrics_data: "dict[str, Any]" = {}
 
     def __enter__(self) -> "Capture":
-        rec = self._recorder
-        self._saved = (rec.enabled, rec.metrics, rec._epoch, rec._roots,
-                       rec._stack, rec._count, rec._dropped)
-        rec.enabled = True
-        rec.metrics = MetricsRegistry()
-        rec._epoch = time.perf_counter()
-        rec._roots = []
-        rec._stack = []
-        rec._count = 0
-        rec._dropped = 0
+        self._session = _Session(enabled=True)
+        self._token = self._recorder._current.set(self._session)
         self.wall0 = time.time()
         return self
 
     def __exit__(self, *exc_info) -> None:
-        rec = self._recorder
-        self.spans = rec.collect()
-        self.metrics_data = rec.metrics.data()
-        (rec.enabled, rec.metrics, rec._epoch, rec._roots, rec._stack,
-         rec._count, rec._dropped) = self._saved
+        self.spans = self._session.collect()
+        self.metrics_data = self._session.metrics.data()
+        self._recorder._current.reset(self._token)
 
 
 #: The process-wide recorder every instrumentation point talks to.

@@ -35,9 +35,6 @@ __all__ = [
     "script_from_problem",
 ]
 
-SCRIPT_FORMAT = "repro-session-script"
-SCRIPT_VERSION = 1
-
 
 @dataclass
 class SessionScript:
@@ -59,9 +56,13 @@ class SessionScript:
                              name=self.name)
 
     def to_dict(self) -> "dict[str, Any]":
+        # Stamped with the reader's own pair, so the two cannot drift;
+        # imported here so that importing repro.online loads no repro.io.
+        from ..io.requests import (SESSION_SCRIPT_FORMAT,
+                                   SESSION_SCRIPT_VERSION)
         return {
-            "format": SCRIPT_FORMAT,
-            "version": SCRIPT_VERSION,
+            "format": SESSION_SCRIPT_FORMAT,
+            "version": SESSION_SCRIPT_VERSION,
             "session": {
                 "p_max": self.p_max,
                 "p_min": self.p_min,

@@ -17,8 +17,8 @@ This module implements that runtime layer:
   ``(P_max, P_min)``, the stored schedule that is valid and scores best
   — **earliest finish first**, then lowest energy cost, then highest
   utilization as the tie-breaker (performance leads because the point
-  of power-awareness is converting available power into speed; see
-  :meth:`ScheduleEntry.score`, whose ranking this mirrors and which
+  of power-awareness is converting available power into speed; the
+  key is :meth:`ScheduleEntry.score`'s, which
   ``tests/test_runtime_scheduler.py`` pins);
 * :class:`RuntimeScheduler` wraps the table with a compute-on-miss
   policy, which is how the mission simulator tracks the decaying solar
@@ -58,6 +58,19 @@ def in_validity_range(peak: float, floor: float, p_max: float,
     return peak <= p_max + tol and p_min <= floor + tol
 
 
+def _ranking_key(profile: PowerProfile, p_min: float) \
+        -> "tuple[float, float, float]":
+    """Ranking key of a profile under ``p_min`` (smaller is better).
+
+    Performance first — the whole point of power-awareness is to
+    convert available power into speed ("speeds up the rover's
+    movement ... while drawing more costly energy") — then energy
+    cost, then utilization as the tie-breaker.
+    """
+    return (float(profile.horizon), energy_cost(profile, p_min),
+            -min_power_utilization(profile, p_min))
+
+
 @dataclass(frozen=True)
 class ScheduleEntry:
     """A statically-computed schedule with its validity range."""
@@ -92,16 +105,8 @@ class ScheduleEntry:
 
     def score(self, p_max: float, p_min: float) \
             -> "tuple[float, float, float]":
-        """Ranking key under an environment (smaller is better).
-
-        Performance first — the whole point of power-awareness is to
-        convert available power into speed ("speeds up the rover's
-        movement ... while drawing more costly energy") — then energy
-        cost, then utilization as the tie-breaker.
-        """
-        return (float(self.profile.horizon),
-                energy_cost(self.profile, p_min),
-                -min_power_utilization(self.profile, p_min))
+        """Ranking key under an environment; see :func:`_ranking_key`."""
+        return _ranking_key(self.profile, p_min)
 
     def describe(self) -> str:
         """Human-readable validity range, Fig.-7 style."""
@@ -152,9 +157,7 @@ class ScheduleTable:
                 else reprofile(entry, p_max, p_min)
             if profile.peak() > p_max + PowerProfile.POWER_TOL:
                 continue
-            key = (float(profile.horizon),
-                   energy_cost(profile, p_min),
-                   -min_power_utilization(profile, p_min))
+            key = _ranking_key(profile, p_min)
             if best_key is None or key < best_key:
                 best, best_key = entry, key
         return best

@@ -246,9 +246,6 @@ class SolveServer(HttpService):
             self.runner = runner
         else:
             store = None
-            reuse = self.config.reuse_schedules \
-                or bool(self.config.store_path) \
-                or bool(self.config.store_url)
             if self.config.store_url:
                 from .store_client import RemoteScheduleStore
                 store = RemoteScheduleStore(
@@ -259,10 +256,10 @@ class SolveServer(HttpService):
                 store = ScheduleStore.read(
                     self.config.store_path,
                     policy=self.config.reuse_policy)
+            elif self.config.reuse_schedules or self.config.store_path:
+                store = ScheduleStore(policy=self.config.reuse_policy)
             self.runner = BatchRunner(
                 RunnerConfig(workers=self.config.workers,
-                             reuse_schedules=reuse,
-                             reuse_policy=self.config.reuse_policy,
                              instrument=True),
                 store=store)
         self.batcher = Batcher(self.runner, self.config, self.metrics)

@@ -248,7 +248,7 @@ def test_full_speed_ladder_grid_14x14_across_4_shards(grid_14_baseline):
     spec = SweepSpec.grid(fig1_problem(), _BUDGETS_14, _LEVELS_14,
                           options=fig1_options(), freq_levels=(1.0,))
     runner = BatchRunner(
-        RunnerConfig(reuse_schedules=True),
+        store=ScheduleStore(),
         backend=SubprocessShardBackend(shards=4, strategy="tile"))
     results = runner.run(spec.jobs())
     assert runner.last_mode == "shards"
@@ -365,7 +365,7 @@ def test_store_never_certifies_ladder_problems():
 def test_sweep_with_store_keeps_ladder_points_exempt():
     spec = SweepSpec.grid(fig1_problem(), [10, 12], [2, 4],
                           options=fig1_options(), freq_levels=(1.0,))
-    runner = BatchRunner(RunnerConfig(reuse_schedules=True))
+    runner = BatchRunner(store=ScheduleStore())
     results = runner.run(spec.jobs())
     assert all(r.ok for r in results)
     assert len(runner.store) == 0         # nothing recorded either

@@ -172,7 +172,7 @@ class TestBatchRunnerSerial:
 _FLAKY_CALLS = {"n": 0}
 
 
-def _flaky_kind(job):
+def _flaky_kind(job, store):
     _FLAKY_CALLS["n"] += 1
     if _FLAKY_CALLS["n"] < 3:
         raise RuntimeError("transient failure")
@@ -182,7 +182,7 @@ def _flaky_kind(job):
 register_kind("flaky_test", _flaky_kind)
 
 
-def _sleepy_kind(job):
+def _sleepy_kind(job, store):
     import time
     time.sleep(1.5)
     return "slept", {}

@@ -289,8 +289,8 @@ def _valid_document_json(kind: str) -> str:
         store.ensure_primed(FIG1, SchedulerOptions(seed=2001))
         doc = store.to_dict()
     elif kind == "trace":
-        runner = BatchRunner(RunnerConfig(instrument=True,
-                                          reuse_schedules=True))
+        runner = BatchRunner(RunnerConfig(instrument=True),
+                             store=ScheduleStore())
         runner.run(SweepSpec.grid(FIG1, [10, 20], [2]).jobs())
         doc = runner.last_trace.to_dict()
     else:

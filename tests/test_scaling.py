@@ -116,7 +116,7 @@ class ScalingStack:
             if index == self.held_member:
                 # The runner SolveServer builds for a store_url config.
                 runner = self.held = HeldRunner(
-                    RunnerConfig(reuse_schedules=True, instrument=True),
+                    RunnerConfig(instrument=True),
                     store=RemoteScheduleStore(self.store.url))
             self.serves.append(self._exits.enter_context(
                 LiveService(lambda c=config, r=runner:
@@ -145,7 +145,7 @@ def _journal_delta(budgets, levels):
     records from the settled store — same shape ``drain_journal``
     ships.)
     """
-    runner = BatchRunner(RunnerConfig(reuse_schedules=True))
+    runner = BatchRunner(store=ScheduleStore())
     runner.run(_grid_jobs(budgets, levels))
     return [{"base_key": base_key, "name": bucket.name,
              "entry": entry.to_dict()}

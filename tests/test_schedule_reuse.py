@@ -91,8 +91,6 @@ class TestScheduleStore:
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValueError):
             ScheduleStore(policy="optimistic")
-        with pytest.raises(ValueError):
-            RunnerConfig(reuse_policy="optimistic")
 
     def test_probe_is_counter_pure(self):
         store = ScheduleStore()
@@ -214,7 +212,7 @@ class TestDifferentialIdentical:
         fresh_runner = BatchRunner(RunnerConfig())
         fresh = fresh_runner.run_values(jobs)
 
-        reuse_runner = BatchRunner(RunnerConfig(reuse_schedules=True))
+        reuse_runner = BatchRunner(store=ScheduleStore())
         reused = reuse_runner.run_values(jobs)
 
         assert_points_identical(reused, fresh)
@@ -244,7 +242,7 @@ class TestDifferentialIdentical:
         jobs = grid_jobs(problem, budgets, levels, options)
 
         fresh = BatchRunner(RunnerConfig()).run_values(jobs)
-        reuse_runner = BatchRunner(RunnerConfig(reuse_schedules=True))
+        reuse_runner = BatchRunner(store=ScheduleStore())
         reused = reuse_runner.run_values(jobs)
 
         assert_points_identical(reused, fresh)
@@ -258,8 +256,8 @@ class TestDifferentialIdentical:
         both budgets keep it, whether the store serves the 10.5 W
         point or a fresh solve does."""
         jobs = grid_jobs(idle_probe(), [12.0, 10.5], [0.0])
-        runner = BatchRunner(RunnerConfig(reuse_schedules=reuse,
-                                          reuse_policy=policy))
+        runner = BatchRunner(store=ScheduleStore(policy) if reuse
+                             else None)
         points = runner.run_values(jobs)
         assert [(p.p_max, p.finish_time) for p in points] \
             == [(12.0, 5), (10.5, 5)]
@@ -269,11 +267,10 @@ class TestDifferentialIdentical:
         problem = fig1_problem()
         options = fig1_options()
         jobs = grid_jobs(problem, [20.0, 22.0], [5.0, 7.0], options)
-        first = BatchRunner(RunnerConfig(reuse_schedules=True))
+        first = BatchRunner(store=ScheduleStore())
         first.run(jobs)
         warm = ScheduleStore.from_dict(first.store.to_dict())
-        second = BatchRunner(RunnerConfig(reuse_schedules=True),
-                             store=warm)
+        second = BatchRunner(store=warm)
         fresh = BatchRunner(RunnerConfig()).run_values(jobs)
         assert_points_identical(second.run_values(jobs), fresh)
         # every point inside the certified rectangle: zero new solves
@@ -412,12 +409,12 @@ class TestSerialParallelParity:
         levels = [5.0, 7.0, 10.0, 14.0]
         jobs = grid_jobs(problem, budgets, levels, options)
 
-        serial = BatchRunner(RunnerConfig(workers=0,
-                                          reuse_schedules=True))
+        serial = BatchRunner(RunnerConfig(workers=0),
+                             store=ScheduleStore())
         serial_points = serial.run_values(jobs)
 
-        parallel = BatchRunner(RunnerConfig(workers=2,
-                                            reuse_schedules=True))
+        parallel = BatchRunner(RunnerConfig(workers=2),
+                               store=ScheduleStore())
         parallel_points = parallel.run_values(jobs)
 
         assert_points_identical(parallel_points, serial_points)
@@ -458,8 +455,7 @@ class TestValidPolicy:
         levels = [5.0, 10.0, 14.0]
         jobs = grid_jobs(problem, budgets, levels, options)
         fresh = BatchRunner(RunnerConfig()).run_values(jobs)
-        runner = BatchRunner(RunnerConfig(reuse_schedules=True,
-                                          reuse_policy="valid"))
+        runner = BatchRunner(store=ScheduleStore("valid"))
         served = runner.run_values(jobs)
         for a, b in zip(served, fresh):
             assert a.feasible == b.feasible

@@ -40,7 +40,7 @@ def fig1_grid_jobs():
 
 @pytest.fixture(scope="module")
 def serial_baseline(fig1_grid_jobs):
-    runner = BatchRunner(RunnerConfig(reuse_schedules=True))
+    runner = BatchRunner(store=ScheduleStore())
     results = runner.run(fig1_grid_jobs)
     return results, runner
 
@@ -56,7 +56,7 @@ def test_subprocess_shard_count_invariance(fig1_grid_jobs,
                                            strategy):
     base_results, base_runner = serial_baseline
     runner = BatchRunner(
-        RunnerConfig(reuse_schedules=True),
+        store=ScheduleStore(),
         backend=SubprocessShardBackend(shards=shards,
                                        strategy=strategy))
     results = runner.run(fig1_grid_jobs)
@@ -79,8 +79,7 @@ def test_subprocess_shard_count_invariance(fig1_grid_jobs,
 def test_shard_backend_exposes_plan_and_artifacts(fig1_grid_jobs,
                                                   serial_baseline):
     backend = SubprocessShardBackend(shards=2)
-    runner = BatchRunner(RunnerConfig(reuse_schedules=True),
-                         backend=backend)
+    runner = BatchRunner(store=ScheduleStore(), backend=backend)
     runner.run(fig1_grid_jobs)
     assert backend.last_plan is not None
     assert backend.last_plan.shards == 2
@@ -261,11 +260,11 @@ def test_store_counters_do_not_depend_on_the_execution_path():
                           options=SchedulerOptions(seed=2001)).jobs()
     counters = []
     for config, backend in (
-            (RunnerConfig(reuse_schedules=True), None),
-            (RunnerConfig(reuse_schedules=True, workers=2), None),
-            (RunnerConfig(reuse_schedules=True),
-             SubprocessShardBackend(shards=2))):
-        runner = BatchRunner(config, backend=backend)
+            (RunnerConfig(), None),
+            (RunnerConfig(workers=2), None),
+            (RunnerConfig(), SubprocessShardBackend(shards=2))):
+        runner = BatchRunner(config, store=ScheduleStore(),
+                             backend=backend)
         runner.run(jobs)
         counters.append(runner.store.counters())
     assert counters[0] == {"range_hits": 4, "misses": 31, "primes": 1,
@@ -275,7 +274,7 @@ def test_store_counters_do_not_depend_on_the_execution_path():
 
 
 def test_merge_store_matches_unsharded_store(fig1_grid_jobs):
-    serial = BatchRunner(RunnerConfig(reuse_schedules=True))
+    serial = BatchRunner(store=ScheduleStore())
     serial.run(fig1_grid_jobs)
     for shards in (1, 3):
         artifacts = _make_artifacts(fig1_grid_jobs, shards)
@@ -490,7 +489,7 @@ def test_cli_shard_plan_run_merge(tmp_path, capsys):
                               for path in artifact_paths])
     jobs = SweepSpec.grid(fig1_problem(), [8, 10, 12], [2, 4],
                           options=SchedulerOptions(seed=2001)).jobs()
-    serial = BatchRunner(RunnerConfig(reuse_schedules=True))
+    serial = BatchRunner(store=ScheduleStore())
     base = serial.run(jobs)
     assert [r.value for r in merged.results] == \
         [r.value for r in base]
