@@ -133,18 +133,44 @@ class PowerProfile:
             deltas[end] = deltas.get(end, 0.0) - power
 
         # One running level over the sorted change times (all within
-        # [0, horizon], since horizon >= the finish time).
+        # [0, horizon], since horizon >= the finish time; a zero delta
+        # at the horizon closes the last piece).  Equal-power
+        # neighbours merge as they close, exactly as __init__ merges
+        # them: the open run [run_t0, prev) keeps its first-seen power
+        # ``run`` while each next level lies within POWER_TOL of it.
+        # The segments are contiguous from 0 with t1 > t0 and powers
+        # max(level, 0.0) (a -0.0 level stays -0.0), so __init__'s
+        # checks hold by construction and its walk is skipped.
+        deltas.setdefault(horizon, 0.0)
+        tol = PowerProfile.POWER_TOL
         segments: "list[tuple[int, int, float]]" = []
         level = baseline
-        prev = 0
+        prev = run_t0 = 0
+        run = None
         for t in sorted(deltas):
             if t > prev:
-                segments.append((prev, t, max(level, 0.0)))
+                power = max(level, 0.0)
+                if run is None:
+                    run = power
+                elif not abs(run - power) <= tol:
+                    segments.append((run_t0, prev, run))
+                    run_t0, run = prev, power
                 prev = t
             level += deltas[t]
-        if prev < horizon:
-            segments.append((prev, horizon, max(level, 0.0)))
-        return PowerProfile(segments, baseline=baseline)
+        segments.append((run_t0, prev, run))
+        return PowerProfile._trusted(segments, baseline)
+
+    @classmethod
+    def _trusted(cls, segments: "list[tuple[int, int, float]]",
+                 baseline: float) -> "PowerProfile":
+        """A profile over ``segments`` that already hold every check and
+        merge of :meth:`__init__` (:meth:`from_schedule` builds them)."""
+        profile = cls.__new__(cls)
+        profile._segments = segments
+        profile.baseline = baseline
+        profile._starts = [seg[0] for seg in segments]
+        BUILD_COUNTS["profiles"] += 1
+        return profile
 
     # ------------------------------------------------------------------
     # basic queries

@@ -74,6 +74,22 @@ class Schedule:
         self._slack: "tuple | None" = None
         BUILD_COUNTS["schedules"] += 1
 
+    @classmethod
+    def _trusted(cls, graph: ConstraintGraph, starts: "dict[str, int]",
+                 makespan: "int | None" = None) -> "Schedule":
+        """A schedule over ``starts``, which the caller guarantees hold
+        exactly the graph's tasks, each at a plain non-negative int;
+        ``makespan``, when given, is theirs.  :meth:`with_start` and
+        :func:`~repro.scheduling.timing.asap_schedule` build through
+        here."""
+        schedule = cls.__new__(cls)
+        schedule._graph = graph
+        schedule._starts = starts
+        schedule._makespan = makespan
+        schedule._slack = None
+        BUILD_COUNTS["schedules"] += 1
+        return schedule
+
     def _rebind(self, graph: ConstraintGraph) -> None:
         """Move this schedule onto ``graph`` in place.
 
@@ -199,12 +215,27 @@ class Schedule:
     # ------------------------------------------------------------------
 
     def with_start(self, name: str, start: int) -> "Schedule":
-        """A copy with one task moved to an absolute start time."""
+        """A copy with one task moved to an absolute start time.
+
+        Every other start was checked when this schedule was built, so a
+        plain non-negative int for a known task is the only check; any
+        other value goes through the checked constructor.  A known
+        makespan carries over wherever the move decides it.
+        """
         if name not in self._starts:
             raise ValidationError(f"unknown task {name!r}")
         starts = dict(self._starts)
         starts[name] = start
-        return Schedule(self._graph, starts)
+        if type(start) is not int or start < 0:
+            return Schedule(self._graph, starts)
+        makespan = self._makespan
+        if makespan is not None:
+            duration = self._graph._tasks[name].duration
+            if start + duration >= makespan:
+                makespan = start + duration
+            elif self._starts[name] + duration >= makespan:
+                makespan = None    # the moved task may have set it
+        return Schedule._trusted(self._graph, starts, makespan)
 
     def delayed(self, name: str, delta: int) -> "Schedule":
         """A copy with one task delayed by ``delta >= 0`` time units."""

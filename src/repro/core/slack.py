@@ -29,8 +29,6 @@ object, its length and its last entry), which changes whenever an edge
 is added, removed, weakened or stripped, and comes back when a rollback
 returns to the stamped prefix.  The schedulers read slack before adding
 a trial edge or after rolling it back, so their reads hit.
-:func:`inherit_slack` hands a one-start move's schedule the values the
-move cannot change.
 """
 
 from __future__ import annotations
@@ -103,27 +101,6 @@ def _current_memo(schedule: Schedule) -> "tuple | None":
             or memo[2] is not (journal[-1] if size else None):
         return None
     return memo
-
-
-def inherit_slack(schedule: Schedule, parent: Schedule,
-                  moved: str) -> None:
-    """Give ``schedule`` the slack values ``parent`` remembers that
-    moving one task cannot change.
-
-    ``schedule`` must be ``parent`` with only ``moved``'s start changed,
-    on the same graph.  A task's slack reads its own start, its
-    out-edges and their targets' starts, so the move changes only the
-    slack of ``moved`` and of the tasks with an edge into it; every
-    other remembered value carries over under the parent's stamp.
-    """
-    memo = _current_memo(parent)
-    if memo is None:
-        return
-    known = dict(memo[3])
-    known.pop(moved, None)
-    for src in parent.graph._in.get(moved, ()):
-        known.pop(src, None)
-    schedule._slack = (memo[0], memo[1], memo[2], known)
 
 
 def slack_table(schedule: Schedule) -> "dict[str, int]":

@@ -57,6 +57,7 @@ STATS_METRIC_NAMES: "dict[str, str]" = {
     "spikes_removed": "sched.maxp.spikes_removed",
     "delays_applied": "sched.maxp.delays_applied",
     "spike_attempts": "sched.maxp.spike_attempts",
+    "spike_budget_exhausted": "sched.maxp.spike_budget_exhausted",
     "gap_fill_moves": "sched.minp.gap_fill_moves",
     "gap_fill_rejected": "sched.minp.gap_fill_rejected",
     "scans": "sched.minp.scans",

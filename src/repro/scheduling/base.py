@@ -37,7 +37,8 @@ class SchedulerOptions:
         matters for adversarial synthetic instances).
     max_spike_attempts:
         Budget for spike-elimination branches in the max-power
-        scheduler (per restart).
+        scheduler (per restart).  Each restart that runs out of it
+        counts in ``SchedulerStats.spike_budget_exhausted``.
     max_power_restarts:
         Number of multi-start repair attempts in the max-power
         scheduler.  Restart 0 is the pure paper heuristic; later
@@ -115,7 +116,10 @@ class SchedulerStats:
     pipeline stage name) and how the longest-path solver answered
     (exact memo hits, journal replays, full Bellman–Ford solves, and
     probes pruned from a certified contradiction), and how many
-    schedules and power profiles it built.  The batch engine
+    schedules and power profiles it built.  ``spike_budget_exhausted``
+    counts the max-power restarts that ran out of
+    ``max_spike_attempts``, also when another restart or the serial
+    fallback still answered.  The batch engine
     (:mod:`repro.engine`) aggregates these into its JSON run traces,
     and :meth:`absorb_into` folds them into a :mod:`repro.obs` metrics
     registry under the stable ``sched.*`` naming scheme
@@ -128,6 +132,7 @@ class SchedulerStats:
     spikes_removed: int = 0
     delays_applied: int = 0
     spike_attempts: int = 0
+    spike_budget_exhausted: int = 0
     gap_fill_moves: int = 0
     gap_fill_rejected: int = 0
     scans: int = 0

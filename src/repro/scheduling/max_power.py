@@ -46,12 +46,13 @@ import sys
 from bisect import bisect_right
 
 from ..core.graph import ConstraintGraph
-from ..core.longest_path import predecessor_children, predecessor_subtrees
+from ..core.longest_path import longest_paths, predecessor_children, \
+    predecessor_subtrees
 from ..core.problem import SchedulingProblem
 from ..core.profile import PowerProfile
 from ..core.schedule import Schedule
 from ..core.slack import slack
-from ..core.task import ANCHOR_NAME
+from ..core.task import ANCHOR_NAME, Task
 from ..core.tolerance import POWER_TOL
 from ..errors import SchedulingFailure
 from ..obs import OBS
@@ -101,6 +102,12 @@ class MaxPowerScheduler:
         # salts of the restarts whose orders still agree with restart
         # 0's, while restart 0 runs (see solve)
         self._twins: "dict[int, dict[str, float]]" = {}
+        # whether the last eliminate_spikes ran out of max_spike_attempts
+        self._exhausted = False
+        # the profile of the schedule the last eliminate_spikes or
+        # compact call returned, under that call's problem (both keep
+        # returning only the schedule: perfbench's spans wrap them)
+        self._profile: "PowerProfile | None" = None
 
     # ------------------------------------------------------------------
 
@@ -139,10 +146,8 @@ class MaxPowerScheduler:
         failures: "list[str]" = []
 
         def consider(schedule: Schedule, graph: ConstraintGraph,
-                     profile: "PowerProfile | None" = None) -> None:
+                     profile: PowerProfile) -> None:
             nonlocal best
-            if profile is None:
-                profile = problem.profile(schedule)
             key = (float(schedule.makespan),
                    profile.energy_above(problem.p_min))
             if best is None or key < best[0]:
@@ -172,6 +177,8 @@ class MaxPowerScheduler:
                     outcome = first
                 else:
                     outcome = self._restart(base_graph, problem, variant)
+                    if self._exhausted:
+                        restart_span.set(exhausted=True)
                 if variant == 0:
                     first, twins, self._twins = outcome, set(self._twins), {}
                 if isinstance(outcome, str):
@@ -208,15 +215,16 @@ class MaxPowerScheduler:
 
     def _restart(self, base_graph: ConstraintGraph,
                  problem: SchedulingProblem, variant: int) \
-            -> "tuple[Schedule, ConstraintGraph] | str":
-        """One repair restart on a copy of ``base_graph``: its schedule
-        and graph, or the message it failed with."""
+            -> "tuple[Schedule, ConstraintGraph, PowerProfile] | str":
+        """One repair restart on a copy of ``base_graph``: its schedule,
+        graph and profile, or the message it failed with."""
         graph = base_graph.copy()
         try:
-            return self.eliminate_spikes(graph, problem,
-                                         variant=variant), graph
+            schedule = self.eliminate_spikes(graph, problem,
+                                             variant=variant)
         except SchedulingFailure as exc:
             return str(exc)
+        return schedule, graph, self._profile
 
     def _serial_candidate(self, problem: SchedulingProblem,
                           finish_by: "int | None") \
@@ -258,9 +266,12 @@ class MaxPowerScheduler:
         ``P_max`` define the spikes).  On success the graph has been
         decorated with the delay/lock edges that realize the valid
         schedule.  ``variant > 0`` perturbs heuristic tie-breaking
-        (multi-start).
+        (multi-start).  A repair that runs out of
+        ``max_spike_attempts`` counts once in
+        ``stats.spike_budget_exhausted``, whether or not it raises.
         """
         self._attempts = self.options.max_spike_attempts
+        self._exhausted = False
         self._rng, self._salt = _tie_breaks(self.options.seed, variant,
                                             graph.task_names())
         # One recursion level per spike; deep schedules need headroom
@@ -268,50 +279,59 @@ class MaxPowerScheduler:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(limit, 50_000))
         try:
-            schedule = self._repair(graph, problem)
+            schedule = asap_schedule(graph, probe=True)
+            repaired = None if schedule is None \
+                else self._repair(graph, problem, schedule)
         finally:
             sys.setrecursionlimit(limit)
-        if schedule is None:
+        if self._exhausted:
+            self.stats.spike_budget_exhausted += 1
+        if repaired is None:
             raise SchedulingFailure(
                 f"max-power scheduler could not eliminate all spikes of "
                 f"{graph.name!r} under P_max = {problem.p_max:g} W "
                 f"(attempt budget {self.options.max_spike_attempts})")
+        schedule, self._profile = repaired
         if self.options.compaction:
-            schedule = self.compact(graph, problem)
+            schedule = self.compact(graph, problem, schedule, self._profile)
         return schedule
 
-    def _repair(self, graph: ConstraintGraph,
-                problem: SchedulingProblem) -> "Schedule | None":
-        """Recursive spike repair; None signals a failed branch."""
-        schedule = asap_schedule(graph, probe=True)
-        if schedule is None:
-            return None
+    def _repair(self, graph: ConstraintGraph, problem: SchedulingProblem,
+                schedule: Schedule) \
+            -> "tuple[Schedule, PowerProfile] | None":
+        """Recursive spike repair from ``schedule``, the ASAP schedule of
+        the graph's current edge set: the repaired schedule and its
+        profile, or None for a failed branch."""
         profile = problem.profile(schedule)
         spike = profile.first_spike(problem.p_max)
         if spike is None:
-            return schedule
+            return schedule, profile
         if self._attempts <= 0:
+            self._exhausted = True
             return None
 
         t = spike.start
-        candidates = self._ordered_active(schedule, t)
+        active = schedule.active_tasks(t)
+        candidates = self._ordered_active(schedule, active)
         # Branch on which task is delayed *first*; the greedy inner loop
         # handles the rest.  The first branch is the pure paper
         # heuristic (largest slack first).
         for lead in range(len(candidates)):
             if self._attempts <= 0:
+                self._exhausted = True
                 return None
             self._attempts -= 1
             self.stats.spike_attempts += 1
             token = graph.checkpoint()
             # Every branch starts from this edge set (the first as is,
             # the others rolled back to it), so it starts from this
-            # schedule and profile too.
+            # schedule, its profile and its activity at t too.
             cleared = self._clear_time(graph, problem, t, schedule,
-                                       profile, prefer=candidates[lead])
-            if cleared:
+                                       profile, active,
+                                       prefer=candidates[lead])
+            if cleared is not None:
                 self.stats.spikes_removed += 1
-                solved = self._repair(graph, problem)
+                solved = self._repair(graph, problem, cleared)
                 if solved is not None:
                     return solved
             graph.rollback(token)
@@ -319,15 +339,16 @@ class MaxPowerScheduler:
 
     # ------------------------------------------------------------------
 
-    def _ordered_active(self, schedule: Schedule, t: int) -> "list[str]":
-        """Active tasks at ``t`` in heuristic delay order.
+    def _ordered_active(self, schedule: Schedule,
+                        active: "list[Task]") -> "list[str]":
+        """The tasks ``active`` at some slot of ``schedule`` in heuristic
+        delay order.
 
         Paper heuristic: largest slack first (ties broken by smaller
         power, then by name — or by the multi-start salt).  With
         ``slack_ordering`` off (ablation), a seeded random order is
         used instead.
         """
-        active = schedule.active_tasks(t)
         if not self.options.slack_ordering:
             names = [task.name for task in active]
             self._rng.shuffle(names)
@@ -358,12 +379,19 @@ class MaxPowerScheduler:
     def _clear_time(self, graph: ConstraintGraph,
                     problem: SchedulingProblem, t: int,
                     schedule: Schedule, profile: PowerProfile,
-                    prefer: "str | None" = None) -> bool:
+                    active: "list[Task]",
+                    prefer: "str | None" = None) -> "Schedule | None":
         """Delay tasks until the profile at slot ``t`` is within budget.
 
         ``schedule`` and ``profile`` are the ASAP schedule of the
-        graph's current edge set and its profile.  The loop keeps them
-        until the edge set changes, and solves a trial move once.
+        graph's current edge set and its profile, and ``active`` its
+        tasks active at ``t``.  The loop keeps them until the edge set
+        changes, solves a trial move once, and scans a schedule's
+        activity at ``t`` once.  Returns the ASAP schedule of the edge
+        set that clears ``t``, or None when the branch dead-ends.  The
+        locks added after a zero-slack delay pin tasks at their starts
+        in that schedule, so it stays the ASAP schedule of the locked
+        edge set (DESIGN.md §5r).
 
         Victims whose delay would contradict the constraints (positive
         cycle — e.g. a locked task) are skipped rather than failing the
@@ -380,13 +408,15 @@ class MaxPowerScheduler:
             if schedule is None:
                 schedule = asap_schedule(graph, probe=True)
                 if schedule is None:  # pragma: no cover - defensive
-                    return False
-                profile = None
-            if baseline + schedule.power_at(t) <= budget:
+                    return None
+                profile = active = None
+            if active is None:
+                active = schedule.active_tasks(t)
+            if baseline + sum([task.power for task in active]) <= budget:
                 if zero_slack_delayed:
-                    self._lock_remaining(graph, schedule, t)
-                return True
-            order = [n for n in self._ordered_active(schedule, t)
+                    self._lock_remaining(graph, schedule, active)
+                return schedule
+            order = [n for n in self._ordered_active(schedule, active)
                      if n not in blocked]
             if not order:
                 # Every active task is blocked — typically because an
@@ -395,7 +425,7 @@ class MaxPowerScheduler:
                 # ... the algorithm will choose one task from them to
                 # make further delay".  Unlock one and retry.
                 if not self._unlock_one(graph, schedule, t, blocked):
-                    return False
+                    return None
                 schedule = None
                 continue
             victim = prefer if prefer in order else order[0]
@@ -414,11 +444,11 @@ class MaxPowerScheduler:
                 graph.rollback(token)     # back to this schedule's edges
                 blocked.add(victim)
                 continue
-            schedule, profile = trial, None
+            schedule, profile, active = trial, None, None
             self.stats.delays_applied += 1
             if had_zero_slack:
                 zero_slack_delayed = True
-        return False
+        return None
 
     def _delay_past(self, graph: ConstraintGraph, schedule: Schedule,
                     name: str, t: int, target: int) -> bool:
@@ -459,7 +489,8 @@ class MaxPowerScheduler:
         Returns True when a lock was lifted (the task becomes a delay
         candidate again).
         """
-        for name in self._ordered_active(schedule, t):
+        for name in self._ordered_active(schedule,
+                                         schedule.active_tasks(t)):
             if graph.edge_tag(name, ANCHOR_NAME) == "lock":
                 graph.weaken_edge(name, ANCHOR_NAME)
                 blocked.discard(name)
@@ -467,16 +498,24 @@ class MaxPowerScheduler:
         return False
 
     def _lock_remaining(self, graph: ConstraintGraph, schedule: Schedule,
-                        t: int) -> None:
-        """Lock the start times of the tasks still active at ``t``.
+                        active: "list[Task]") -> None:
+        """Lock the start times of the ``active`` tasks, those still
+        active at the cleared slot.
 
         After a cascading (zero-slack) delay the paper pins the
         remaining simultaneous tasks so later repairs do not silently
         shift them; the locks are release-time+deadline edge pairs and
-        roll back with the branch on failure.
+        roll back with the branch on failure.  ``schedule`` meets every
+        lock with equality, so it stays the ASAP schedule of the locked
+        edge set.  That edge set is still solved once, as the repair
+        always did, so the next repair level starts from its
+        longest-path memo (DESIGN.md §5r).
         """
-        for task in schedule.active_tasks(t):
+        token = graph.checkpoint()
+        for task in active:
             graph.lock_start(task.name, schedule.start(task.name))
+        if graph.checkpoint() != token:
+            longest_paths(graph)
 
     # ------------------------------------------------------------------
     # compaction (left shift of scheduler-added delays)
@@ -485,8 +524,9 @@ class MaxPowerScheduler:
     #: Edge tags the compaction pass is allowed to relax.
     _RELAXABLE_TAGS = frozenset({"delay", "gapfill", "lock"})
 
-    def compact(self, graph: ConstraintGraph,
-                problem: SchedulingProblem) -> Schedule:
+    def compact(self, graph: ConstraintGraph, problem: SchedulingProblem,
+                schedule: "Schedule | None" = None,
+                profile: "PowerProfile | None" = None) -> Schedule:
         """Left-shift compaction of scheduler-added delays.
 
         Visits tasks in start-time order and, for each anchor release
@@ -497,10 +537,16 @@ class MaxPowerScheduler:
         increases the finish time, so the loop converges.  A try that
         the current schedule, its profile and its longest-path memo
         prove hopeless is refused without an edit (:meth:`_hopeless`).
+
+        A caller that holds the ASAP schedule of the graph's current
+        edge set, or also its profile, passes them in (see
+        :class:`_Compaction`).  The profile of the returned schedule is
+        left in ``self._profile``.
         """
-        current = _Compaction(graph, problem)
+        current = _Compaction(graph, problem, schedule, profile)
         while self._compact_round(graph, problem, current):
             pass
+        self._profile = current.profile
         return current.schedule
 
     def _compact_round(self, graph: ConstraintGraph,
@@ -642,8 +688,11 @@ class _Compaction:
     """What compaction holds between tries (DESIGN.md §5p).
 
     ``schedule`` is the ASAP schedule of the graph's current edge set
-    and ``profile`` its profile: built once per :meth:`compact` call,
-    then each accepted trial's.  ``limit`` is the level a slot's lower
+    and ``profile`` its profile: handed in by the spike repair that
+    built them (or built here when not), then each accepted trial's.
+    Either way the current edge set's longest paths are asked for once
+    here, so that :meth:`MaxPowerScheduler._hopeless` finds their memo.
+    ``limit`` is the level a slot's lower
     bound must exceed for every trial to spike there: ``P_max`` plus
     3·``POWER_TOL`` (the two profiles' segment merging and the validity
     test) plus a rounding allowance relative to the largest sum a level
@@ -654,10 +703,16 @@ class _Compaction:
 
     __slots__ = ("schedule", "profile", "limit", "pred", "children")
 
-    def __init__(self, graph: ConstraintGraph,
-                 problem: SchedulingProblem):
-        self.schedule = asap_schedule(graph)
-        self.profile = problem.profile(self.schedule)
+    def __init__(self, graph: ConstraintGraph, problem: SchedulingProblem,
+                 schedule: "Schedule | None" = None,
+                 profile: "PowerProfile | None" = None):
+        if schedule is None:
+            schedule = asap_schedule(graph)
+        else:
+            longest_paths(graph)
+        self.schedule = schedule
+        self.profile = profile if profile is not None \
+            else problem.profile(schedule)
         # Every level is a sum of the baseline and at most two terms of
         # each task's power; its rounding error is below 4n ulps of this
         # total for n tasks (DESIGN.md §5p).

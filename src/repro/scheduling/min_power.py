@@ -31,13 +31,14 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left, insort
 
 from ..core.graph import ConstraintGraph
 from ..core.metrics import min_power_utilization
 from ..core.problem import SchedulingProblem
 from ..core.profile import PowerProfile
 from ..core.schedule import Schedule
-from ..core.slack import inherit_slack, slack
+from ..core.slack import UNBOUNDED_SLACK, slack
 from ..core.task import ANCHOR_NAME
 from ..obs import OBS
 from .base import ScheduleResult, SchedulerOptions, SchedulerStats, \
@@ -160,11 +161,13 @@ class MinPowerScheduler:
         plus one ``anchor -> task`` release edge per move.  The profile
         is the last accepted trial's, built over ``[0, tau)`` with
         ``tau`` the schedule's own makespan (a move never changes it),
-        or ``base.profile`` when nothing moved.
+        or ``base.profile`` when nothing moved.  The configuration's
+        :class:`_ReachTable` follows each accepted move.
         """
         rng = random.Random(config.seed)
         schedule, profile = base.schedule, base.profile
         rho = base.metrics.utilization
+        reach = _ReachTable(schedule)
         moves: "list[tuple[str, int]]" = []
         for _ in range(self.MAX_SCANS_PER_CONFIG):
             self.stats.scans += 1
@@ -176,19 +179,21 @@ class MinPowerScheduler:
                 rng.shuffle(gap_times)
             for t in gap_times:
                 outcome = self._fill_one_gap(problem, schedule, profile,
-                                             t, config, rng, rho)
+                                             t, config, rng, rho, reach)
                 if outcome is not None:
+                    parent = schedule
                     schedule, profile, rho, move = outcome
                     moves.append(move)
                     moved = True
                     if rho >= 1.0 - _RHO_EPS:
                         return schedule, profile, rho, moves
+                    reach.move(parent, schedule, move[0])
             if not moved:
                 break
         return schedule, profile, rho, moves
 
     def _fill_one_gap(self, problem, schedule, profile, t, config, rng,
-                      rho_now):
+                      rho_now, reach):
         """Try to move one earlier task into the gap at time ``t``.
 
         Returns ``(schedule, profile, rho, (task, new start))`` on an
@@ -196,22 +201,26 @@ class MinPowerScheduler:
         since the scan list was built; we re-read the profile and skip
         stale entries.
 
-        A new start inside the task's slot window is a delay within its
-        slack, so the trial schedule is ``schedule`` with that one start
-        changed: it finishes by ``schedule``'s makespan exactly when the
-        moved task does, which is tested before anything is built.
+        The candidates are the tasks ``reach`` (the
+        :class:`_ReachTable` of ``schedule``) says can be made active
+        at ``t`` by a delay within their slack, nearest first.  A new
+        start inside a candidate's slot window ``[t - d + 1, min(t,
+        start + slack)]``, never empty, is such a delay, so the trial
+        schedule is ``schedule`` with that one start changed: it
+        finishes by ``schedule``'s makespan exactly when the moved task
+        does, which is tested before anything is built.
         """
         if profile.value(t) >= problem.p_min - PowerProfile.POWER_TOL:
             return None
         makespan = schedule.makespan
         tasks = schedule.graph._tasks
-        for name in self._gap_candidates(schedule, t):
-            window = self._slot_window(schedule, name, t)
-            if window is None:
-                continue
-            new_start = self._choose_slot(window, tasks[name], t,
-                                          profile, config, rng)
-            if new_start + tasks[name].duration <= makespan:
+        for _, name, _, last in reach.candidates(t):
+            task = tasks[name]
+            duration = task.duration
+            window = (t - duration + 1, min(t, last - duration + 1))
+            new_start = self._choose_slot(window, task, t, profile,
+                                          config, rng)
+            if new_start + duration <= makespan:
                 trial = schedule.with_start(name, new_start)
                 trial_profile = problem.profile(trial, horizon=makespan)
                 if trial_profile.is_power_valid(problem.p_max):
@@ -219,42 +228,10 @@ class MinPowerScheduler:
                                                     problem.p_min)
                     if rho_new > rho_now + _RHO_EPS:
                         self.stats.gap_fill_moves += 1
-                        inherit_slack(trial, schedule, name)
                         return (trial, trial_profile, rho_new,
                                 (name, new_start))
             self.stats.gap_fill_rejected += 1
         return None
-
-    def _gap_candidates(self, schedule: Schedule, t: int) -> "list[str]":
-        """Tasks that start before ``t`` and could be active at ``t``
-        after a within-slack delay; nearest (latest-starting) first."""
-        tasks = schedule.graph._tasks
-        out = []
-        for name, start in schedule.items():
-            task = tasks[name]
-            if task.duration == 0 or task.power == 0 or start > t:
-                continue
-            if t < start + task.duration:  # already active at t
-                continue
-            if slack(schedule, name) >= t - start - task.duration + 1:
-                out.append((start, name))
-        out.sort(key=lambda pair: (-pair[0], pair[1]))
-        return [name for _, name in out]
-
-    def _slot_window(self, schedule: Schedule, name: str,
-                     t: int) -> "tuple[int, int] | None":
-        """Feasible new-start interval making ``name`` active at ``t``.
-
-        ``[lo, hi]`` with ``lo > sigma(name)`` (a real delay), bounded
-        by the task's slack so nothing else moves.
-        """
-        task = schedule.graph.task(name)
-        start = schedule.start(name)
-        lo = max(start + 1, t - task.duration + 1)
-        hi = min(t, start + slack(schedule, name))
-        if lo > hi:
-            return None
-        return lo, hi
 
     def _choose_slot(self, window, task, t, profile, config, rng) -> int:
         """Pick the new start inside ``window`` per the slot heuristic."""
@@ -267,6 +244,77 @@ class MinPowerScheduler:
         else:
             choice = rng.randint(lo, hi)
         return min(max(choice, lo), hi)
+
+
+class _ReachTable:
+    """Which tasks a within-slack delay can make active at a gap time,
+    kept for one configuration's current schedule (DESIGN.md §5r).
+
+    ``rows`` holds ``(-start, name, finish, last)`` for every task with
+    nonzero duration and power, sorted, so nearest (latest-starting)
+    first, ties by name; ``last = finish + slack - 1`` is the latest
+    slot the task reaches.  The task is a candidate for a gap at ``t``
+    exactly when ``finish <= t <= last``: it is not active at ``t``
+    yet, and delaying it by ``t - finish + 1 <= slack`` makes it so.
+    ``slack`` maps each of these tasks to its slack.
+
+    A move of one task ``v`` by ``delta`` changes only ``v``'s start and
+    finish, ``v``'s slack (every out-edge of ``v`` loses ``delta`` of
+    room) and the slack of an in-neighbour whose edge into ``v`` was
+    its tightest (it gains room).  :meth:`move` updates those and asks
+    :func:`~repro.core.slack.slack` only for the in-neighbours and for a
+    ``v`` whose slack was :data:`~repro.core.slack.UNBOUNDED_SLACK`.
+    """
+
+    __slots__ = ("rows", "slack")
+
+    def __init__(self, schedule: Schedule):
+        tasks = schedule.graph._tasks
+        self.rows: "list[tuple[int, str, int, int]]" = []
+        self.slack: "dict[str, int]" = {}
+        for name, start in schedule.items():
+            task = tasks[name]
+            if task.duration == 0 or task.power == 0:
+                continue
+            room = self.slack[name] = slack(schedule, name)
+            finish = start + task.duration
+            self.rows.append((-start, name, finish, finish + room - 1))
+        self.rows.sort()
+
+    def candidates(self, t: int) -> "list[tuple[int, str, int, int]]":
+        """The rows of the tasks that can be made active at ``t``, in
+        order; only rows that start before ``t`` are looked at."""
+        rows = self.rows
+        return [row for row in rows[bisect_left(rows, (1 - t,)):]
+                if row[2] <= t <= row[3]]
+
+    def move(self, parent: Schedule, schedule: Schedule,
+             name: str) -> None:
+        """Follow the move from ``parent`` to ``schedule``, which is
+        ``parent`` with only ``name`` delayed."""
+        rows, known = self.rows, self.slack
+        old = parent.start(name)
+        new = schedule.start(name)
+        del rows[bisect_left(rows, (-old, name))]
+        room = known[name]
+        room = known[name] = slack(schedule, name) \
+            if room == UNBOUNDED_SLACK else room - (new - old)
+        finish = new + schedule.graph._tasks[name].duration
+        insort(rows, (-new, name, finish, finish + room - 1))
+        edges = schedule.graph._edges
+        for src in schedule.graph._in.get(name, ()):
+            before = known.get(src)
+            entry = edges.get((src, name))
+            if before is None or entry is None:
+                continue
+            start = parent.start(src)
+            if old - start - entry[0] != before:
+                continue              # not its tightest edge
+            room = known[src] = slack(schedule, src)
+            if room != before:
+                index = bisect_left(rows, (-start, src))
+                finish = rows[index][2]
+                rows[index] = (-start, src, finish, finish + room - 1)
 
 
 def min_power_schedule(problem: SchedulingProblem,

@@ -33,7 +33,7 @@ from ..core.longest_path import longest_paths
 from ..core.problem import SchedulingProblem
 from ..core.schedule import Schedule
 from ..core.task import ANCHOR_NAME
-from ..errors import SchedulingFailure
+from ..errors import SchedulingFailure, ValidationError
 from ..obs import OBS
 from .base import ScheduleResult, SchedulerOptions, SchedulerStats, \
     make_result
@@ -54,8 +54,18 @@ def asap_schedule(graph: ConstraintGraph, *,
     result = longest_paths(graph, probe=probe)
     if result is None:
         return None
-    return Schedule(graph, {name: result.distance[name]
-                            for name in graph.task_names()})
+    # Longest-path distances are ints (add_edge refuses other weights)
+    # and at least 0 (the implicit anchor edge), so the one pass that
+    # builds the starts checks only the sign.
+    distance = result.distance
+    starts = {}
+    for name in graph.task_names():
+        start = starts[name] = distance[name]
+        if start < 0:  # pragma: no cover - defensive
+            raise ValidationError(
+                f"start of {name!r} must be a non-negative integer, "
+                f"got {start!r}")
+    return Schedule._trusted(graph, starts)
 
 
 class TimingScheduler:
